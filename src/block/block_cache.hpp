@@ -18,6 +18,7 @@
 
 #include "block/block.hpp"
 #include "block/block_id.hpp"
+#include "common/fields.hpp"
 
 namespace sia {
 
@@ -28,6 +29,15 @@ class BlockCache {
     std::int64_t misses = 0;
     std::int64_t evictions = 0;
     std::int64_t insertions = 0;
+
+    // Field list for the rank report (common/fields.hpp).
+    template <class Visit, class... S>
+    static void fields(Visit&& visit, S&... s) {
+      visit("hits", Fold::kSum, s.hits...);
+      visit("misses", Fold::kSum, s.misses...);
+      visit("evictions", Fold::kSum, s.evictions...);
+      visit("insertions", Fold::kSum, s.insertions...);
+    }
   };
 
   // Called with each evicted entry; `dirty` is the flag set by put(...,

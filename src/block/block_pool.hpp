@@ -26,6 +26,8 @@
 #include <mutex>
 #include <vector>
 
+#include "common/fields.hpp"
+
 namespace sia {
 
 namespace detail {
@@ -71,6 +73,15 @@ class BlockPool {
     std::size_t heap_fallbacks = 0;
     std::size_t in_use_doubles = 0;
     std::size_t peak_in_use_doubles = 0;
+
+    // Field list for the rank report (common/fields.hpp).
+    template <class Visit, class... S>
+    static void fields(Visit&& visit, S&... s) {
+      visit("pool_allocs", Fold::kSum, s.pool_allocs...);
+      visit("heap_fallbacks", Fold::kSum, s.heap_fallbacks...);
+      visit("in_use_doubles", Fold::kSum, s.in_use_doubles...);
+      visit("peak_in_use_doubles", Fold::kMax, s.peak_in_use_doubles...);
+    }
   };
 
   // `size_classes` maps slot capacity (doubles) -> number of slots. The

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/fields.hpp"
 #include "msg/fabric.hpp"
 
 namespace sia::msg {
@@ -52,6 +53,16 @@ struct ChaosStats {
 
   std::int64_t total() const {
     return drops + dups + delays + reorders + kill_swallowed;
+  }
+
+  // Field list for the rank report (common/fields.hpp).
+  template <class Visit, class... S>
+  static void fields(Visit&& visit, S&... s) {
+    visit("drops", Fold::kSum, s.drops...);
+    visit("dups", Fold::kSum, s.dups...);
+    visit("delays", Fold::kSum, s.delays...);
+    visit("reorders", Fold::kSum, s.reorders...);
+    visit("kill_swallowed", Fold::kSum, s.kill_swallowed...);
   }
 };
 

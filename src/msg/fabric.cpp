@@ -198,22 +198,7 @@ TrafficStats Fabric::stats(int rank) const {
 
 TrafficStats Fabric::total_stats() const {
   TrafficStats total;
-  for (int r = 0; r < ranks(); ++r) {
-    const TrafficStats s = stats(r);
-    total.messages_sent += s.messages_sent;
-    total.payload_doubles_sent += s.payload_doubles_sent;
-    total.header_words_sent += s.header_words_sent;
-    total.zero_copy_messages += s.zero_copy_messages;
-    total.zero_copy_doubles += s.zero_copy_doubles;
-    total.sends_after_stop += s.sends_after_stop;
-    total.blocks_screened += s.blocks_screened;
-    total.bytes_elided += s.bytes_elided;
-    total.serialized_messages += s.serialized_messages;
-    total.serialized_doubles += s.serialized_doubles;
-    total.reconnects += s.reconnects;
-    total.frames_rejected += s.frames_rejected;
-    total.peer_down_drops += s.peer_down_drops;
-  }
+  for (int r = 0; r < ranks(); ++r) fields::fold(total, stats(r));
   return total;
 }
 

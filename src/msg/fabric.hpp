@@ -33,6 +33,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "msg/message.hpp"
 
 namespace sia::msg {
@@ -70,6 +71,24 @@ struct TrafficStats {
   std::int64_t reconnects = 0;
   std::int64_t frames_rejected = 0;
   std::int64_t peer_down_drops = 0;
+
+  // Field list for the rank report (common/fields.hpp).
+  template <class Visit, class... S>
+  static void fields(Visit&& visit, S&... s) {
+    visit("messages_sent", Fold::kSum, s.messages_sent...);
+    visit("payload_doubles_sent", Fold::kSum, s.payload_doubles_sent...);
+    visit("header_words_sent", Fold::kSum, s.header_words_sent...);
+    visit("zero_copy_messages", Fold::kSum, s.zero_copy_messages...);
+    visit("zero_copy_doubles", Fold::kSum, s.zero_copy_doubles...);
+    visit("sends_after_stop", Fold::kSum, s.sends_after_stop...);
+    visit("blocks_screened", Fold::kSum, s.blocks_screened...);
+    visit("bytes_elided", Fold::kSum, s.bytes_elided...);
+    visit("serialized_messages", Fold::kSum, s.serialized_messages...);
+    visit("serialized_doubles", Fold::kSum, s.serialized_doubles...);
+    visit("reconnects", Fold::kSum, s.reconnects...);
+    visit("frames_rejected", Fold::kSum, s.frames_rejected...);
+    visit("peer_down_drops", Fold::kSum, s.peer_down_drops...);
+  }
 };
 
 class Fabric {

@@ -42,6 +42,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "msg/fabric.hpp"
 #include "msg/message.hpp"
 
@@ -57,6 +58,13 @@ class ReliableChannel {
   struct Stats {
     std::int64_t retries_sent = 0;
     std::int64_t acks_timed_out = 0;  // entries that exhausted retry_max
+
+    // Field list for the rank report (common/fields.hpp).
+    template <class Visit, class... S>
+    static void fields(Visit&& visit, S&... s) {
+      visit("retries_sent", Fold::kSum, s.retries_sent...);
+      visit("acks_timed_out", Fold::kSum, s.acks_timed_out...);
+    }
   };
 
   ReliableChannel(Fabric* fabric, int my_rank, int retry_timeout_ms,

@@ -62,9 +62,10 @@ enum Tag : int {
   kHeartbeatAck = 904,   // rank -> master: [tick, rank]
   kProtoAck = 905,       // standalone ack: msg.ack = applied seq
 
-  // Process ranks (PR 9): a spawned rank ships its end-of-run counters
-  // and (for the first worker) final scalar values back to the launch.
-  // header = [kind, scalar_count], data = packed counters + scalars.
+  // Process ranks: a spawned rank ships its end-of-run RankReport
+  // (counters, profile and, for the first worker, final scalar values)
+  // back to the launch. header = the encoded report
+  // (sip/rank_report.hpp), data empty.
   kResultReport = 906,
 };
 

@@ -327,11 +327,7 @@ void DistArrayManager::advance_epoch() {
   // Cached remote copies may be rewritten in the new epoch; drop them all.
   // In-flight requests keep their old epoch tag, so replies arriving after
   // the barrier are discarded in handle_get_reply.
-  const BlockCache::Stats& stats = cache_.stats();
-  cache_stats_accum_.hits += stats.hits;
-  cache_stats_accum_.misses += stats.misses;
-  cache_stats_accum_.evictions += stats.evictions;
-  cache_stats_accum_.insertions += stats.insertions;
+  fields::fold(cache_stats_accum_, cache_.stats());
   cache_.clear();
   pending_.clear();
   misses_.clear();
@@ -339,11 +335,7 @@ void DistArrayManager::advance_epoch() {
 
 BlockCache::Stats DistArrayManager::cache_stats() const {
   BlockCache::Stats total = cache_stats_accum_;
-  const BlockCache::Stats& stats = cache_.stats();
-  total.hits += stats.hits;
-  total.misses += stats.misses;
-  total.evictions += stats.evictions;
-  total.insertions += stats.insertions;
+  fields::fold(total, cache_.stats());
   return total;
 }
 

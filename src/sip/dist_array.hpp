@@ -30,6 +30,7 @@
 #include "block/block_cache.hpp"
 #include "block/block_id.hpp"
 #include "block/block_pool.hpp"
+#include "common/fields.hpp"
 #include "msg/message.hpp"
 #include "msg/reliable.hpp"
 #include "sip/shared.hpp"
@@ -53,6 +54,24 @@ class DistArrayManager {
     std::int64_t puts_screened = 0;  // put/put+= payloads dropped at sender
     std::int64_t gets_screened = 0;  // get requests answered with a marker
     std::int64_t zero_reads = 0;     // reads satisfied by the zero block
+
+    // Field list for the rank report (common/fields.hpp).
+    template <class Visit, class... S>
+    static void fields(Visit&& visit, S&... s) {
+      visit("gets_issued", Fold::kSum, s.gets_issued...);
+      visit("gets_local", Fold::kSum, s.gets_local...);
+      visit("gets_cached", Fold::kSum, s.gets_cached...);
+      visit("implicit_gets", Fold::kSum, s.implicit_gets...);
+      visit("puts_remote", Fold::kSum, s.puts_remote...);
+      visit("puts_local", Fold::kSum, s.puts_local...);
+      visit("puts_coalesced", Fold::kSum, s.puts_coalesced...);
+      visit("coalesce_flushes", Fold::kSum, s.coalesce_flushes...);
+      visit("replies_dropped", Fold::kSum, s.replies_dropped...);
+      visit("home_cow_copies", Fold::kSum, s.home_cow_copies...);
+      visit("puts_screened", Fold::kSum, s.puts_screened...);
+      visit("gets_screened", Fold::kSum, s.gets_screened...);
+      visit("zero_reads", Fold::kSum, s.zero_reads...);
+    }
   };
 
   DistArrayManager(SipShared& shared, int my_rank, BlockPool& pool,

@@ -37,6 +37,7 @@
 
 #include "block/block.hpp"
 #include "block/block_id.hpp"
+#include "common/fields.hpp"
 
 namespace sia::sip {
 
@@ -102,6 +103,25 @@ class DataflowExecutor {
     // Per-pool-thread busy time and task counts (timeline summary).
     std::vector<double> thread_busy_seconds;
     std::vector<std::int64_t> thread_tasks;
+
+    // Field list for the rank report (common/fields.hpp).
+    template <class Visit, class... S>
+    static void fields(Visit&& visit, S&... s) {
+      visit("tasks_executed", Fold::kSum, s.tasks_executed...);
+      visit("entries_retired", Fold::kSum, s.entries_retired...);
+      visit("hazard_stalls", Fold::kSum, s.hazard_stalls...);
+      visit("raw_deps", Fold::kSum, s.raw_deps...);
+      visit("war_deps", Fold::kSum, s.war_deps...);
+      visit("waw_deps", Fold::kSum, s.waw_deps...);
+      visit("operand_stalls", Fold::kSum, s.operand_stalls...);
+      visit("drains", Fold::kSum, s.drains...);
+      visit("window_peak", Fold::kMax, s.window_peak...);
+      visit("occupancy_sum", Fold::kSum, s.occupancy_sum...);
+      visit("occupancy_samples", Fold::kSum, s.occupancy_samples...);
+      visit("drain_wait_seconds", Fold::kSum, s.drain_wait_seconds...);
+      visit("thread_busy_seconds", Fold::kSum, s.thread_busy_seconds...);
+      visit("thread_tasks", Fold::kSum, s.thread_tasks...);
+    }
   };
 
   // `threads` >= 1. `window_limit` bounds the number of in-flight entries

@@ -20,6 +20,10 @@ namespace {
 // latency for queued blocks bounded while still amortizing the presence
 // map flush over many writes.
 constexpr std::size_t kMaxWriteBatch = 64;
+
+std::string ack_journal_path(const std::string& scratch_dir, int rank) {
+  return scratch_dir + "/server_" + std::to_string(rank) + ".ackjournal";
+}
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -1222,9 +1226,17 @@ void IoServer::ack_durable(const WriteBehind::AckList& acks) {
   for (const auto& [src, seq] : acks) send_ack(src, seq);
 }
 
+void IoServer::clear_ack_journals(const SipShared& shared) {
+  if (!shared.config.fault_tolerance_enabled()) return;
+  for (int s = 0; s < shared.num_servers(); ++s) {
+    ::unlink(ack_journal_path(shared.scratch_dir,
+                              shared.config.first_server_rank() + s)
+                 .c_str());
+  }
+}
+
 void IoServer::load_ack_journal() {
-  const std::string path = shared_.scratch_dir + "/server_" +
-                           std::to_string(my_rank_) + ".ackjournal";
+  const std::string path = ack_journal_path(shared_.scratch_dir, my_rank_);
   journal_fd_ = retry_eintr([&] {
     return ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
   });
@@ -1309,12 +1321,10 @@ IoServer::Stats IoServer::stats() const {
   return merged;
 }
 
-std::unordered_map<int, std::pair<std::int64_t, std::int64_t>>
-IoServer::presence() const {
-  std::unordered_map<int, std::pair<std::int64_t, std::int64_t>> census;
+std::map<int, std::int64_t> IoServer::data_blocks() const {
+  std::map<int, std::int64_t> census;
   for (const auto& [array_id, store] : stores_) {
-    census.emplace(array_id, std::make_pair(store->screened_count(),
-                                            store->present_count()));
+    census[array_id] = store->present_count() - store->screened_count();
   }
   return census;
 }

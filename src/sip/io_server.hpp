@@ -43,6 +43,7 @@
 #include "block/block.hpp"
 #include "block/block_cache.hpp"
 #include "block/block_id.hpp"
+#include "common/fields.hpp"
 #include "msg/chaos.hpp"
 #include "msg/message.hpp"
 #include "msg/reliable.hpp"
@@ -282,10 +283,36 @@ class IoServer {
     std::int64_t prepares_screened = 0;   // marker prepares (no payload)
     std::int64_t requests_screened = 0;   // answered with a norm-only reply
     std::int64_t evictions_screened = 0;  // dirty victims re-screened
+
+    // Field list for the rank report (common/fields.hpp).
+    template <class Visit, class... S>
+    static void fields(Visit&& visit, S&... s) {
+      visit("prepares", Fold::kSum, s.prepares...);
+      visit("requests", Fold::kSum, s.requests...);
+      visit("lookahead_requests", Fold::kSum, s.lookahead_requests...);
+      visit("disk_reads", Fold::kSum, s.disk_reads...);
+      visit("disk_writes", Fold::kSum, s.disk_writes...);
+      visit("cache_hits", Fold::kSum, s.cache_hits...);
+      visit("reads_coalesced", Fold::kSum, s.reads_coalesced...);
+      visit("write_batches", Fold::kSum, s.write_batches...);
+      visit("map_flushes", Fold::kSum, s.map_flushes...);
+      visit("computed", Fold::kSum, s.computed...);
+      visit("cow_copies", Fold::kSum, s.cow_copies...);
+      visit("dup_msgs_dropped", Fold::kSum, s.dup_msgs_dropped...);
+      visit("prepares_screened", Fold::kSum, s.prepares_screened...);
+      visit("requests_screened", Fold::kSum, s.requests_screened...);
+      visit("evictions_screened", Fold::kSum, s.evictions_screened...);
+    }
   };
 
   IoServer(SipShared& shared, int my_rank);
   ~IoServer();
+
+  // Clean start for a fault-tolerant launch: a respawned server replays
+  // its ack journal to rebuild its dedup window, and a journal left by an
+  // earlier run in the same scratch dir would poison that replay. Only
+  // respawns within the run append.
+  static void clear_ack_journals(const SipShared& shared);
 
   // Rank main loop; returns after kShutdown (or abort).
   void run();
@@ -294,10 +321,9 @@ class IoServer {
   // lanes, and the disk stores. Safe to call once run() returned.
   Stats stats() const;
 
-  // Presence-map census per array: array_id -> (screened blocks, blocks
-  // recorded present at all). Safe to call once run() returned.
-  std::unordered_map<int, std::pair<std::int64_t, std::int64_t>> presence()
-      const;
+  // Sparse census: array_id -> blocks with real bytes on disk (present
+  // and not screened). Safe to call once run() returned.
+  std::map<int, std::int64_t> data_blocks() const;
 
  private:
   // Mutable reference: prepare adopts the message's block payload.

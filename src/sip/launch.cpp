@@ -1,6 +1,5 @@
 #include "sip/launch.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <thread>
@@ -13,6 +12,7 @@
 #include "msg/socket_fabric.hpp"
 #include "sip/interpreter.hpp"
 #include "sip/io_server.hpp"
+#include "sip/rank_report.hpp"
 #include "sip/shared.hpp"
 #include "sip/spawn.hpp"
 #include "sip/superinstr.hpp"
@@ -202,8 +202,6 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
     return spawned;
   }
 
-  // Screened-kernel counter is process-global; delta it across the run.
-  const std::uint64_t kernels_screened_before = kernels_screened_count();
   const double exec_start = wall_seconds();
 
   const bool fault_tolerant = config_.fault_tolerance_enabled();
@@ -237,22 +235,9 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
   shared.scratch_dir = scratch_dir_;
   shared.pool_plan = result.dry_run.pool_plan;
   shared.disk_injector = disk_injector.get();
+  shared.kernels_screened_start = kernels_screened_count();
   shared.init_rank_status(config_.total_ranks());
-
-  if (fault_tolerant) {
-    // A respawned server replays its ack journal to rebuild its dedup
-    // window. A journal left over from an earlier run in the same scratch
-    // dir would poison that replay, so each run starts clean; only
-    // respawns within the run append.
-    for (int s = 0; s < config_.io_servers; ++s) {
-      const int rank = 1 + config_.workers + s;
-      std::error_code ec;
-      std::filesystem::remove(
-          std::filesystem::path(scratch_dir_) /
-              ("server_" + std::to_string(rank) + ".ackjournal"),
-          ec);
-    }
-  }
+  IoServer::clear_ack_journals(shared);
 
   Master master(shared);
   std::vector<std::unique_ptr<Interpreter>> workers;
@@ -268,6 +253,9 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
   }
 
   std::vector<std::thread> threads;
+  // Reports of server incarnations retired by a respawn; like `threads`,
+  // only the master thread touches it until the join.
+  std::vector<RankReport> reports;
   // The respawn closure indexes `threads` by rank from the master's
   // heartbeat thread. Size the vector once and fill it by rank with the
   // master started last, so every write happens-before the master thread
@@ -281,19 +269,12 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
       const std::size_t t = static_cast<std::size_t>(rank);
       if (t >= threads.size()) return false;
       if (threads[t].joinable()) threads[t].join();
-      // Harvest the dead incarnation's counters before destroying it; the
-      // end-of-run aggregation only sees the live incarnation.
-      const IoServer::Stats old = servers[s]->stats();
-      shared.retired_server_dups += old.dup_msgs_dropped;
-      shared.retired_server_requests += old.requests;
-      shared.retired_server_lookahead_requests += old.lookahead_requests;
-      shared.retired_server_cache_hits += old.cache_hits;
-      shared.retired_server_disk_reads += old.disk_reads;
-      shared.retired_server_disk_writes += old.disk_writes;
-      shared.retired_server_reads_coalesced += old.reads_coalesced;
-      shared.retired_server_write_batches += old.write_batches;
-      shared.retired_server_map_flushes += old.map_flushes;
-      shared.retired_server_computed += old.computed;
+      // The dead incarnation's counters merge as one more report. Its
+      // census is not a counter: the successor rebuilds the same blocks
+      // from the durable files and reports them.
+      reports.push_back(make_rank_report(shared, rank, nullptr, nullptr,
+                                         servers[s].get(), false));
+      reports.back().resident.clear();
       // The dead incarnation abandoned its stores, so destroying it cannot
       // clobber the durable files. The fresh server rebuilds from those
       // files and the ack journal; clients' retransmits refill the rest.
@@ -325,230 +306,18 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
     }
   }
 
-  // Collect results.
-  for (std::size_t s = 0; s < resolved.code().scalars.size(); ++s) {
-    result.scalars[resolved.code().scalars[s].name] =
-        workers.front()->data().scalar(static_cast<int>(s));
-  }
-  result.traffic = fabric->total_stats();
-
-  // Aggregate profiles: per-pc costs summed over workers, elapsed is the
-  // slowest worker, waits summed.
-  std::map<int, ProfileReport::LineCost> line_costs;
-  std::map<int, ProfileReport::PardoCost> pardo_costs;
+  reports.push_back(make_rank_report(shared, 0, &master, nullptr, nullptr,
+                                     /*process_counters=*/true));
   for (const auto& worker : workers) {
-    const Profiler& profiler = worker->profiler();
-    for (const auto& [pc, entry] : profiler.instructions()) {
-      ProfileReport::LineCost& cost = line_costs[pc];
-      cost.line = entry.line;
-      cost.opcode = entry.opcode;
-      cost.count += entry.count;
-      cost.seconds += entry.seconds;
-      result.profile.total_busy += entry.seconds;
-    }
-    for (const auto& [pardo_id, entry] : profiler.pardos()) {
-      ProfileReport::PardoCost& cost = pardo_costs[pardo_id];
-      cost.pardo_id = pardo_id;
-      const auto& info =
-          resolved.code().pardos[static_cast<std::size_t>(pardo_id)];
-      cost.line =
-          info.start_pc >= 0
-              ? resolved.code()
-                    .code[static_cast<std::size_t>(info.start_pc)]
-                    .line
-              : 0;
-      cost.iterations += entry.iterations;
-      cost.elapsed += entry.elapsed;
-      cost.wait += entry.wait;
-    }
-    result.profile.total_wait += profiler.total_wait();
-    result.profile.block_wait += profiler.wait_for(WaitKind::kBlock);
-    result.profile.served_wait += profiler.wait_for(WaitKind::kServed);
-    result.profile.chunk_wait += profiler.wait_for(WaitKind::kChunk);
-    result.profile.barrier_wait += profiler.wait_for(WaitKind::kBarrier);
-    result.profile.collective_wait +=
-        profiler.wait_for(WaitKind::kCollective);
-    result.profile.worker_block_wait.push_back(profiler.block_wait());
-    result.profile.total_elapsed =
-        std::max(result.profile.total_elapsed, profiler.total_elapsed());
-    if (const DataflowExecutor* executor = worker->executor()) {
-      ProfileReport::Executor& agg = result.profile.executor;
-      const DataflowExecutor::Stats& stats = executor->stats();
-      agg.threads = std::max(agg.threads, executor->threads());
-      agg.tasks_executed += stats.tasks_executed;
-      agg.entries_retired += stats.entries_retired;
-      agg.hazard_stalls += stats.hazard_stalls;
-      agg.raw_deps += stats.raw_deps;
-      agg.war_deps += stats.war_deps;
-      agg.waw_deps += stats.waw_deps;
-      agg.operand_stalls += stats.operand_stalls;
-      agg.drains += stats.drains;
-      agg.window_peak = std::max(agg.window_peak, stats.window_peak);
-      agg.occupancy_sum += stats.occupancy_sum;
-      agg.occupancy_samples += stats.occupancy_samples;
-      agg.drain_wait_seconds += stats.drain_wait_seconds;
-      for (const double busy : stats.thread_busy_seconds) {
-        agg.thread_busy_seconds += busy;
-      }
-    }
+    reports.push_back(make_rank_report(shared, 1 + worker->worker_index(),
+                                       nullptr, worker.get(), nullptr, false));
   }
-  // total_busy currently includes wait time spent inside instructions;
-  // report busy as compute-only.
-  result.profile.total_busy =
-      std::max(0.0, result.profile.total_busy - result.profile.total_wait);
-  for (const auto& [pc, cost] : line_costs) {
-    result.profile.lines.push_back(cost);
+  for (int s = 0; s < config_.io_servers; ++s) {
+    reports.push_back(make_rank_report(shared, config_.first_server_rank() + s,
+                                       nullptr, nullptr, servers[s].get(),
+                                       false));
   }
-  std::sort(result.profile.lines.begin(), result.profile.lines.end(),
-            [](const auto& a, const auto& b) { return a.seconds > b.seconds; });
-  for (const auto& [id, cost] : pardo_costs) {
-    result.profile.pardos.push_back(cost);
-  }
-
-  for (const auto& worker : workers) {
-    const DistArrayManager::Stats& stats = worker->dist().stats();
-    result.workers.gets_issued += stats.gets_issued;
-    result.workers.gets_local += stats.gets_local;
-    result.workers.gets_cached += stats.gets_cached;
-    result.workers.implicit_gets += stats.implicit_gets;
-    result.workers.puts_remote += stats.puts_remote;
-    result.workers.puts_local += stats.puts_local;
-    result.workers.puts_coalesced += stats.puts_coalesced;
-    result.workers.coalesce_flushes += stats.coalesce_flushes;
-    const ServedArrayClient::Stats& served = worker->served().stats();
-    result.workers.prepares_coalesced += served.prepares_coalesced;
-    result.workers.coalesce_flushes += served.coalesce_flushes;
-    result.profile.served.client_requests_issued += served.requests_issued;
-    result.profile.served.client_requests_cached += served.requests_cached;
-    result.profile.served.client_lookahead_issued += served.lookahead_issued;
-    result.profile.served.client_lookahead_misses += served.lookahead_misses;
-    result.profile.served.client_lookahead_promoted +=
-        served.lookahead_promoted;
-    const BlockCache::Stats cache = worker->dist().cache_stats();
-    result.workers.cache_hits += cache.hits;
-    result.workers.cache_misses += cache.misses;
-    result.workers.cache_evictions += cache.evictions;
-    result.workers.pool_heap_fallbacks += static_cast<std::int64_t>(
-        worker->pool().stats().heap_fallbacks);
-    result.workers.peak_local_doubles =
-        std::max(result.workers.peak_local_doubles,
-                 worker->data().peak_doubles());
-    if (const msg::ReliableChannel* channel = worker->channel()) {
-      result.profile.robustness.retries_sent += channel->stats().retries_sent;
-      result.profile.robustness.acks_timed_out +=
-          channel->stats().acks_timed_out;
-    }
-    result.profile.robustness.dup_msgs_dropped +=
-        worker->sequencer().duplicates_dropped();
-  }
-  for (const auto& server : servers) {
-    const IoServer::Stats stats = server->stats();
-    ProfileReport::ServedPipeline& served = result.profile.served;
-    served.server_requests += stats.requests;
-    served.server_lookahead_requests += stats.lookahead_requests;
-    served.server_cache_hits += stats.cache_hits;
-    served.server_disk_reads += stats.disk_reads;
-    served.server_disk_writes += stats.disk_writes;
-    served.reads_coalesced += stats.reads_coalesced;
-    served.write_batches += stats.write_batches;
-    served.map_flushes += stats.map_flushes;
-    served.computed += stats.computed;
-    result.profile.robustness.dup_msgs_dropped += stats.dup_msgs_dropped;
-  }
-  {
-    // Counters harvested from server incarnations retired by a respawn.
-    ProfileReport::ServedPipeline& served = result.profile.served;
-    served.server_requests += shared.retired_server_requests.load();
-    served.server_lookahead_requests +=
-        shared.retired_server_lookahead_requests.load();
-    served.server_cache_hits += shared.retired_server_cache_hits.load();
-    served.server_disk_reads += shared.retired_server_disk_reads.load();
-    served.server_disk_writes += shared.retired_server_disk_writes.load();
-    served.reads_coalesced += shared.retired_server_reads_coalesced.load();
-    served.write_batches += shared.retired_server_write_batches.load();
-    served.map_flushes += shared.retired_server_map_flushes.load();
-    served.computed += shared.retired_server_computed.load();
-    result.profile.robustness.dup_msgs_dropped +=
-        shared.retired_server_dups.load();
-  }
-  ProfileReport::Robustness& robustness = result.profile.robustness;
-  robustness.heartbeats_missed = master.stats().heartbeats_missed;
-  robustness.server_recoveries = master.stats().server_recoveries;
-  ProfileReport::Scheduling& scheduling = result.profile.scheduling;
-  scheduling.chunks_served = master.stats().chunks_served;
-  scheduling.steal_attempts = master.stats().steal_attempts;
-  scheduling.steals_granted = master.stats().steals_granted;
-  scheduling.stolen_iterations = master.stats().stolen_iterations;
-  scheduling.worker_iterations = master.stats().worker_iterations;
-  robustness.sends_after_stop = result.traffic.sends_after_stop;
-  if (const auto* chaos =
-          dynamic_cast<const msg::ChaosFabric*>(fabric.get())) {
-    const msg::ChaosStats faults = chaos->chaos_stats();
-    robustness.faults_dropped = faults.drops;
-    robustness.faults_duplicated = faults.dups;
-    robustness.faults_delayed = faults.delays;
-    robustness.faults_reordered = faults.reorders;
-    robustness.faults_kill_swallowed = faults.kill_swallowed;
-  }
-  if (disk_injector) {
-    robustness.faults_disk = disk_injector->faults_injected();
-  }
-
-  // Norm-based screening: fabric elisions, worker/server counters, and a
-  // per-array census of blocks that never materialized.
-  ProfileReport::Screening& screening = result.profile.screening;
-  screening.threshold = config_.sparse_threshold;
-  screening.blocks_screened = result.traffic.blocks_screened;
-  screening.bytes_elided = result.traffic.bytes_elided;
-  screening.kernels_screened = static_cast<std::int64_t>(
-      kernels_screened_count() - kernels_screened_before);
-  std::map<int, std::int64_t> dist_resident;   // array_id -> home blocks
-  std::map<int, std::int64_t> served_present;  // array_id -> data blocks
-  for (const auto& worker : workers) {
-    const DistArrayManager::Stats& dist = worker->dist().stats();
-    screening.puts_screened += dist.puts_screened;
-    screening.gets_screened += dist.gets_screened;
-    screening.zero_reads += dist.zero_reads;
-    const ServedArrayClient::Stats& served = worker->served().stats();
-    screening.prepares_screened += served.prepares_screened;
-    screening.zero_reads += served.zero_reads;
-    for (const auto& [id, block] : worker->dist().home_blocks()) {
-      ++dist_resident[id.array_id];
-    }
-  }
-  for (const auto& server : servers) {
-    const IoServer::Stats stats = server->stats();
-    screening.requests_screened += stats.requests_screened;
-    screening.evictions_screened += stats.evictions_screened;
-    for (const auto& [array_id, census] : server->presence()) {
-      // Blocks with real bytes on disk; screened markers read as zero.
-      served_present[array_id] += census.second - census.first;
-    }
-  }
-  if (config_.sparse_threshold > 0.0) {
-    const auto& arrays = resolved.arrays();
-    for (std::size_t a = 0; a < arrays.size(); ++a) {
-      const sial::ResolvedArray& array = arrays[a];
-      if (!array.sparse) continue;
-      ProfileReport::Screening::ArrayCensus census;
-      census.name = array.name;
-      census.total = array.total_blocks;
-      const int id = static_cast<int>(a);
-      // A sparse array's screened population is everything that never
-      // materialized: blocks replaced by norm markers plus blocks whose
-      // every contribution was dropped at the sender.
-      if (array.kind == sial::ArrayKind::kDistributed) {
-        auto it = dist_resident.find(id);
-        census.screened =
-            census.total - (it == dist_resident.end() ? 0 : it->second);
-      } else {
-        auto it = served_present.find(id);
-        census.screened =
-            census.total - (it == served_present.end() ? 0 : it->second);
-      }
-      screening.arrays.push_back(std::move(census));
-    }
-  }
+  merge_reports(reports, resolved, result);
   finish_plan(result, exec_seconds);
   return result;
 }

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "sip/scheduler.hpp"
 #include "sip/shared.hpp"
 
@@ -65,8 +66,7 @@ class Master {
   struct Stats {
     std::int64_t heartbeats_missed = 0;   // individual missed beats
     std::int64_t server_recoveries = 0;   // successful I/O-server respawns
-    // Guided-schedule scheduling + work stealing (master side, so the
-    // counters survive spawn mode where worker profiles are not shipped).
+    // Guided-schedule scheduling + work stealing.
     std::int64_t chunks_served = 0;       // chunks granted from schedules
     std::int64_t steal_attempts = 0;      // split proposals sent to victims
     std::int64_t steals_granted = 0;      // non-empty grants forwarded
@@ -74,6 +74,18 @@ class Master {
     // Iterations granted per worker (schedule chunks + stolen tails),
     // indexed by worker: the imbalance histogram for the ProfileReport.
     std::vector<std::int64_t> worker_iterations;
+
+    // Field list for the rank report (common/fields.hpp).
+    template <class Visit, class... S>
+    static void fields(Visit&& visit, S&... s) {
+      visit("heartbeats_missed", Fold::kSum, s.heartbeats_missed...);
+      visit("server_recoveries", Fold::kSum, s.server_recoveries...);
+      visit("chunks_served", Fold::kSum, s.chunks_served...);
+      visit("steal_attempts", Fold::kSum, s.steal_attempts...);
+      visit("steals_granted", Fold::kSum, s.steals_granted...);
+      visit("stolen_iterations", Fold::kSum, s.stolen_iterations...);
+      visit("worker_iterations", Fold::kSum, s.worker_iterations...);
+    }
   };
 
   explicit Master(SipShared& shared);

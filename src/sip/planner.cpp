@@ -1,7 +1,11 @@
 #include "sip/planner.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -113,10 +117,18 @@ bool Calibration::save(const std::string& path) const {
   if (p.has_parent_path()) {
     std::filesystem::create_directories(p.parent_path(), ec);
   }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
+  // Write a private temp file beside the target and rename it into
+  // place, so a concurrent load sees the old or the new file, never a
+  // truncated one.
+  static std::atomic<std::uint64_t> counter{0};
+  const std::string temp = path + ".tmp." + std::to_string(::getpid()) +
+                           "." + std::to_string(counter++);
+  std::ofstream out(temp, std::ios::trunc);
   out << serialize();
-  return static_cast<bool>(out);
+  out.close();
+  if (out && std::rename(temp.c_str(), path.c_str()) == 0) return true;
+  std::filesystem::remove(temp, ec);
+  return false;
 }
 
 std::string calibration_path(const SipConfig& config) {

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hpp"
+
 namespace sia::sip {
 
 // What a worker was blocked on while servicing messages. Block/served
@@ -72,11 +74,24 @@ class Profiler {
     const char* opcode = "";
     std::int64_t count = 0;
     double seconds = 0.0;
+    // Line and opcode are a function of the pc key, so the list (and a
+    // decoded report) carries only the costs.
+    template <class Visit, class... S>
+    static void fields(Visit&& visit, S&... s) {
+      visit("count", Fold::kSum, s.count...);
+      visit("seconds", Fold::kSum, s.seconds...);
+    }
   };
   struct PardoEntry {
     std::int64_t iterations = 0;
     double elapsed = 0.0;
     double wait = 0.0;
+    template <class Visit, class... S>
+    static void fields(Visit&& visit, S&... s) {
+      visit("iterations", Fold::kSum, s.iterations...);
+      visit("elapsed", Fold::kSum, s.elapsed...);
+      visit("wait", Fold::kSum, s.wait...);
+    }
   };
 
   const std::map<int, Entry>& instructions() const { return instructions_; }
@@ -89,6 +104,21 @@ class Profiler {
   // Get/request wait: time blocked on distributed or served block data.
   double block_wait() const {
     return wait_for(WaitKind::kBlock) + wait_for(WaitKind::kServed);
+  }
+
+  // Field list for the rank report (common/fields.hpp); the elapsed time
+  // folds to the slowest worker's.
+  template <class Visit, class... S>
+  static void fields(Visit&& visit, S&... s) {
+    visit("instructions", Fold::kSum, s.instructions_...);
+    visit("pardos", Fold::kSum, s.pardo_...);
+    visit("wait", Fold::kSum, s.total_wait_...);
+    visit("elapsed", Fold::kMax, s.total_elapsed_...);
+    visit("block_wait", Fold::kSum, s.wait_by_kind_[0]...);
+    visit("served_wait", Fold::kSum, s.wait_by_kind_[1]...);
+    visit("chunk_wait", Fold::kSum, s.wait_by_kind_[2]...);
+    visit("barrier_wait", Fold::kSum, s.wait_by_kind_[3]...);
+    visit("collective_wait", Fold::kSum, s.wait_by_kind_[4]...);
   }
 
  private:
@@ -278,8 +308,7 @@ struct ProfileReport {
   Plan plan;
 
   // Guided-schedule counters from the master: chunks served, work-steal
-  // traffic, and the per-worker iteration histogram (master-side, so
-  // they survive spawn mode where worker profiles are not shipped).
+  // traffic, and the per-worker iteration histogram.
   struct Scheduling {
     std::int64_t chunks_served = 0;
     std::int64_t steal_attempts = 0;

@@ -15,6 +15,7 @@
 #include "block/block_cache.hpp"
 #include "block/block_id.hpp"
 #include "block/block_pool.hpp"
+#include "common/fields.hpp"
 #include "msg/message.hpp"
 #include "msg/reliable.hpp"
 #include "sip/shared.hpp"
@@ -36,6 +37,22 @@ class ServedArrayClient {
     // Norm-based screening (sparse arrays, sparse_threshold > 0).
     std::int64_t prepares_screened = 0;  // payloads dropped at the sender
     std::int64_t zero_reads = 0;         // replies answered "screened"
+
+    // Field list for the rank report (common/fields.hpp).
+    template <class Visit, class... S>
+    static void fields(Visit&& visit, S&... s) {
+      visit("requests_issued", Fold::kSum, s.requests_issued...);
+      visit("requests_cached", Fold::kSum, s.requests_cached...);
+      visit("lookahead_issued", Fold::kSum, s.lookahead_issued...);
+      visit("lookahead_misses", Fold::kSum, s.lookahead_misses...);
+      visit("lookahead_promoted", Fold::kSum, s.lookahead_promoted...);
+      visit("prepares", Fold::kSum, s.prepares...);
+      visit("prepares_coalesced", Fold::kSum, s.prepares_coalesced...);
+      visit("coalesce_flushes", Fold::kSum, s.coalesce_flushes...);
+      visit("replies_dropped", Fold::kSum, s.replies_dropped...);
+      visit("prepares_screened", Fold::kSum, s.prepares_screened...);
+      visit("zero_reads", Fold::kSum, s.zero_reads...);
+    }
   };
 
   ServedArrayClient(SipShared& shared, int my_rank, BlockPool& pool,

@@ -77,18 +77,9 @@ struct SipShared {
     return rank_status[rank].load(std::memory_order_relaxed);
   }
 
-  // Stats accumulated from I/O-server incarnations retired by a respawn
-  // (the live servers are harvested directly at the end of the run).
-  std::atomic<std::int64_t> retired_server_dups{0};
-  std::atomic<std::int64_t> retired_server_requests{0};
-  std::atomic<std::int64_t> retired_server_lookahead_requests{0};
-  std::atomic<std::int64_t> retired_server_cache_hits{0};
-  std::atomic<std::int64_t> retired_server_disk_reads{0};
-  std::atomic<std::int64_t> retired_server_disk_writes{0};
-  std::atomic<std::int64_t> retired_server_reads_coalesced{0};
-  std::atomic<std::int64_t> retired_server_write_batches{0};
-  std::atomic<std::int64_t> retired_server_map_flushes{0};
-  std::atomic<std::int64_t> retired_server_computed{0};
+  // The process-global screened-kernel counter at launch; the run's
+  // rank report carries the difference.
+  std::uint64_t kernels_screened_start = 0;
 
   // Records the first error and wakes every blocked rank.
   void raise_abort(const std::string& what) {

@@ -7,9 +7,8 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -25,19 +24,13 @@
 #include "sip/interpreter.hpp"
 #include "sip/io_server.hpp"
 #include "sip/master.hpp"
+#include "sip/rank_report.hpp"
 #include "sip/shared.hpp"
 #include "sip/superinstr.hpp"
 
 namespace sia::sip {
 
 namespace {
-
-// kResultReport payload layout (see tags.hpp): data = 13 traffic words,
-// 5 chaos words, a kind-specific tail, then (workers only) the final
-// scalar values. header = [kind, scalar_count].
-constexpr int kKindWorker = 1;
-constexpr int kKindServer = 2;
-constexpr std::size_t kTrafficWords = 13;
 
 std::string format_double(double value) {
   char buf[64];
@@ -215,40 +208,6 @@ Bundle parse_bundle(const std::string& text) {
   throw Error("spawn bundle: missing source section");
 }
 
-// ---------------------------------------------------------------------
-// Result-report packing.
-
-void pack_traffic(const msg::TrafficStats& t, std::vector<double>& out) {
-  const std::int64_t words[kTrafficWords] = {
-      t.messages_sent,     t.payload_doubles_sent, t.header_words_sent,
-      t.zero_copy_messages, t.zero_copy_doubles,   t.sends_after_stop,
-      t.blocks_screened,   t.bytes_elided,         t.serialized_messages,
-      t.serialized_doubles, t.reconnects,          t.frames_rejected,
-      t.peer_down_drops};
-  for (const std::int64_t w : words) out.push_back(static_cast<double>(w));
-}
-
-std::int64_t take(const msg::Message& m, std::size_t& i) {
-  return i < m.data.size() ? static_cast<std::int64_t>(m.data[i++]) : 0;
-}
-
-void add_traffic(const msg::Message& m, std::size_t& i,
-                 msg::TrafficStats& t) {
-  t.messages_sent += take(m, i);
-  t.payload_doubles_sent += take(m, i);
-  t.header_words_sent += take(m, i);
-  t.zero_copy_messages += take(m, i);
-  t.zero_copy_doubles += take(m, i);
-  t.sends_after_stop += take(m, i);
-  t.blocks_screened += take(m, i);
-  t.bytes_elided += take(m, i);
-  t.serialized_messages += take(m, i);
-  t.serialized_doubles += take(m, i);
-  t.reconnects += take(m, i);
-  t.frames_rejected += take(m, i);
-  t.peer_down_drops += take(m, i);
-}
-
 // Writes the given messages over a fresh one-shot connection to the hub.
 // Best effort by design: if the hub is already gone (it stops on abort),
 // the report is simply lost — the error that caused the abort reached
@@ -408,6 +367,7 @@ int run_spawn_child(int argc, char** argv) {
     shared.config = config;
     shared.scratch_dir = config.scratch_dir;
     shared.pool_plan = dry.pool_plan;
+    shared.kernels_screened_start = kernels_screened_count();
     shared.init_rank_status(config.total_ranks());
     std::unique_ptr<msg::DiskFaultInjector> disk_injector;
     if (config.fault_plan.disk_fault != 0) {
@@ -425,11 +385,9 @@ int run_spawn_child(int argc, char** argv) {
     };
     std::unique_ptr<msg::Fabric> fabric =
         std::make_unique<msg::SocketFabric>(config.total_ranks(), sopts);
-    msg::ChaosFabric* chaos = nullptr;
     if (config.fault_plan.active()) {
       auto wrapped = std::make_unique<msg::ChaosFabric>(std::move(fabric),
                                                         config.fault_plan);
-      chaos = wrapped.get();
       // A chaos kill in a real process is a real death: SIGKILL, no
       // destructors, no goodbye — the master's watchdog must find out
       // the hard way, exactly as with a crashed MPI rank.
@@ -457,52 +415,12 @@ int run_spawn_child(int argc, char** argv) {
       first_error = shared.first_error;
     }
 
-    msg::Message report;
-    report.tag = msg::kResultReport;
-    report.src = rank;
-    pack_traffic(shared.fabric->total_stats(), report.data);
-    msg::ChaosStats faults;
-    if (chaos != nullptr) faults = chaos->chaos_stats();
-    report.data.push_back(static_cast<double>(faults.drops));
-    report.data.push_back(static_cast<double>(faults.dups));
-    report.data.push_back(static_cast<double>(faults.delays));
-    report.data.push_back(static_cast<double>(faults.reorders));
-    report.data.push_back(static_cast<double>(faults.kill_swallowed));
-    std::int64_t scalar_count = 0;
-    if (is_worker) {
-      std::int64_t retries = 0, timeouts = 0;
-      if (const msg::ReliableChannel* channel = worker->channel()) {
-        retries = channel->stats().retries_sent;
-        timeouts = channel->stats().acks_timed_out;
-      }
-      report.data.push_back(static_cast<double>(retries));
-      report.data.push_back(static_cast<double>(timeouts));
-      report.data.push_back(
-          static_cast<double>(worker->sequencer().duplicates_dropped()));
-      if (rank == 1 && first_error.empty()) {
-        // Worker 0's scalars are the canonical result copy (collectives
-        // synchronized them); only it ships values back.
-        scalar_count =
-            static_cast<std::int64_t>(resolved.code().scalars.size());
-        for (std::int64_t s = 0; s < scalar_count; ++s) {
-          report.data.push_back(worker->data().scalar(static_cast<int>(s)));
-        }
-      }
-    } else {
-      const IoServer::Stats stats = server->stats();
-      report.data.push_back(static_cast<double>(stats.requests));
-      report.data.push_back(static_cast<double>(stats.lookahead_requests));
-      report.data.push_back(static_cast<double>(stats.cache_hits));
-      report.data.push_back(static_cast<double>(stats.disk_reads));
-      report.data.push_back(static_cast<double>(stats.disk_writes));
-      report.data.push_back(static_cast<double>(stats.reads_coalesced));
-      report.data.push_back(static_cast<double>(stats.write_batches));
-      report.data.push_back(static_cast<double>(stats.map_flushes));
-      report.data.push_back(static_cast<double>(stats.computed));
-      report.data.push_back(static_cast<double>(stats.dup_msgs_dropped));
-    }
-    report.header = {is_worker ? kKindWorker : kKindServer, scalar_count};
-
+    // Each process owns its fabric, so every child's report carries its
+    // own whole-process counters.
+    msg::Message report =
+        make_rank_report(shared, rank, nullptr, worker.get(), server.get(),
+                         /*process_counters=*/true)
+            .encode();
     std::vector<msg::Message> outgoing;
     if (!first_error.empty()) {
       msg::Message abort = make_abort_message(first_error);
@@ -553,12 +471,9 @@ RunResult run_spawned(const SipConfig& config_in,
   auto socket = std::make_unique<msg::SocketFabric>(total, hub_opts);
   msg::SocketFabric* hub = socket.get();
   std::unique_ptr<msg::Fabric> fabric = std::move(socket);
-  msg::ChaosFabric* chaos = nullptr;
   if (config.fault_plan.active()) {
-    auto wrapped =
+    fabric =
         std::make_unique<msg::ChaosFabric>(std::move(fabric), config.fault_plan);
-    chaos = wrapped.get();
-    fabric = std::move(wrapped);
   }
 
   SipShared shared;
@@ -567,20 +482,9 @@ RunResult run_spawned(const SipConfig& config_in,
   shared.config = config;
   shared.scratch_dir = scratch_dir;
   shared.pool_plan = result.dry_run.pool_plan;
+  shared.kernels_screened_start = kernels_screened_count();
   shared.init_rank_status(total);
-
-  if (config.fault_tolerance_enabled()) {
-    // Same clean-start rule as the thread-mode launch: a stale ack
-    // journal would poison a respawned server's dedup replay.
-    for (int s = 0; s < config.io_servers; ++s) {
-      const int rank = 1 + config.workers + s;
-      std::error_code ec;
-      std::filesystem::remove(
-          std::filesystem::path(scratch_dir) /
-              ("server_" + std::to_string(rank) + ".ackjournal"),
-          ec);
-    }
-  }
+  IoServer::clear_ack_journals(shared);
 
   const std::string bundle_path = scratch_dir + "/spawn.bundle";
   {
@@ -647,16 +551,26 @@ RunResult run_spawned(const SipConfig& config_in,
   // connections after kShutdown; the hub is still accepting (stop()
   // has not run). On abort the reports are moot — the error already
   // arrived as a kAbort through the live fabric.
-  std::map<int, msg::Message> reports;
+  std::vector<RankReport> reports;
   if (first_error.empty()) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(15);
-    while (static_cast<int>(reports.size()) < total - 1 &&
+    std::set<int> reported;
+    while (static_cast<int>(reported.size()) < total - 1 &&
            std::chrono::steady_clock::now() < deadline) {
       bool got = false;
       while (auto m = fabric->try_recv_tag(0, msg::kResultReport)) {
-        reports[m->src] = std::move(*m);
         got = true;
+        try {
+          RankReport report = RankReport::decode(*m);
+          if (report.rank != m->src || !reported.insert(m->src).second) {
+            throw Error("unexpected result report");
+          }
+          reports.push_back(std::move(report));
+        } catch (const Error& error) {
+          first_error = "spawn: rank " + std::to_string(m->src) + ": " +
+                        error.what();
+        }
       }
       while (auto m = fabric->try_recv_tag(0, msg::kAbort)) {
         if (first_error.empty()) first_error = abort_text(*m);
@@ -668,77 +582,9 @@ RunResult run_spawned(const SipConfig& config_in,
   fabric->stop();
   reap_children(child_pids);
   if (!first_error.empty()) throw RuntimeError(first_error);
-  if (reports.find(1) == reports.end()) {
-    throw RuntimeError(
-        "spawn: worker rank 1 exited without reporting results");
-  }
-
-  // Aggregate: the hub's own counters (rank 0 traffic plus socket
-  // robustness atomics) plus what every child reported.
-  result.traffic = fabric->total_stats();
-  ProfileReport::Robustness& robustness = result.profile.robustness;
-  ProfileReport::ServedPipeline& served = result.profile.served;
-  msg::ChaosStats faults;
-  if (chaos != nullptr) faults = chaos->chaos_stats();
-  for (const auto& [rank, report] : reports) {
-    std::size_t i = 0;
-    add_traffic(report, i, result.traffic);
-    faults.drops += take(report, i);
-    faults.dups += take(report, i);
-    faults.delays += take(report, i);
-    faults.reorders += take(report, i);
-    faults.kill_swallowed += take(report, i);
-    const std::int64_t kind =
-        report.header.empty() ? kKindWorker : report.header[0];
-    if (kind == kKindWorker) {
-      robustness.retries_sent += take(report, i);
-      robustness.acks_timed_out += take(report, i);
-      robustness.dup_msgs_dropped += take(report, i);
-      const std::int64_t scalar_count =
-          report.header.size() > 1 ? report.header[1] : 0;
-      if (rank == 1 && scalar_count > 0) {
-        const auto& scalars = resolved.code().scalars;
-        for (std::int64_t s = 0;
-             s < scalar_count &&
-             s < static_cast<std::int64_t>(scalars.size());
-             ++s) {
-          result.scalars[scalars[static_cast<std::size_t>(s)].name] =
-              report.data[i + static_cast<std::size_t>(s)];
-        }
-      }
-      i += static_cast<std::size_t>(std::max<std::int64_t>(0, scalar_count));
-    } else {
-      served.server_requests += take(report, i);
-      served.server_lookahead_requests += take(report, i);
-      served.server_cache_hits += take(report, i);
-      served.server_disk_reads += take(report, i);
-      served.server_disk_writes += take(report, i);
-      served.reads_coalesced += take(report, i);
-      served.write_batches += take(report, i);
-      served.map_flushes += take(report, i);
-      served.computed += take(report, i);
-      robustness.dup_msgs_dropped += take(report, i);
-    }
-  }
-  robustness.heartbeats_missed = master.stats().heartbeats_missed;
-  robustness.server_recoveries = master.stats().server_recoveries;
-  robustness.sends_after_stop = result.traffic.sends_after_stop;
-  // Scheduling counters live master-side precisely so they survive spawn
-  // mode (worker profiles are not shipped back).
-  ProfileReport::Scheduling& scheduling = result.profile.scheduling;
-  scheduling.chunks_served = master.stats().chunks_served;
-  scheduling.steal_attempts = master.stats().steal_attempts;
-  scheduling.steals_granted = master.stats().steals_granted;
-  scheduling.stolen_iterations = master.stats().stolen_iterations;
-  scheduling.worker_iterations = master.stats().worker_iterations;
-  robustness.faults_dropped = faults.drops;
-  robustness.faults_duplicated = faults.dups;
-  robustness.faults_delayed = faults.delays;
-  robustness.faults_reordered = faults.reorders;
-  robustness.faults_kill_swallowed = faults.kill_swallowed;
-  result.profile.screening.threshold = config.sparse_threshold;
-  result.profile.screening.blocks_screened = result.traffic.blocks_screened;
-  result.profile.screening.bytes_elided = result.traffic.bytes_elided;
+  reports.push_back(make_rank_report(shared, 0, &master, nullptr, nullptr,
+                                     /*process_counters=*/true));
+  merge_reports(reports, resolved, result);
   return result;
 }
 

@@ -10,11 +10,14 @@
 // opt_level, same segment plan), connects to the hub as a spoke, and
 // runs its rank exactly as the thread-mode launch would have.
 //
-// End-of-run results travel back as kResultReport messages; a child that
-// aborts sends a kAbort carrying the error text. Both are written over a
-// one-shot connection to the hub (msg::connect_socket + raw frames)
-// rather than the child's regular fabric, because the abort path stops
-// that fabric — the report must not depend on the thing that just died.
+// At the end of the run each child encodes its RankReport (the same
+// report thread mode merges in memory, sip/rank_report.hpp) into one
+// kResultReport message; a child that aborts first sends a kAbort
+// carrying the error text. Both are written over a one-shot connection
+// to the hub (msg::connect_socket + raw frames) rather than the child's
+// regular fabric, because the abort path stops that fabric — the report
+// must not depend on the thing that just died. The master decodes every
+// report, validates it, and merges it with its own.
 //
 // Binaries that want spawn mode must give this module first refusal on
 // argv before doing anything else:
@@ -51,10 +54,8 @@ int run_spawn_child(int argc, char** argv);
 
 // Spawn-mode launch body, called by Sip::run once the program has been
 // optimized, resolved, and dry-run-checked. `result` arrives with the
-// dry-run report filled in and is returned completed. Spawn mode fills
-// scalars, traffic, and the robustness/served counters that children
-// report back; the per-instruction profile and worker cache totals stay
-// empty — they live in the children and are deliberately not shipped.
+// dry-run report filled in and is returned completed by merging every
+// rank's report.
 RunResult run_spawned(const SipConfig& config, const std::string& scratch_dir,
                       const std::string& source,
                       const sial::ResolvedProgram& resolved, RunResult result);

@@ -6,11 +6,15 @@
 // leave every result bit-identical, including under chaos fault plans.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include "common/config.hpp"
 #include "sial/compiler.hpp"
@@ -20,6 +24,16 @@
 
 namespace sia::sip {
 namespace {
+
+// A calibration path no other process (a concurrent ctest run on the
+// same host) and no other test in this process uses.
+std::string temp_calibration_path(const char* name) {
+  static std::atomic<int> counter{0};
+  return (std::filesystem::temp_directory_path() /
+          (std::string(name) + "_" + std::to_string(::getpid()) + "_" +
+           std::to_string(counter++)))
+      .string();
+}
 
 // A small but non-trivial program for the sweep: two pardo phases with
 // distributed traffic and a contraction, so the workload model has real
@@ -153,8 +167,7 @@ TEST(PlannerTest, CalibrationRoundTripsThroughDisk) {
   cal.time_scale = 0.625;
   cal.runs = 3;
   cal.last_error_percent = -12.5;
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "sia_cal_roundtrip").string();
+  const std::string path = temp_calibration_path("sia_cal_roundtrip");
   ASSERT_TRUE(cal.save(path));
   const Calibration back = Calibration::load(path);
   EXPECT_DOUBLE_EQ(back.gemm_gflops, cal.gemm_gflops);
@@ -167,9 +180,35 @@ TEST(PlannerTest, CalibrationRoundTripsThroughDisk) {
   std::filesystem::remove(path);
 }
 
+TEST(PlannerTest, ConcurrentLoadNeverSeesATornSave) {
+  // save() replaces the file atomically, so a reader racing a writer
+  // sees the old or the new calibration, never a torn one that would
+  // silently fall back to defaults (runs == 0).
+  const std::string path = temp_calibration_path("sia_cal_concurrent");
+  Calibration cal;
+  cal.runs = 1;
+  ASSERT_TRUE(cal.save(path));
+  std::atomic<bool> done{false};
+  std::atomic<int> torn{0};
+  std::thread reader([&] {
+    while (!done.load()) {
+      if (Calibration::load(path).runs == 0) ++torn;
+    }
+  });
+  for (int i = 0; i < 300; ++i) {
+    cal.runs = 1 + i;
+    cal.gemm_gflops = 10.0 + i;
+    EXPECT_TRUE(cal.save(path));
+  }
+  done = true;
+  reader.join();
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(Calibration::load(path).runs, 300);
+  std::filesystem::remove(path);
+}
+
 TEST(PlannerTest, CorruptCalibrationFallsBackToDefaults) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "sia_cal_corrupt").string();
+  const std::string path = temp_calibration_path("sia_cal_corrupt");
   {
     std::ofstream out(path, std::ios::trunc);
     out << "sia_calibration v1\ngemm_gflops banana\n";
@@ -223,10 +262,6 @@ TEST(PlannerTest, MeasuredGemmRateIsPositive) {
 
 // ---------------------------------------------------------------------
 // End-to-end autotuned runs.
-
-std::string temp_calibration_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 TEST(PlannerTest, AutotunedRunRecordsPlanAndPersistsCalibration) {
   const std::string cal_path = temp_calibration_path("sia_cal_e2e");

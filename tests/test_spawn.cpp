@@ -12,11 +12,14 @@
 // links GTest::gtest (not gtest_main).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <future>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "chem/integrals.hpp"
 #include "chem/programs.hpp"
@@ -162,6 +165,148 @@ TEST(SpawnParityTest, SpawnServedStormMatchesThread) {
   EXPECT_EQ(result.scalar("snorm2"), storm_baseline());
   // The served path (prepare/request) crossed process boundaries.
   EXPECT_GT(result.profile.served.server_requests, 0);
+}
+
+// ---------------------------------------------------------------------
+// Profile parity: every rank's counters reach the report through the
+// same RankReport merge whether the ranks are threads or processes.
+// One serial worker, no look-ahead and a synchronous disk service make
+// the schedule deterministic, so every count must match exactly; only
+// times differ. Fabric traffic is excluded: spawn serializes what
+// threads pass by pointer. So is the worker pool's heap-fallback count,
+// which follows from that: a thread-mode prepare hands the server the
+// worker's pool block itself, keeping the slot busy while the server
+// caches it. It is compared against a loopback run, which serializes
+// the same way spawn does.
+
+std::string parity_source() {
+  return R"SIAL(
+sial profile_parity
+aoindex a = 1, n
+aoindex k = 1, n
+sparse distributed D(a,k)
+served S(a,k)
+temp t(a,k)
+temp u(a,k)
+scalar lsum
+scalar total
+pardo a, k
+  execute fill_decay t(a,k) 2.0 7
+  put D(a,k) = t(a,k)
+  prepare S(a,k) = t(a,k)
+endpardo a, k
+sip_barrier
+server_barrier
+lsum = 0.0
+pardo a, k
+  get D(a,k)
+  request S(a,k)
+  u(a,k) = D(a,k)
+  lsum += u(a,k) * u(a,k)
+  u(a,k) = S(a,k)
+  lsum += u(a,k) * u(a,k)
+endpardo a, k
+total = 0.0
+collective total += lsum
+endsial
+)SIAL";
+}
+
+SipConfig parity_config(const std::string& transport) {
+  chem::register_chem_superinstructions();
+  SipConfig config;
+  config.workers = 1;
+  config.io_servers = 1;
+  config.worker_threads = 0;
+  config.prefetch_depth = 0;
+  config.server_disk_threads = 0;
+  config.default_segment = 4;
+  config.sparse_threshold = 1e-6;
+  config.transport = transport;
+  config.constants = {{"n", 32}};
+  return config;
+}
+
+using LineKey = std::tuple<int, std::string, std::int64_t>;
+
+std::vector<LineKey> line_counts(const ProfileReport& profile) {
+  std::vector<LineKey> out;
+  for (const ProfileReport::LineCost& line : profile.lines) {
+    out.emplace_back(line.line, line.opcode, line.count);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(SpawnParityTest, SpawnProfileMatchesThreadCounts) {
+  const RunResult thread =
+      run_with_deadline(parity_config("thread"), parity_source());
+  const RunResult spawn =
+      run_with_deadline(parity_config("spawn"), parity_source());
+  EXPECT_EQ(spawn.scalar("total"), thread.scalar("total"));
+  const ProfileReport& t = thread.profile;
+  const ProfileReport& s = spawn.profile;
+  EXPECT_GT(s.total_elapsed, 0.0);
+  ASSERT_FALSE(s.lines.empty());
+  EXPECT_EQ(line_counts(s), line_counts(t));
+  ASSERT_EQ(s.pardos.size(), t.pardos.size());
+  for (std::size_t p = 0; p < t.pardos.size(); ++p) {
+    EXPECT_EQ(s.pardos[p].iterations, t.pardos[p].iterations) << "pardo " << p;
+  }
+
+#define EXPECT_SAME(field) EXPECT_EQ(spawn.field, thread.field) << #field
+  EXPECT_SAME(profile.served.client_requests_issued);
+  EXPECT_SAME(profile.served.client_requests_cached);
+  EXPECT_SAME(profile.served.client_lookahead_issued);
+  EXPECT_SAME(profile.served.client_lookahead_misses);
+  EXPECT_SAME(profile.served.client_lookahead_promoted);
+  EXPECT_SAME(profile.served.server_requests);
+  EXPECT_SAME(profile.served.server_lookahead_requests);
+  EXPECT_SAME(profile.served.server_cache_hits);
+  EXPECT_SAME(profile.served.server_disk_reads);
+  EXPECT_SAME(profile.served.server_disk_writes);
+  EXPECT_SAME(profile.served.reads_coalesced);
+  EXPECT_SAME(profile.served.write_batches);
+  EXPECT_SAME(profile.served.map_flushes);
+  EXPECT_SAME(profile.served.computed);
+  EXPECT_SAME(workers.gets_issued);
+  EXPECT_SAME(workers.gets_local);
+  EXPECT_SAME(workers.gets_cached);
+  EXPECT_SAME(workers.implicit_gets);
+  EXPECT_SAME(workers.puts_remote);
+  EXPECT_SAME(workers.puts_local);
+  EXPECT_SAME(workers.puts_coalesced);
+  EXPECT_SAME(workers.prepares_coalesced);
+  EXPECT_SAME(workers.coalesce_flushes);
+  EXPECT_SAME(workers.cache_hits);
+  EXPECT_SAME(workers.cache_misses);
+  EXPECT_SAME(workers.cache_evictions);
+  EXPECT_SAME(workers.peak_local_doubles);
+  EXPECT_SAME(profile.screening.threshold);
+  EXPECT_SAME(profile.screening.blocks_screened);
+  EXPECT_SAME(profile.screening.bytes_elided);
+  EXPECT_SAME(profile.screening.kernels_screened);
+  EXPECT_SAME(profile.screening.puts_screened);
+  EXPECT_SAME(profile.screening.gets_screened);
+  EXPECT_SAME(profile.screening.prepares_screened);
+  EXPECT_SAME(profile.screening.requests_screened);
+  EXPECT_SAME(profile.screening.zero_reads);
+  EXPECT_SAME(profile.screening.evictions_screened);
+#undef EXPECT_SAME
+  ASSERT_EQ(s.screening.arrays.size(), t.screening.arrays.size());
+  for (std::size_t a = 0; a < t.screening.arrays.size(); ++a) {
+    EXPECT_EQ(s.screening.arrays[a].name, t.screening.arrays[a].name);
+    EXPECT_EQ(s.screening.arrays[a].screened, t.screening.arrays[a].screened);
+    EXPECT_EQ(s.screening.arrays[a].total, t.screening.arrays[a].total);
+  }
+  const RunResult loopback =
+      run_with_deadline(parity_config("loopback"), parity_source());
+  EXPECT_EQ(spawn.workers.pool_heap_fallbacks,
+            loopback.workers.pool_heap_fallbacks);
+  // The run exercised what it compares.
+  EXPECT_GT(t.served.server_requests, 0);
+  EXPECT_GT(thread.workers.puts_local, 0);
+  EXPECT_GT(t.screening.puts_screened + t.screening.prepares_screened, 0);
 }
 
 // ---------------------------------------------------------------------
