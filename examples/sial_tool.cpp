@@ -16,24 +16,33 @@
 //          -D name=value (symbolic constant; repeatable),
 //          --sparse-threshold X (screen sparse-array blocks with
 //          Frobenius norm below X; 0 = exact dense execution),
+//          --transport thread|loopback|spawn,
 //          --no-autotune (run with the configuration exactly as given;
-//          `run` otherwise plans at launch — knobs set on the command
-//          line are pinned and never overridden; SIA_AUTOTUNE=0/1 wins
-//          over both)
+//          `run` otherwise plans at launch — a tuned knob is pinned,
+//          never overridden, exactly when its value differs from the
+//          SipConfig default, so `-g 8` (the default) pins nothing;
+//          SIA_AUTOTUNE=0/1 wins over both)
+//
+// Each value-taking flag is an alias for one SipConfig field and goes
+// through the field list's strict parser, so a malformed value (`-w 3x`)
+// or an out-of-range one is a diagnostic naming the field, exit 1.
 //
 // This is the developer-facing workflow the paper describes: compile the
 // SIAL program once, dry-run it to check feasibility, then run it with
 // runtime-chosen tuning parameters. Optimizer diagnostics (what was
 // hoisted, which barriers were dropped, which temps defeat renaming) are
 // rendered to stderr with caret snippets against the source.
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "chem/integrals.hpp"
 #include "common/error.hpp"
+#include "common/fields.hpp"
 #include "sial/compiler.hpp"
 #include "sial/diag.hpp"
 #include "sial/disasm.hpp"
@@ -54,6 +63,16 @@ std::string read_file(const std::string& path) {
   buffer << in.rdbuf();
   return buffer.str();
 }
+
+// Flags that set one SipConfig field by its list name.
+constexpr std::pair<const char*, const char*> kFieldFlags[] = {
+    {"-w", "workers"},
+    {"-s", "io_servers"},
+    {"-g", "default_segment"},
+    {"-t", "worker_threads"},
+    {"--sparse-threshold", "sparse_threshold"},
+    {"--transport", "transport"},
+};
 
 int usage() {
   std::fprintf(stderr,
@@ -84,43 +103,35 @@ int main(int argc, char** argv) {
   bool dump_bytecode = false;
   bool dump_raw = false;
   bool no_autotune = false;
-  for (int arg = 3; arg < argc; ++arg) {
-    if (std::strcmp(argv[arg], "-w") == 0 && arg + 1 < argc) {
-      config.workers = std::atoi(argv[++arg]);
-    } else if (std::strcmp(argv[arg], "-s") == 0 && arg + 1 < argc) {
-      config.io_servers = std::atoi(argv[++arg]);
-    } else if (std::strcmp(argv[arg], "-g") == 0 && arg + 1 < argc) {
-      config.default_segment = std::atoi(argv[++arg]);
-    } else if (std::strcmp(argv[arg], "-t") == 0 && arg + 1 < argc) {
-      config.worker_threads = std::atoi(argv[++arg]);
-    } else if (std::strncmp(argv[arg], "-O", 2) == 0 &&
-               std::strlen(argv[arg]) == 3 && argv[arg][2] >= '0' &&
-               argv[arg][2] <= '2') {
-      config.opt_level = argv[arg][2] - '0';
-    } else if (std::strcmp(argv[arg], "--dump-bytecode") == 0 ||
-               std::strcmp(argv[arg], "--dump-bytecode=opt") == 0) {
-      dump_bytecode = true;
-    } else if (std::strcmp(argv[arg], "--dump-bytecode=raw") == 0) {
-      dump_bytecode = true;
-      dump_raw = true;
-    } else if (std::strcmp(argv[arg], "--sparse-threshold") == 0 &&
-               arg + 1 < argc) {
-      config.sparse_threshold = std::atof(argv[++arg]);
-    } else if (std::strcmp(argv[arg], "--no-autotune") == 0) {
-      no_autotune = true;
-    } else if (std::strcmp(argv[arg], "--transport") == 0 && arg + 1 < argc) {
-      config.transport = argv[++arg];
-    } else if (std::strcmp(argv[arg], "-D") == 0 && arg + 1 < argc) {
-      const std::string def = argv[++arg];
-      const std::size_t eq = def.find('=');
-      if (eq == std::string::npos) return usage();
-      config.constants[def.substr(0, eq)] = std::atol(def.c_str() + eq + 1);
-    } else {
-      return usage();
-    }
-  }
-
   try {
+    for (int arg = 3; arg < argc; ++arg) {
+      const std::string flag = argv[arg];
+      const auto alias = std::find_if(
+          std::begin(kFieldFlags), std::end(kFieldFlags),
+          [&flag](const auto& entry) { return flag == entry.first; });
+      if (alias != std::end(kFieldFlags) && arg + 1 < argc) {
+        sia::fields::parse(config, alias->second, argv[++arg]);
+      } else if (flag.starts_with("-O")) {
+        sia::fields::parse(config, "opt_level", flag.substr(2));
+      } else if (flag == "--dump-bytecode" || flag == "--dump-bytecode=opt") {
+        dump_bytecode = true;
+      } else if (flag == "--dump-bytecode=raw") {
+        dump_bytecode = true;
+        dump_raw = true;
+      } else if (flag == "--no-autotune") {
+        no_autotune = true;
+      } else if (flag == "-D" && arg + 1 < argc) {
+        const std::string def = argv[++arg];
+        const std::size_t eq = def.find('=');
+        if (eq == std::string::npos) return usage();
+        sia::fields::parse(config, "constants[" + def.substr(0, eq) + "]",
+                           def.substr(eq + 1));
+      } else {
+        return usage();
+      }
+    }
+    config.validate();
+
     sia::chem::register_chem_superinstructions();
     const std::string source = read_file(path);
     const sia::sial::CompiledProgram program =

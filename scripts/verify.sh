@@ -7,8 +7,9 @@
 # The tsan pass needs a tree configured with -DSIA_TSAN=ON to actually
 # instrument; on a plain tree it still runs the same tests uninstrumented
 # (which is the tier-1 superset, so it is cheap). Likewise `ctest -L asan`
-# in a -DSIA_ASAN=ON tree; that subset is not run here by default because
-# the sanitizers cannot share one tree.
+# in a -DSIA_ASAN=ON tree (AddressSanitizer and UndefinedBehaviorSanitizer
+# together; any UB report fails the test); that subset is not run here by
+# default because ThreadSanitizer cannot share that tree.
 set -e
 
 root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)

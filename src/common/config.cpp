@@ -26,35 +26,6 @@ std::vector<std::string> split(const std::string& text, char sep) {
   return parts;
 }
 
-double parse_probability(const std::string& key, const std::string& value) {
-  std::size_t used = 0;
-  double p = 0.0;
-  try {
-    p = std::stod(value, &used);
-  } catch (const std::exception&) {
-    throw Error("FaultPlan: bad value for '" + key + "': '" + value + "'");
-  }
-  if (used != value.size() || p < 0.0 || p > 1.0) {
-    throw Error("FaultPlan: '" + key + "' must be a probability in [0,1], got '" +
-                value + "'");
-  }
-  return p;
-}
-
-long parse_long(const std::string& key, const std::string& value) {
-  std::size_t used = 0;
-  long v = 0;
-  try {
-    v = std::stol(value, &used);
-  } catch (const std::exception&) {
-    throw Error("FaultPlan: bad value for '" + key + "': '" + value + "'");
-  }
-  if (used != value.size()) {
-    throw Error("FaultPlan: bad value for '" + key + "': '" + value + "'");
-  }
-  return v;
-}
-
 // Parses "X@msg:N" / "X@op:N" suffixes: returns {head, N} where N defaults
 // to `default_at` when no @-suffix is present.
 std::pair<std::string, long> parse_at(const std::string& key,
@@ -68,8 +39,9 @@ std::pair<std::string, long> parse_at(const std::string& key,
     throw Error("FaultPlan: '" + key + "' expects '@" + marker +
                 "N' suffix, got '" + value + "'");
   }
-  return {value.substr(0, at),
-          parse_long(key, suffix.substr(marker.size()))};
+  long n = 0;
+  fields::parse_value(n, key, suffix.substr(marker.size()));
+  return {value.substr(0, at), n};
 }
 
 }  // namespace
@@ -84,19 +56,9 @@ FaultPlan FaultPlan::parse(const std::string& text) {
     }
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
-    if (key == "drop") {
-      plan.drop = parse_probability(key, value);
-    } else if (key == "dup") {
-      plan.dup = parse_probability(key, value);
-    } else if (key == "reorder") {
-      plan.reorder = parse_probability(key, value);
-    } else if (key == "delay_ms") {
-      plan.delay_ms = static_cast<int>(parse_long(key, value));
-    } else if (key == "delay_jitter_ms") {
-      plan.delay_jitter_ms = static_cast<int>(parse_long(key, value));
-    } else if (key == "kill_rank") {
+    if (key == "kill_rank") {
       auto [rank, at] = parse_at(key, value, "msg:", 1);
-      plan.kill_rank = static_cast<int>(parse_long(key, rank));
+      fields::parse_value(plan.kill_rank, key, rank);
       plan.kill_at_msg = at;
     } else if (key == "disk") {
       auto [kind, at] = parse_at(key, value, "op:", 1);
@@ -111,9 +73,7 @@ FaultPlan FaultPlan::parse(const std::string& text) {
                     "' (want eio|enospc|short)");
       }
       plan.disk_fault_at_op = at;
-    } else if (key == "seed") {
-      plan.seed = static_cast<std::uint64_t>(parse_long(key, value));
-    } else {
+    } else if (!fields::parse(plan, key, value)) {
       throw Error("FaultPlan: unknown key '" + key + "'");
     }
   }
@@ -128,9 +88,7 @@ FaultPlan FaultPlan::from_env() {
 }
 
 void FaultPlan::validate() const {
-  if (delay_ms < 0 || delay_jitter_ms < 0) {
-    throw Error("FaultPlan: delays must be >= 0");
-  }
+  fields::check(*this, "FaultPlan");
   if (kill_rank >= 0 && kill_at_msg < 1) {
     throw Error("FaultPlan: kill_rank needs @msg:N with N >= 1");
   }
@@ -140,49 +98,12 @@ void FaultPlan::validate() const {
 }
 
 void SipConfig::validate() const {
-  if (workers < 1) throw Error("SipConfig: need at least one worker");
-  if (io_servers < 0) throw Error("SipConfig: io_servers must be >= 0");
-  if (default_segment < 1) throw Error("SipConfig: default_segment must be >= 1");
-  for (const auto& [type, seg] : segment_overrides) {
-    if (seg < 1) {
-      throw Error("SipConfig: segment override for '" + type +
-                  "' must be >= 1");
-    }
-  }
-  if (subsegments_per_segment < 1) {
-    throw Error("SipConfig: subsegments_per_segment must be >= 1");
-  }
-  if (prefetch_depth < 0) throw Error("SipConfig: prefetch_depth must be >= 0");
-  if (opt_level < 0 || opt_level > 2) {
-    throw Error("SipConfig: opt_level must be 0, 1, or 2");
-  }
-  if (worker_threads < -1) {
-    throw Error("SipConfig: worker_threads must be -1 (auto), 0, or > 0");
-  }
-  if (window_limit < 1) throw Error("SipConfig: window_limit must be >= 1");
-  if (server_disk_threads < 0) {
-    throw Error("SipConfig: server_disk_threads must be >= 0");
-  }
-  if (!(sparse_threshold >= 0.0)) {
-    throw Error("SipConfig: sparse_threshold must be >= 0");
-  }
-  if (chunk_divisor < 1) throw Error("SipConfig: chunk_divisor must be >= 1");
-  if (min_chunk < 1) throw Error("SipConfig: min_chunk must be >= 1");
+  fields::check(*this, "SipConfig");
   fault_plan.validate();
-  if (retry_timeout_ms < 1) {
-    throw Error("SipConfig: retry_timeout_ms must be >= 1");
-  }
-  if (retry_max < 1) throw Error("SipConfig: retry_max must be >= 1");
-  if (heartbeat_misses < 1) {
-    throw Error("SipConfig: heartbeat_misses must be >= 1");
-  }
   if (transport != "thread" && transport != "loopback" &&
       transport != "spawn") {
     throw Error("SipConfig: transport must be thread, loopback, or spawn, "
                 "got '" + transport + "'");
-  }
-  if (connect_timeout_ms < 1) {
-    throw Error("SipConfig: connect_timeout_ms must be >= 1");
   }
   if (fault_plan.kill_rank >= total_ranks()) {
     throw Error("FaultPlan: kill_rank out of range for this launch");

@@ -4,6 +4,14 @@
 // size — are *not* visible in SIAL source; they are chosen by the runtime
 // or by a knowledgeable user as runtime parameters. SipConfig is that set
 // of runtime parameters.
+//
+// A knob is a member plus one line in its struct's `fields` list, which
+// gives its name, valid range and planner dimension (fields.hpp Knob).
+// Everything else walks that list: validate() checks the ranges, the
+// spawn bundle prints and parses every field by name (sip/spawn.hpp),
+// the planner pins the tuned knobs moved off their default and prints
+// the tuned ones in its plan summary, and sial_tool's flags set fields
+// by name through the same strict parser.
 #pragma once
 
 #include <algorithm>
@@ -12,6 +20,8 @@
 #include <map>
 #include <string>
 #include <thread>
+
+#include "common/fields.hpp"
 
 namespace sia {
 
@@ -39,6 +49,21 @@ struct FaultPlan {
   long disk_fault_at_op = 0;  // ...at the Nth tracked DiskStore operation
   std::uint64_t seed = 1;
 
+  template <class Visit, class... S>
+  static void fields(Visit&& visit, S&... s) {
+    visit("drop", Knob{.min = 0, .max = 1}, s.drop...);
+    visit("dup", Knob{.min = 0, .max = 1}, s.dup...);
+    visit("reorder", Knob{.min = 0, .max = 1}, s.reorder...);
+    visit("delay_ms", Knob{.min = 0}, s.delay_ms...);
+    visit("delay_jitter_ms", Knob{.min = 0}, s.delay_jitter_ms...);
+    visit("kill_rank", Knob{.min = -1}, s.kill_rank...);
+    visit("kill_at_msg", Knob{}, s.kill_at_msg...);
+    visit("disk_fault", Knob{.min = 0, .max = 3}, s.disk_fault...);
+    visit("disk_fault_at_op", Knob{}, s.disk_fault_at_op...);
+    visit("seed", Knob{}, s.seed...);
+  }
+  bool operator==(const FaultPlan&) const = default;
+
   // True when any fault is configured; gates the reliable protocol and
   // the ChaosFabric decorator on.
   bool active() const {
@@ -46,8 +71,9 @@ struct FaultPlan {
            delay_jitter_ms > 0 || kill_rank >= 0 || disk_fault != 0;
   }
 
-  // Parses the plan string above; throws Error with the offending token
-  // on malformed input. Empty string -> empty plan.
+  // Parses the plan string above (any other field may also be set by
+  // its list name); throws Error with the offending token on malformed
+  // input. Empty string -> empty plan.
   static FaultPlan parse(const std::string& text);
   // Reads SIA_FAULT_PLAN from the environment (empty plan if unset).
   static FaultPlan from_env();
@@ -171,10 +197,11 @@ struct SipConfig {
   // Sweep the tunable knobs above (worker_threads, window_limit,
   // prefetch_depth, chunk_divisor/min_chunk, segment size, put
   // coalescing, server knobs) through the DES performance model at
-  // launch and apply the winning plan before resolution. Knobs the user
-  // set explicitly (any field differing from a default-constructed
-  // SipConfig) are pinned and never overridden. The SIA_AUTOTUNE
-  // environment variable ("0"/"1") wins over this field either way.
+  // launch and apply the winning plan before resolution. A tuned knob
+  // (its `fields` entry names a planner dimension) that differs from a
+  // default-constructed SipConfig is pinned and never overridden. The
+  // SIA_AUTOTUNE environment variable ("0"/"1") wins over this field
+  // either way.
   bool autotune = false;
 
   // Per-host calibration constants file (measured GEMM rate, fabric
@@ -282,8 +309,9 @@ struct SipConfig {
     return 0;
   }
 
-  // Validated copy with derived values filled in; throws Error on nonsense
-  // (e.g. workers < 1, segment < 1).
+  // Throws Error naming the first field outside its listed range, or on
+  // a combination that cannot work (an unknown transport, a kill_rank
+  // beyond this launch or on the master).
   void validate() const;
 
   int total_ranks() const { return 1 + workers + io_servers; }
@@ -293,6 +321,61 @@ struct SipConfig {
 
   // Segment size for a given index type name.
   int segment_for(const std::string& index_type) const;
+
+  // Every field, once. Ranges checked by validate() span single fields;
+  // `tuned` names the planner dimension (both segment fields are one).
+  template <class Visit, class... S>
+  static void fields(Visit&& visit, S&... s) {
+    visit("workers", Knob{.min = 1}, s.workers...);
+    visit("io_servers", Knob{.min = 0}, s.io_servers...);
+    visit("default_segment", Knob{.min = 1, .tuned = "segment"},
+          s.default_segment...);
+    visit("segment_overrides", Knob{.min = 1, .tuned = "segment"},
+          s.segment_overrides...);
+    visit("subsegments_per_segment", Knob{.min = 1},
+          s.subsegments_per_segment...);
+    visit("worker_memory_bytes", Knob{}, s.worker_memory_bytes...);
+    visit("server_cache_bytes", Knob{.tuned = "server_cache_bytes"},
+          s.server_cache_bytes...);
+    visit("opt_level", Knob{.min = 0, .max = 2}, s.opt_level...);
+    visit("prefetch_depth", Knob{.min = 0, .tuned = "prefetch_depth"},
+          s.prefetch_depth...);
+    visit("worker_threads", Knob{.min = -1, .tuned = "worker_threads"},
+          s.worker_threads...);
+    visit("window_limit", Knob{.min = 1, .tuned = "window_limit"},
+          s.window_limit...);
+    visit("server_disk_threads",
+          Knob{.min = 0, .tuned = "server_disk_threads"},
+          s.server_disk_threads...);
+    visit("server_cold_io", Knob{}, s.server_cold_io...);
+    visit("sparse_threshold", Knob{.min = 0}, s.sparse_threshold...);
+    visit("coalesce_puts", Knob{.tuned = "coalesce_puts"},
+          s.coalesce_puts...);
+    visit("batch_gets", Knob{}, s.batch_gets...);
+    visit("chunk_divisor", Knob{.min = 1, .tuned = "chunk_divisor"},
+          s.chunk_divisor...);
+    visit("min_chunk", Knob{.min = 1, .tuned = "min_chunk"},
+          s.min_chunk...);
+    visit("work_stealing", Knob{}, s.work_stealing...);
+    visit("autotune", Knob{}, s.autotune...);
+    visit("calibration_file", Knob{}, s.calibration_file...);
+    visit("scratch_dir", Knob{}, s.scratch_dir...);
+    visit("constants", Knob{}, s.constants...);
+    visit("computed_served", Knob{}, s.computed_served...);
+    visit("dry_run_only", Knob{}, s.dry_run_only...);
+    visit("profiling", Knob{}, s.profiling...);
+    visit("fault_plan", Knob{}, s.fault_plan...);
+    visit("reliable_protocol", Knob{}, s.reliable_protocol...);
+    visit("retry_timeout_ms", Knob{.min = 1}, s.retry_timeout_ms...);
+    visit("retry_max", Knob{.min = 1}, s.retry_max...);
+    visit("heartbeat_ms", Knob{}, s.heartbeat_ms...);
+    visit("heartbeat_misses", Knob{.min = 1}, s.heartbeat_misses...);
+    visit("server_recovery", Knob{}, s.server_recovery...);
+    visit("transport", Knob{}, s.transport...);
+    visit("socket_address", Knob{}, s.socket_address...);
+    visit("spawn_helper", Knob{}, s.spawn_helper...);
+    visit("connect_timeout_ms", Knob{.min = 1}, s.connect_timeout_ms...);
+  }
 };
 
 }  // namespace sia

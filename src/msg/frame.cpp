@@ -83,6 +83,7 @@ void encode_message_frame(const Message& message, int dst,
     put<std::int64_t>(out, word);
   }
   auto put_doubles = [&out](const double* values, std::size_t count) {
+    if (count == 0) return;  // an empty vector's data() may be null
     const std::size_t at = out.size();
     out.resize(at + count * sizeof(double));
     std::memcpy(out.data() + at, values, count * sizeof(double));

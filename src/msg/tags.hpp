@@ -28,7 +28,7 @@ enum Tag : int {
                              //                    grant_begin, grant_end]
 
   // Worker <-> worker: distributed array traffic.
-  kBlockGetRequest = 201,  // [array_id, block_linear, reply_rank]
+  kBlockGetRequest = 201,  // [array_id, block_linear, reply_rank, epoch]
   kBlockGetReply = 202,    // [array_id, block_linear] + data
   kBlockPut = 203,         // [array_id, block_linear, epoch] + data
   kBlockPutAcc = 204,      // [array_id, block_linear, epoch] + data (accumulate)

@@ -1,6 +1,7 @@
 #include "sip/dist_array.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "blas/elementwise.hpp"
 #include "msg/tags.hpp"
@@ -82,7 +83,7 @@ void DistArrayManager::issue_get(const BlockId& id, bool implicit) {
   pending_.emplace(id, epoch_);
   msg::Message request;
   request.tag = msg::kBlockGetRequest;
-  request.header = {id.array_id, linear_of(id), my_rank_};
+  request.header = {id.array_id, linear_of(id), my_rank_, epoch_};
   if (channel_ != nullptr) {
     channel_->send_request(owner, std::move(request));
   } else {
@@ -331,6 +332,9 @@ void DistArrayManager::advance_epoch() {
   cache_.clear();
   pending_.clear();
   misses_.clear();
+  for (const msg::Message& early : std::exchange(early_gets_, {})) {
+    handle_get_request(early);
+  }
 }
 
 BlockCache::Stats DistArrayManager::cache_stats() const {
@@ -344,6 +348,13 @@ void DistArrayManager::handle_get_request(const msg::Message& message) {
   const std::int64_t linear = message.header[1];
   const int reply_rank = static_cast<int>(message.header[2]);
   const BlockId id = id_from_linear(array_id, linear);
+  // The master releases a barrier one worker at a time, so a released
+  // worker's get can overtake this owner's own release; answer it once
+  // this owner is in the requester's epoch.
+  if (message.header[3] > epoch_) {
+    early_gets_.push_back(message);
+    return;
+  }
 
   auto it = home_.find(id);
   if (it == home_.end()) {

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "block/block.hpp"
 #include "block/block_cache.hpp"
@@ -198,6 +199,9 @@ class DistArrayManager {
   BlockCache cache_;
   // In-flight gets with the epoch they were issued in.
   std::unordered_map<BlockId, std::int64_t, BlockIdHash> pending_;
+  // Get requests from workers already past a barrier this owner has not
+  // been released from yet; answered by advance_epoch().
+  std::vector<msg::Message> early_gets_;
   // Gets answered "no such block": harmless for prefetches, an error at
   // the point of actual use.
   std::unordered_set<BlockId, BlockIdHash> misses_;

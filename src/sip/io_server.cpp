@@ -604,7 +604,7 @@ DiskStore& IoServer::store_for(int array_id) {
                                     array.max_block_elements,
                                     array.total_blocks,
                                     shared_.config.server_cold_io,
-                                    shared_.disk_injector))
+                                    shared_.disk_injector.get()))
              .first;
   }
   return *it->second;

@@ -124,7 +124,7 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
   // Launch-time autotuning: sweep the knobs through the DES model and
   // apply the winning plan to config_ *before* resolution, so segment
   // size takes effect and spawn mode ships the tuned values in its
-  // bundle (children never re-plan: autotune is not serialized).
+  // bundle (the bundle carries autotune too, but children never plan).
   ProfileReport::Plan plan_record;
   Calibration calibration;
   std::string cal_path;
@@ -223,20 +223,9 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
     fabric = std::make_unique<msg::ChaosFabric>(std::move(fabric),
                                                 config_.fault_plan);
   }
-  std::unique_ptr<msg::DiskFaultInjector> disk_injector;
-  if (config_.fault_plan.disk_fault != 0) {
-    disk_injector = std::make_unique<msg::DiskFaultInjector>(config_.fault_plan);
-  }
 
-  SipShared shared;
-  shared.program = &resolved;
+  SipShared shared(resolved, config_, scratch_dir_, result.dry_run.pool_plan);
   shared.fabric = fabric.get();
-  shared.config = config_;
-  shared.scratch_dir = scratch_dir_;
-  shared.pool_plan = result.dry_run.pool_plan;
-  shared.disk_injector = disk_injector.get();
-  shared.kernels_screened_start = kernels_screened_count();
-  shared.init_rank_status(config_.total_ranks());
   IoServer::clear_ack_journals(shared);
 
   Master master(shared);

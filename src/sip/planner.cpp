@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -330,18 +331,16 @@ std::int64_t workload_tasks(const sim::WorkloadModel& workload) {
   return tasks;
 }
 
+// The tuned knobs, one `dimension=value` per entry of the field list.
 std::string knob_summary(const SipConfig& cfg) {
   std::ostringstream out;
-  out << "segment=" << cfg.default_segment
-      << " worker_threads=" << cfg.worker_threads
-      << " window=" << cfg.window_limit
-      << " prefetch=" << cfg.prefetch_depth
-      << " chunk_divisor=" << cfg.chunk_divisor
-      << " min_chunk=" << cfg.min_chunk
-      << " coalesce_puts=" << (cfg.coalesce_puts ? "on" : "off")
-      << " disk_threads=" << cfg.server_disk_threads
-      << " server_cache_mb=" << (cfg.server_cache_bytes >> 20);
-  return out.str();
+  SipConfig::fields([&out](const char*, const Knob& knob, const auto& value) {
+    if (knob.tuned != nullptr) fields::print(out, knob.tuned, value);
+  }, cfg);
+  std::string summary = out.str();
+  std::replace(summary.begin(), summary.end(), '\n', ' ');
+  if (!summary.empty()) summary.pop_back();
+  return summary;
 }
 
 }  // namespace
@@ -354,28 +353,17 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
   choice.calibrated = cal.runs > 0;
 
   // A knob is pinned exactly when the user moved it off its default.
-  const bool pin_segment =
-      base.default_segment != defaults.default_segment ||
-      !base.segment_overrides.empty();
-  const bool pin_threads = base.worker_threads != defaults.worker_threads;
-  const bool pin_window = base.window_limit != defaults.window_limit;
-  const bool pin_prefetch = base.prefetch_depth != defaults.prefetch_depth;
-  const bool pin_divisor = base.chunk_divisor != defaults.chunk_divisor;
-  const bool pin_min_chunk = base.min_chunk != defaults.min_chunk;
-  const bool pin_coalesce = base.coalesce_puts != defaults.coalesce_puts;
-  const bool pin_disk_threads =
-      base.server_disk_threads != defaults.server_disk_threads;
-  const bool pin_server_cache =
-      base.server_cache_bytes != defaults.server_cache_bytes;
-  if (pin_segment) choice.pinned.push_back("segment");
-  if (pin_threads) choice.pinned.push_back("worker_threads");
-  if (pin_window) choice.pinned.push_back("window_limit");
-  if (pin_prefetch) choice.pinned.push_back("prefetch_depth");
-  if (pin_divisor) choice.pinned.push_back("chunk_divisor");
-  if (pin_min_chunk) choice.pinned.push_back("min_chunk");
-  if (pin_coalesce) choice.pinned.push_back("coalesce_puts");
-  if (pin_disk_threads) choice.pinned.push_back("server_disk_threads");
-  if (pin_server_cache) choice.pinned.push_back("server_cache_bytes");
+  const auto pinned = [&choice](std::string_view dimension) {
+    return std::find(choice.pinned.begin(), choice.pinned.end(),
+                     dimension) != choice.pinned.end();
+  };
+  SipConfig::fields(
+      [&](const char*, const Knob& knob, const auto& value, const auto& def) {
+        if (knob.tuned != nullptr && value != def && !pinned(knob.tuned)) {
+          choice.pinned.emplace_back(knob.tuned);
+        }
+      },
+      base, defaults);
 
   // Resolution and workload modeling are per segment; everything else
   // reuses the cached context.
@@ -415,13 +403,13 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
   // never predicted slower than serial (acceptance floor); when the user
   // pinned worker_threads the pin wins and the seed is the base itself.
   SipConfig best = base;
-  if (!pin_threads) best.worker_threads = 0;
+  if (!pinned("worker_threads")) best.worker_threads = 0;
   double best_seconds = eval(best);
   choice.baseline_seconds = best_seconds;
 
   const int cores = host.resolved_cores();
   std::vector<int> segments;
-  if (pin_segment) {
+  if (pinned("segment")) {
     segments = {base.default_segment};
   } else {
     segments = {base.default_segment, 2,  4,  6,  8,  12, 16,
@@ -445,7 +433,7 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
     // unpinned: the sweep tries every thread count anyway, strict-
     // improvement ties then resolve to 0, and the emitted plan never
     // contains the ambiguous -1 auto value.
-    if (!pin_threads) cfg.worker_threads = 0;
+    if (!pinned("worker_threads")) cfg.worker_threads = 0;
     double seconds = eval(cfg);
     // Coordinate descent from the user's configuration, two passes so
     // knobs that interact (threads and window, prefetch and chunking)
@@ -461,32 +449,32 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
           cfg = trial;
         }
       };
-      if (!pin_threads) {
+      if (!pinned("worker_threads")) {
         for (const int t : thread_cands) {
           try_value(&SipConfig::worker_threads, t);
         }
       }
-      if (!pin_window && resolved_threads(cfg, cores) >= 1) {
+      if (!pinned("window_limit") && resolved_threads(cfg, cores) >= 1) {
         for (const int w : {8, 16, 32, 64, 128}) {
           try_value(&SipConfig::window_limit, w);
         }
       }
-      if (!pin_prefetch) {
+      if (!pinned("prefetch_depth")) {
         for (const int d : {0, 1, 2, 4, 8}) {
           try_value(&SipConfig::prefetch_depth, d);
         }
       }
-      if (!pin_divisor) {
+      if (!pinned("chunk_divisor")) {
         for (const int d : {1, 2, 4, 8}) {
           try_value(&SipConfig::chunk_divisor, d);
         }
       }
-      if (!pin_min_chunk) {
+      if (!pinned("min_chunk")) {
         for (const long m : {1L, 2L, 4L, 8L}) {
           try_value(&SipConfig::min_chunk, m);
         }
       }
-      if (!pin_coalesce) {
+      if (!pinned("coalesce_puts")) {
         for (const bool c : {true, false}) {
           try_value(&SipConfig::coalesce_puts, c);
         }
@@ -513,10 +501,10 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
     } catch (const std::exception&) {
     }
     if (served_total > 0) {
-      if (!pin_disk_threads) {
+      if (!pinned("server_disk_threads")) {
         best.server_disk_threads = std::clamp(cores / 2, 1, 4);
       }
-      if (!pin_server_cache) {
+      if (!pinned("server_cache_bytes")) {
         const std::size_t per_server =
             served_total / static_cast<std::size_t>(base.io_servers);
         best.server_cache_bytes =

@@ -6,8 +6,9 @@
 // launch it derives a WorkloadModel from the compiled program's static
 // block read/write sets, sweeps the runtime's tunable knobs through the
 // discrete-event simulator in milliseconds, and applies the winning plan
-// to the SipConfig before resolution. Knobs the user set explicitly are
-// pinned and never overridden.
+// to the SipConfig before resolution. Tuned knobs moved off their
+// default (SipConfig::fields names each one's dimension) are pinned and
+// never overridden.
 //
 // After the run, predicted-vs-actual lands in the ProfileReport and the
 // per-host calibration constants (measured GEMM rate, fabric bandwidth,
@@ -69,8 +70,8 @@ struct PlanChoice {
   double baseline_seconds = 0.0;  // predicted serial-baseline time
   int candidates = 0;             // configurations evaluated
   bool calibrated = false;        // calibration had prior runs
-  std::string summary;            // chosen knobs, "key=value ..." form
-  std::vector<std::string> pinned;  // user-set knobs left untouched
+  std::string summary;            // tuned knobs, "dimension=value ..."
+  std::vector<std::string> pinned;  // dimensions moved off their default
 };
 
 // Predicted wall seconds for one candidate configuration against a
@@ -81,8 +82,8 @@ double predict_seconds(const sim::WorkloadModel& workload,
                        const HostModel& host);
 
 // The planner. `optimized` is the mid-end output (the same program the
-// launch resolves); `base` is the user's configuration, whose fields that
-// differ from a default-constructed SipConfig are treated as pinned.
+// launch resolves); `base` is the user's configuration, whose tuned
+// fields that differ from a default-constructed SipConfig are pinned.
 // Pure function of its arguments — same inputs, same plan.
 PlanChoice plan_launch(const sial::CompiledProgram& optimized,
                        const SipConfig& base, const Calibration& cal,

@@ -21,6 +21,7 @@
 #include "msg/chaos.hpp"
 #include "msg/fabric.hpp"
 #include "sial/program.hpp"
+#include "sip/superinstr.hpp"
 
 namespace sia::sip {
 
@@ -32,6 +33,24 @@ class Aborted : public Error {
 };
 
 struct SipShared {
+  SipShared() = default;
+  // Everything a launch shares except the fabric, which the launch
+  // attaches once it exists: program, config, the launch's scratch
+  // directory, the dry run's pool plan, rank status, the screened-kernel
+  // baseline and the disk-fault injector the plan asks for.
+  SipShared(const sial::ResolvedProgram& resolved, const SipConfig& launch,
+            std::string scratch, std::map<std::size_t, std::size_t> pool)
+      : program(&resolved),
+        config(launch),
+        scratch_dir(std::move(scratch)),
+        pool_plan(std::move(pool)) {
+    if (config.fault_plan.disk_fault != 0) {
+      disk_injector = std::make_unique<msg::DiskFaultInjector>(config.fault_plan);
+    }
+    init_rank_status(config.total_ranks());
+    kernels_screened_start = kernels_screened_count();
+  }
+
   const sial::ResolvedProgram* program = nullptr;
   msg::Fabric* fabric = nullptr;
   SipConfig config;
@@ -48,7 +67,7 @@ struct SipShared {
   // Shared disk-fault injector (null when no disk fault is planned);
   // every DiskStore on every server increments the same operation counter
   // so `disk=eio@op:N` names one global operation.
-  msg::DiskFaultInjector* disk_injector = nullptr;
+  std::unique_ptr<msg::DiskFaultInjector> disk_injector;
 
   // Installed by the launch when server recovery is enabled: joins the
   // dead server rank's thread, rebuilds the IoServer from its durable

@@ -5,14 +5,16 @@
 
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <set>
+#include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/fields.hpp"
 #include "common/log.hpp"
 #include "common/posix_io.hpp"
 #include "msg/chaos.hpp"
@@ -31,182 +33,6 @@
 namespace sia::sip {
 
 namespace {
-
-std::string format_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
-// ---------------------------------------------------------------------
-// Bundle: the key=value config + SIAL source a child rebuilds its half
-// of the launch from. The `source=<bytes>` line is last; the raw source
-// follows it unescaped.
-
-struct Bundle {
-  SipConfig config;
-  std::string connect;  // hub address for the spoke fabric
-  std::string source;
-};
-
-void append_kv(std::string& out, const std::string& key,
-               const std::string& value) {
-  out += key;
-  out += '=';
-  out += value;
-  out += '\n';
-}
-
-std::string serialize_bundle(const SipConfig& c, const std::string& connect,
-                             const std::string& scratch_dir,
-                             const std::string& source) {
-  std::string out;
-  const auto num = [&out](const char* key, long long value) {
-    append_kv(out, key, std::to_string(value));
-  };
-  num("workers", c.workers);
-  num("io_servers", c.io_servers);
-  num("default_segment", c.default_segment);
-  num("subsegments_per_segment", c.subsegments_per_segment);
-  num("worker_memory_bytes", static_cast<long long>(c.worker_memory_bytes));
-  num("server_cache_bytes", static_cast<long long>(c.server_cache_bytes));
-  num("opt_level", c.opt_level);
-  num("prefetch_depth", c.prefetch_depth);
-  num("worker_threads", c.worker_threads);
-  num("window_limit", c.window_limit);
-  num("server_disk_threads", c.server_disk_threads);
-  num("server_cold_io", c.server_cold_io ? 1 : 0);
-  append_kv(out, "sparse_threshold", format_double(c.sparse_threshold));
-  num("coalesce_puts", c.coalesce_puts ? 1 : 0);
-  num("batch_gets", c.batch_gets ? 1 : 0);
-  num("chunk_divisor", c.chunk_divisor);
-  num("min_chunk", c.min_chunk);
-  num("work_stealing", c.work_stealing ? 1 : 0);
-  num("profiling", c.profiling ? 1 : 0);
-  num("reliable_protocol", c.reliable_protocol ? 1 : 0);
-  num("retry_timeout_ms", c.retry_timeout_ms);
-  num("retry_max", c.retry_max);
-  num("heartbeat_ms", c.heartbeat_ms);
-  num("heartbeat_misses", c.heartbeat_misses);
-  num("server_recovery", c.server_recovery ? 1 : 0);
-  num("connect_timeout_ms", c.connect_timeout_ms);
-  append_kv(out, "fault.drop", format_double(c.fault_plan.drop));
-  append_kv(out, "fault.dup", format_double(c.fault_plan.dup));
-  append_kv(out, "fault.reorder", format_double(c.fault_plan.reorder));
-  num("fault.delay_ms", c.fault_plan.delay_ms);
-  num("fault.delay_jitter_ms", c.fault_plan.delay_jitter_ms);
-  num("fault.kill_rank", c.fault_plan.kill_rank);
-  num("fault.kill_at_msg", c.fault_plan.kill_at_msg);
-  num("fault.disk_fault", c.fault_plan.disk_fault);
-  num("fault.disk_fault_at_op", c.fault_plan.disk_fault_at_op);
-  num("fault.seed", static_cast<long long>(c.fault_plan.seed));
-  append_kv(out, "scratch_dir", scratch_dir);
-  for (const auto& [type, seg] : c.segment_overrides) {
-    append_kv(out, "segment." + type, std::to_string(seg));
-  }
-  for (const auto& [name, value] : c.constants) {
-    append_kv(out, "constant." + name, std::to_string(value));
-  }
-  for (const auto& [array, generator] : c.computed_served) {
-    append_kv(out, "computed." + array, generator);
-  }
-  append_kv(out, "connect", connect);
-  append_kv(out, "source", std::to_string(source.size()));
-  out += source;
-  return out;
-}
-
-long long parse_ll(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const long long v = std::stoll(value, &used);
-    if (used == value.size()) return v;
-  } catch (const std::exception&) {
-  }
-  throw Error("spawn bundle: bad value for '" + key + "': '" + value + "'");
-}
-
-double parse_double(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    if (used == value.size()) return v;
-  } catch (const std::exception&) {
-  }
-  throw Error("spawn bundle: bad value for '" + key + "': '" + value + "'");
-}
-
-Bundle parse_bundle(const std::string& text) {
-  Bundle b;
-  SipConfig& c = b.config;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) {
-      throw Error("spawn bundle: unterminated line");
-    }
-    const std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw Error("spawn bundle: expected key=value, got '" + line + "'");
-    }
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    if (key == "source") {
-      const std::size_t bytes =
-          static_cast<std::size_t>(parse_ll(key, value));
-      if (pos + bytes > text.size()) {
-        throw Error("spawn bundle: source truncated");
-      }
-      b.source = text.substr(pos, bytes);
-      return b;  // source is always last
-    }
-    if (key == "workers") c.workers = static_cast<int>(parse_ll(key, value));
-    else if (key == "io_servers") c.io_servers = static_cast<int>(parse_ll(key, value));
-    else if (key == "default_segment") c.default_segment = static_cast<int>(parse_ll(key, value));
-    else if (key == "subsegments_per_segment") c.subsegments_per_segment = static_cast<int>(parse_ll(key, value));
-    else if (key == "worker_memory_bytes") c.worker_memory_bytes = static_cast<std::size_t>(parse_ll(key, value));
-    else if (key == "server_cache_bytes") c.server_cache_bytes = static_cast<std::size_t>(parse_ll(key, value));
-    else if (key == "opt_level") c.opt_level = static_cast<int>(parse_ll(key, value));
-    else if (key == "prefetch_depth") c.prefetch_depth = static_cast<int>(parse_ll(key, value));
-    else if (key == "worker_threads") c.worker_threads = static_cast<int>(parse_ll(key, value));
-    else if (key == "window_limit") c.window_limit = static_cast<int>(parse_ll(key, value));
-    else if (key == "server_disk_threads") c.server_disk_threads = static_cast<int>(parse_ll(key, value));
-    else if (key == "server_cold_io") c.server_cold_io = parse_ll(key, value) != 0;
-    else if (key == "sparse_threshold") c.sparse_threshold = parse_double(key, value);
-    else if (key == "coalesce_puts") c.coalesce_puts = parse_ll(key, value) != 0;
-    else if (key == "batch_gets") c.batch_gets = parse_ll(key, value) != 0;
-    else if (key == "chunk_divisor") c.chunk_divisor = static_cast<int>(parse_ll(key, value));
-    else if (key == "min_chunk") c.min_chunk = parse_ll(key, value);
-    else if (key == "work_stealing") c.work_stealing = parse_ll(key, value) != 0;
-    else if (key == "profiling") c.profiling = parse_ll(key, value) != 0;
-    else if (key == "reliable_protocol") c.reliable_protocol = parse_ll(key, value) != 0;
-    else if (key == "retry_timeout_ms") c.retry_timeout_ms = static_cast<int>(parse_ll(key, value));
-    else if (key == "retry_max") c.retry_max = static_cast<int>(parse_ll(key, value));
-    else if (key == "heartbeat_ms") c.heartbeat_ms = static_cast<int>(parse_ll(key, value));
-    else if (key == "heartbeat_misses") c.heartbeat_misses = static_cast<int>(parse_ll(key, value));
-    else if (key == "server_recovery") c.server_recovery = parse_ll(key, value) != 0;
-    else if (key == "connect_timeout_ms") c.connect_timeout_ms = static_cast<int>(parse_ll(key, value));
-    else if (key == "fault.drop") c.fault_plan.drop = parse_double(key, value);
-    else if (key == "fault.dup") c.fault_plan.dup = parse_double(key, value);
-    else if (key == "fault.reorder") c.fault_plan.reorder = parse_double(key, value);
-    else if (key == "fault.delay_ms") c.fault_plan.delay_ms = static_cast<int>(parse_ll(key, value));
-    else if (key == "fault.delay_jitter_ms") c.fault_plan.delay_jitter_ms = static_cast<int>(parse_ll(key, value));
-    else if (key == "fault.kill_rank") c.fault_plan.kill_rank = static_cast<int>(parse_ll(key, value));
-    else if (key == "fault.kill_at_msg") c.fault_plan.kill_at_msg = parse_ll(key, value);
-    else if (key == "fault.disk_fault") c.fault_plan.disk_fault = static_cast<int>(parse_ll(key, value));
-    else if (key == "fault.disk_fault_at_op") c.fault_plan.disk_fault_at_op = parse_ll(key, value);
-    else if (key == "fault.seed") c.fault_plan.seed = static_cast<std::uint64_t>(parse_ll(key, value));
-    else if (key == "scratch_dir") c.scratch_dir = value;
-    else if (key.rfind("segment.", 0) == 0) c.segment_overrides[key.substr(8)] = static_cast<int>(parse_ll(key, value));
-    else if (key.rfind("constant.", 0) == 0) c.constants[key.substr(9)] = parse_ll(key, value);
-    else if (key.rfind("computed.", 0) == 0) c.computed_served[key.substr(9)] = value;
-    else if (key == "connect") b.connect = value;
-    else throw Error("spawn bundle: unknown key '" + key + "'");
-  }
-  throw Error("spawn bundle: missing source section");
-}
 
 // Writes the given messages over a fresh one-shot connection to the hub.
 // Best effort by design: if the hub is already gone (it stops on abort),
@@ -285,6 +111,48 @@ void reap_children(std::vector<pid_t>& pids) {
 
 }  // namespace
 
+std::string write_bundle(const Bundle& bundle) {
+  std::ostringstream out;
+  fields::print(out, "", bundle.config);
+  out << "source=" << bundle.source.size() << '\n' << bundle.source;
+  return out.str();
+}
+
+Bundle read_bundle(const std::string& text) {
+  Bundle bundle;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::size_t eol = text.find('\n', pos);
+    if (eol == std::string::npos) {
+      throw Error("spawn bundle: unterminated line");
+    }
+    const std::string_view line(text.data() + pos, eol - pos);
+    pos = eol + 1;
+    const std::size_t eq = line.find('=');
+    if (eq == std::string_view::npos || eq == 0) {
+      throw Error("spawn bundle: expected key=value, got '" +
+                  std::string(line) + "'");
+    }
+    const std::string_view key = line.substr(0, eq);
+    const std::string_view value = line.substr(eq + 1);
+    if (key == "source") {  // always last; the raw source follows
+      std::size_t bytes = 0;
+      fields::parse_value(bytes, key, value);
+      if (bytes != text.size() - pos) {
+        throw Error("spawn bundle: source section is " +
+                    std::to_string(text.size() - pos) + " bytes, expected " +
+                    std::to_string(bytes));
+      }
+      bundle.source = text.substr(pos);
+      return bundle;
+    }
+    if (!fields::parse(bundle.config, key, value)) {
+      throw Error("spawn bundle: unknown key '" + std::string(key) + "'");
+    }
+  }
+  throw Error("spawn bundle: missing source section");
+}
+
 msg::Message make_abort_message(const std::string& text) {
   msg::Message message;
   message.tag = msg::kAbort;
@@ -339,8 +207,8 @@ int run_spawn_child(int argc, char** argv) {
     if (!in) throw Error("spawn child: cannot read bundle " + bundle_path);
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
-    Bundle bundle = parse_bundle(text);
-    connect = bundle.connect;
+    Bundle bundle = read_bundle(text);
+    connect = bundle.config.socket_address;
     SipConfig config = bundle.config;
     if (incarnation > 0 && config.fault_plan.kill_rank >= 0) {
       // A respawned incarnation must not re-fire the scheduled kill (the
@@ -362,22 +230,10 @@ int run_spawn_child(int argc, char** argv) {
         sial::opt::optimize(program, config.opt_level).program, config);
     const DryRunReport dry = dry_run(resolved);
 
-    SipShared shared;
-    shared.program = &resolved;
-    shared.config = config;
-    shared.scratch_dir = config.scratch_dir;
-    shared.pool_plan = dry.pool_plan;
-    shared.kernels_screened_start = kernels_screened_count();
-    shared.init_rank_status(config.total_ranks());
-    std::unique_ptr<msg::DiskFaultInjector> disk_injector;
-    if (config.fault_plan.disk_fault != 0) {
-      disk_injector = std::make_unique<msg::DiskFaultInjector>(config.fault_plan);
-      shared.disk_injector = disk_injector.get();
-    }
-
+    SipShared shared(resolved, config, config.scratch_dir, dry.pool_plan);
     msg::SocketOptions sopts;
     sopts.role = msg::SocketOptions::Role::kSpoke;
-    sopts.address = bundle.connect;
+    sopts.address = connect;
     sopts.local_rank = rank;
     sopts.connect_timeout_ms = config.connect_timeout_ms;
     sopts.on_fatal = [&shared](const std::string& what) {
@@ -476,21 +332,17 @@ RunResult run_spawned(const SipConfig& config_in,
         std::make_unique<msg::ChaosFabric>(std::move(fabric), config.fault_plan);
   }
 
-  SipShared shared;
-  shared.program = &resolved;
+  SipShared shared(resolved, config, scratch_dir, result.dry_run.pool_plan);
   shared.fabric = fabric.get();
-  shared.config = config;
-  shared.scratch_dir = scratch_dir;
-  shared.pool_plan = result.dry_run.pool_plan;
-  shared.kernels_screened_start = kernels_screened_count();
-  shared.init_rank_status(total);
   IoServer::clear_ack_journals(shared);
 
   const std::string bundle_path = scratch_dir + "/spawn.bundle";
   {
+    Bundle bundle{config, source};
+    bundle.config.socket_address = hub->listen_address();
+    bundle.config.scratch_dir = scratch_dir;
     std::ofstream out(bundle_path, std::ios::binary | std::ios::trunc);
-    out << serialize_bundle(config, hub->listen_address(), scratch_dir,
-                            source);
+    out << write_bundle(bundle);
     if (!out) throw Error("spawn: cannot write bundle " + bundle_path);
   }
   const std::string helper =

@@ -5,10 +5,13 @@
 // the launching process hosts rank 0 (the master) and the socket hub,
 // and every worker and I/O-server rank is a child process started with
 //   <helper> --sia-child --rank R --bundle <path> [--incarnation K]
-// The bundle is a key=value serialization of the SipConfig plus the SIAL
-// source; the child recompiles the source deterministically (same
-// opt_level, same segment plan), connects to the hub as a spoke, and
-// runs its rank exactly as the thread-mode launch would have.
+// The bundle is every SipConfig field as a `name=value` line, printed
+// and parsed by name from the config's field list, plus the SIAL source;
+// the hub address rides in socket_address and the launch's scratch
+// directory in scratch_dir. The child recompiles the source
+// deterministically (same opt_level, same segment plan), connects to the
+// hub as a spoke, and runs its rank exactly as the thread-mode launch
+// would have.
 //
 // At the end of the run each child encodes its RankReport (the same
 // report thread mode merges in memory, sip/rank_report.hpp) into one
@@ -37,6 +40,20 @@
 #include "sip/launch.hpp"
 
 namespace sia::sip {
+
+// What a spawned rank rebuilds its half of the launch from.
+struct Bundle {
+  SipConfig config;
+  std::string source;
+};
+
+// Every config field as a fields::print line, then `source=<bytes>` and
+// the raw source.
+std::string write_bundle(const Bundle& bundle);
+// Parses write_bundle() output strictly: an unknown key, a value that
+// does not fit its field, or a source section of the wrong length throws
+// Error.
+Bundle read_bundle(const std::string& text);
 
 // kAbort payload codec: the error text packed 8 bytes per double with
 // header = [byte_count]. Needs no new wire machinery — it rides the

@@ -1,14 +1,27 @@
 // Unit tests for the common utilities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <type_traits>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/error.hpp"
+#include "common/fields.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/timer.hpp"
+#include "sial/compiler.hpp"
+#include "sial/opt/optimizer.hpp"
+#include "sip/planner.hpp"
+#include "sip/spawn.hpp"
 
 namespace sia {
 namespace {
@@ -59,6 +72,211 @@ TEST(SipConfigTest, RankLayout) {
   EXPECT_EQ(config.first_worker_rank(), 1);
   EXPECT_EQ(config.first_server_rank(), 4);
   EXPECT_EQ(config.total_ranks(), 6);
+}
+
+// Moves every field a config list reaches off its default: numbers to
+// distinct values, bools flipped, strings and map entries added.
+struct ConfigFiller {
+  int next = 1000;
+
+  template <class T>
+  void operator()(T& value) {
+    if constexpr (fields::Listed<T>) {
+      T::fields([this](const char*, Knob, auto& f) { (*this)(f); }, value);
+    } else if constexpr (fields::kIsMap<T>) {
+      for (int i = 0; i < 2; ++i) {
+        typename T::mapped_type item{};
+        (*this)(item);
+        value.emplace("key" + std::to_string(next++), item);
+      }
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      value = "text with spaces, = and [] " + std::to_string(next++);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      value = !value;
+    } else if constexpr (std::is_floating_point_v<T>) {
+      value = std::nextafter(next++ / 3.0, 0.0);
+    } else {
+      value = static_cast<T>(next++);
+    }
+  }
+};
+
+// Walks two configs field by field: doubles compare by bit pattern.
+template <class T>
+void expect_same_fields(const T& a, const T& b, const std::string& path) {
+  if constexpr (fields::Listed<T>) {
+    T::fields([&](const char* name, Knob, const auto& x, const auto& y) {
+      expect_same_fields(x, y, path + name + ".");
+    }, a, b);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+        << path;
+  } else {
+    EXPECT_EQ(a, b) << path;
+  }
+}
+
+TEST(SipConfigTest, EveryFieldSurvivesTheBundleExactly) {
+  sip::Bundle sent;
+  ConfigFiller{}(sent.config);
+  // Extremes of each integer type and awkward doubles.
+  sent.config.worker_memory_bytes = std::numeric_limits<std::size_t>::max();
+  sent.config.fault_plan.seed = std::numeric_limits<std::uint64_t>::max();
+  sent.config.min_chunk = std::numeric_limits<long>::min();
+  sent.config.heartbeat_ms = std::numeric_limits<int>::min();
+  sent.config.fault_plan.drop = 5e-324;
+  sent.config.fault_plan.dup = -0.0;
+  sent.source = "sial x\nendsial\nsource=3\n";
+
+  // The filler reached every field.
+  const SipConfig defaults;
+  SipConfig::fields([](const char* name, Knob, const auto& f, const auto& d) {
+    EXPECT_NE(f, d) << name;
+  }, sent.config, defaults);
+  FaultPlan::fields([](const char* name, Knob, const auto& f, const auto& d) {
+    EXPECT_NE(std::bit_cast<std::uint64_t>(static_cast<double>(f)),
+              std::bit_cast<std::uint64_t>(static_cast<double>(d)))
+        << name;
+  }, sent.config.fault_plan, defaults.fault_plan);
+
+  const sip::Bundle got = sip::read_bundle(sip::write_bundle(sent));
+  expect_same_fields(got.config, sent.config, "");
+  EXPECT_EQ(got.source, sent.source);
+}
+
+TEST(SipConfigTest, BundleParserRejectsMalformedText) {
+  const auto reject = [](const std::string& text) {
+    EXPECT_THROW(sip::read_bundle(text), Error) << text;
+  };
+  EXPECT_NO_THROW(sip::read_bundle("workers=3\nsource=0\n"));
+  reject("bogus=1\nsource=0\n");                  // unknown key
+  reject("fault_plan.bogus=1\nsource=0\n");
+  reject("workers=3x\nsource=0\n");               // trailing garbage
+  reject("workers=\nsource=0\n");
+  reject("sparse_threshold=abc\nsource=0\n");     // not a number
+  reject("workers=4294967297\nsource=0\n");       // does not fit an int
+  reject("fault_plan.seed=-1\nsource=0\n");       // unsigned
+  reject("server_cold_io=2\nsource=0\n");         // bools are 0 or 1
+  reject("constants[n]=1.5\nsource=0\n");         // map value type
+  reject("workers=3\n");                           // no source section
+  reject("workers=3");                              // unterminated line
+
+  sip::Bundle bundle;
+  bundle.source = "sial x\nendsial\n";
+  const std::string text = sip::write_bundle(bundle);
+  reject(text.substr(0, text.size() - 1));         // truncated source
+  reject(text + "x");                              // bytes past the source
+}
+
+TEST(SipConfigTest, EveryRangeCheckNamesItsKnob) {
+  // Each listed lower or upper bound, one step outside it, throws an
+  // Error naming the field.
+  const auto probe = [](auto& config) {
+    using Config = std::remove_cvref_t<decltype(config)>;
+    Config::fields([&config](const char* name, Knob knob, auto& field) {
+      using F = std::remove_cvref_t<decltype(field)>;
+      for (const double bound : {knob.min - 1, knob.max + 1}) {
+        if (!std::isfinite(bound)) continue;
+        const F saved = field;
+        if constexpr (fields::kIsMap<F>) {
+          using V = typename F::mapped_type;
+          if constexpr (std::is_arithmetic_v<V>) {
+            field["probe"] = static_cast<V>(bound);
+          }
+        } else if constexpr (std::is_arithmetic_v<F>) {
+          field = static_cast<F>(bound);
+        }
+        try {
+          config.validate();
+          ADD_FAILURE() << name << " = " << bound << " validated";
+        } catch (const Error& error) {
+          EXPECT_NE(std::string(error.what()).find(name), std::string::npos)
+              << error.what();
+        }
+        field = saved;
+      }
+    }, config);
+  };
+  SipConfig config;
+  probe(config);
+  FaultPlan plan;
+  probe(plan);
+
+  config.sparse_threshold = std::nan("");
+  EXPECT_THROW(config.validate(), Error);
+}
+
+TEST(SipConfigTest, PinnedIsExactlyTheTunedKnobsMovedOffDefault) {
+  // Distributed and served traffic, so every planner dimension (the
+  // server sizing heuristics included) is in play.
+  const sial::CompiledProgram program = sial::opt::optimize(
+      sial::compile_sial(R"(
+sial pin_probe
+moindex i = 1, n
+moindex j = 1, n
+distributed a(i,j)
+served s(i,j)
+temp t(i,j)
+pardo i, j
+  execute fill_coords t(i,j)
+  put a(i,j) = t(i,j)
+  prepare s(i,j) = t(i,j)
+endpardo i, j
+sip_barrier
+server_barrier
+endsial
+)"), 2).program;
+  using Knobs = std::vector<std::string>;
+  const auto plan = [&](const SipConfig& config) {
+    return sip::plan_launch(program, config, sip::Calibration{},
+                            sip::HostModel{4});
+  };
+  const auto pinned = [&](const SipConfig& config) {
+    Knobs knobs = plan(config).pinned;
+    std::sort(knobs.begin(), knobs.end());
+    return knobs;
+  };
+
+  SipConfig base;
+  base.constants["n"] = 16;
+  // Untuned knobs moved, a tuned one restated at its default.
+  SipConfig untuned = base;
+  untuned.workers = 3;
+  untuned.io_servers = 2;
+  untuned.opt_level = 1;
+  untuned.batch_gets = false;
+  untuned.default_segment = SipConfig{}.default_segment;
+  EXPECT_EQ(pinned(untuned), Knobs{});
+
+  SipConfig mixed = base;
+  mixed.segment_overrides["moindex"] = 4;
+  mixed.coalesce_puts = false;
+  mixed.min_chunk = 4;
+  EXPECT_EQ(pinned(mixed), (Knobs{"coalesce_puts", "min_chunk", "segment"}));
+
+  // Each tuned field alone pins exactly its dimension, and the plan
+  // hands it back unchanged.
+  SipConfig::fields([&](const char* name, Knob knob, auto& field) {
+    using F = std::remove_cvref_t<decltype(field)>;
+    if (knob.tuned == nullptr) return;
+    const F saved = field;
+    if constexpr (std::is_same_v<F, std::map<std::string, int>>) {
+      field.emplace("moindex", 4);
+    } else if constexpr (std::is_same_v<F, bool>) {
+      field = !field;
+    } else if constexpr (std::is_arithmetic_v<F>) {
+      field = field + 3;
+    }
+    const sip::PlanChoice choice = plan(base);
+    EXPECT_EQ(choice.pinned, Knobs{knob.tuned}) << name;
+    SipConfig::fields([&](const char* n, Knob, const auto& planned,
+                          const auto& asked) {
+      if (std::string(n) == name) {
+        EXPECT_EQ(planned, asked) << name;
+      }
+    }, choice.config, base);
+    field = saved;
+  }, base);
 }
 
 TEST(ErrorTest, CompileErrorCarriesLine) {

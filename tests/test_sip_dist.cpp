@@ -2,7 +2,14 @@
 // and barrier-epoch semantics across worker counts.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "block/block_pool.hpp"
+#include "msg/tags.hpp"
+#include "sial/compiler.hpp"
+#include "sip/dist_array.hpp"
 #include "sip/launch.hpp"
+#include "sip/shared.hpp"
 
 namespace sia::sip {
 namespace {
@@ -352,6 +359,47 @@ collective total += lsum
 )",
                                config_with(2));
   EXPECT_NEAR(result.scalar("total"), 0.0, 1e-18);
+}
+
+// The master releases a barrier one worker at a time, so a released
+// worker's get can reach an owner before the owner's own release. The
+// owner must answer it in the new epoch instead of flagging it as racing
+// the put the owner took before the barrier.
+TEST(SipDistTest, GetOvertakingTheOwnersReleaseWaitsForIt) {
+  SipConfig config = config_with(2, 3);
+  const sial::ResolvedProgram program(
+      sial::compile_sial("sial test\nmoindex i = 1, n\ndistributed d(i)\n"
+                         "endsial\n"),
+      config);
+  msg::Fabric fabric(config.total_ranks());
+  SipShared shared(program, config, "", {});
+  shared.fabric = &fabric;
+  BlockPool reader_pool, owner_pool;
+  DistArrayManager reader(shared, 1, reader_pool, 1 << 16);
+  DistArrayManager owner(shared, 2, owner_pool, 1 << 16);
+  BlockId id(0, std::vector<int>{1});
+  for (int segment = 2; shared.owner_rank(id) != 2; ++segment) {
+    id = BlockId(0, std::vector<int>{segment});
+  }
+  auto block = std::make_shared<Block>(BlockShape(std::vector<int>{3}));
+  for (double& v : block->data()) v = 5.0;
+  owner.put(id, block, /*accumulate=*/false);
+
+  reader.advance_epoch();  // the reader's release arrived first
+  reader.issue_get(id);
+  std::optional<msg::Message> request = fabric.try_recv(2);
+  ASSERT_TRUE(request.has_value());
+  ASSERT_EQ(request->tag, msg::kBlockGetRequest);
+  owner.handle_get_request(*request);
+  EXPECT_FALSE(fabric.try_recv(1).has_value()) << "answered a stale epoch";
+
+  owner.advance_epoch();  // the owner's release
+  std::optional<msg::Message> reply = fabric.try_recv(1);
+  ASSERT_TRUE(reply.has_value());
+  reader.handle_get_reply(*reply);
+  const BlockPtr got = reader.try_read(id);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->data()[0], 5.0);
 }
 
 }  // namespace
