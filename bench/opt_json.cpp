@@ -1,12 +1,11 @@
 // Machine-readable mid-end benchmark: runs two workloads at -O0 / -O1 /
-// -O2, serial and with the 2-thread dataflow window, and writes wall
-// time, fabric traffic, barrier executions, and executor counters as
-// JSON so each PR can diff the optimizer's effect against the committed
-// baseline (`cmake --build build --target bench_json`).
+// -O2 and writes wall time, fabric traffic, barrier executions and
+// fetch counts as JSON so each PR can diff the optimizer's effect
+// against the committed baseline (`cmake --build build --target
+// bench_json`).
 //
-//   * comm_storm (shipped): the window-safety proof lets the threaded
-//     engine retire the sweep pardo without per-iteration drains, so
-//     -O1/-O2 show drains and drain_wait collapsing versus -O0.
+//   * comm_storm (shipped): a contraction-dense sweep the passes leave
+//     largely alone; it checks that -O1/-O2 cost nothing.
 //   * opt_defensive (below): an application-style sweep written the way
 //     production SIAL often is — doubled "just in case" barriers, a
 //     wrong-class server_barrier, and a loop-invariant get re-issued
@@ -15,8 +14,7 @@
 //
 // Both workloads run with workers=1: the pardo chunk schedule — and so
 // the order of every put-accumulate and worker-partial reduction — is
-// then deterministic, and the bench hard-fails if any level or engine
-// perturbs the checksum bit-for-bit. (With multiple workers the dynamic
+// then deterministic, and the bench hard-fails if any level perturbs the checksum bit-for-bit. (With multiple workers the dynamic
 // chunk assignment is timing-dependent and the low bits of the
 // collective sums legitimately wander, even at -O0.)
 #include <algorithm>
@@ -79,7 +77,6 @@ struct Sample {
   std::int64_t barriers = 0;
   std::int64_t get_executions = 0;
   std::int64_t prefetches = 0;
-  sip::ProfileReport::Executor executor;
 };
 
 std::int64_t count_opcodes(const sip::ProfileReport& profile,
@@ -108,7 +105,6 @@ Sample run_once(const std::string& source, const char* checksum_name,
   sample.get_executions =
       count_opcodes(result.profile, {"get", "request"});
   sample.prefetches = count_opcodes(result.profile, {"prefetch"});
-  sample.executor = result.profile.executor;
   return sample;
 }
 
@@ -122,48 +118,34 @@ Sample median_of(std::vector<Sample> samples) {
   return samples[samples.size() / 2];
 }
 
-void emit(std::FILE* out, const char* name, int level, int worker_threads,
-          const Sample& sample, bool last) {
-  const auto& x = sample.executor;
+void emit(std::FILE* out, const char* name, int level, const Sample& sample,
+          bool last) {
   std::fprintf(
       out,
       "    {\n"
       "      \"name\": \"%s\",\n"
       "      \"opt_level\": %d,\n"
-      "      \"worker_threads\": %d,\n"
       "      \"wall_seconds\": %.6f,\n"
       "      \"checksum\": %.17g,\n"
       "      \"messages_sent\": %lld,\n"
       "      \"payload_doubles\": %lld,\n"
       "      \"barriers_executed\": %lld,\n"
       "      \"get_executions\": %lld,\n"
-      "      \"prefetches\": %lld,\n"
-      "      \"hazard_stalls\": %lld,\n"
-      "      \"raw_deps\": %lld,\n"
-      "      \"war_deps\": %lld,\n"
-      "      \"waw_deps\": %lld,\n"
-      "      \"drains\": %lld,\n"
-      "      \"drain_wait_ms\": %.3f\n"
+      "      \"prefetches\": %lld\n"
       "    }%s\n",
-      name, level, worker_threads, sample.seconds, sample.checksum,
+      name, level, sample.seconds, sample.checksum,
       static_cast<long long>(sample.messages),
       static_cast<long long>(sample.payload_doubles),
       static_cast<long long>(sample.barriers),
       static_cast<long long>(sample.get_executions),
-      static_cast<long long>(sample.prefetches),
-      static_cast<long long>(x.hazard_stalls),
-      static_cast<long long>(x.raw_deps),
-      static_cast<long long>(x.war_deps),
-      static_cast<long long>(x.waw_deps),
-      static_cast<long long>(x.drains), x.drain_wait_seconds * 1e3,
-      last ? "" : ",");
+      static_cast<long long>(sample.prefetches), last ? "" : ",");
 }
 
 struct Workload {
   const char* name;
   std::string source;
   const char* checksum;
-  SipConfig config;  // opt_level / worker_threads overwritten per cell
+  SipConfig config;  // opt_level overwritten per cell
 };
 
 }  // namespace
@@ -197,7 +179,6 @@ int main(int argc, char** argv) {
 
   constexpr int kReps = 5;
   const int levels[] = {0, 1, 2};
-  const int threads[] = {0, 2};
 
   std::fprintf(out, "{\n  \"benchmarks\": [\n");
   bool checksum_fail = false;
@@ -205,56 +186,41 @@ int main(int argc, char** argv) {
     Workload& load = workloads[w];
     // Alternate cells rep-by-rep so slow host-load drift hits all sides
     // of every comparison equally.
-    std::vector<Sample> cells[3][2];
+    std::vector<Sample> cells[3];
     for (int rep = 0; rep < kReps; ++rep) {
       for (int li = 0; li < 3; ++li) {
-        for (int ti = 0; ti < 2; ++ti) {
-          SipConfig config = load.config;
-          config.opt_level = levels[li];
-          config.worker_threads = threads[ti];
-          cells[li][ti].push_back(
-              run_once(load.source, load.checksum, std::move(config)));
-        }
+        SipConfig config = load.config;
+        config.opt_level = levels[li];
+        cells[li].push_back(
+            run_once(load.source, load.checksum, std::move(config)));
       }
     }
-    Sample medians[3][2];
+    Sample medians[3];
     for (int li = 0; li < 3; ++li) {
-      for (int ti = 0; ti < 2; ++ti) {
-        medians[li][ti] = median_of(std::move(cells[li][ti]));
-        const bool last = w == 1 && li == 2 && ti == 1;
-        emit(out, load.name, levels[li], threads[ti], medians[li][ti],
-             last);
-        if (medians[li][ti].checksum != medians[0][0].checksum) {
-          std::fprintf(stderr,
-                       "FAIL: %s checksum at -O%d threads=%d differs "
-                       "from -O0 serial (%.17g vs %.17g)\n",
-                       load.name, levels[li], threads[ti],
-                       medians[li][ti].checksum, medians[0][0].checksum);
-          checksum_fail = true;
-        }
+      medians[li] = median_of(std::move(cells[li]));
+      emit(out, load.name, levels[li], medians[li], w == 1 && li == 2);
+      if (medians[li].checksum != medians[0].checksum) {
+        std::fprintf(stderr,
+                     "FAIL: %s checksum at -O%d differs from -O0 "
+                     "(%.17g vs %.17g)\n",
+                     load.name, levels[li], medians[li].checksum,
+                     medians[0].checksum);
+        checksum_fail = true;
       }
     }
-    const Sample& o0s = medians[0][0];
-    const Sample& o2s = medians[2][0];
-    const Sample& o0t = medians[0][1];
-    const Sample& o2t = medians[2][1];
+    const Sample& o0 = medians[0];
+    const Sample& o2 = medians[2];
     std::printf(
-        "%s: -O0 %.3f s / -O2 %.3f s serial, %.3f s / %.3f s threaded; "
-        "messages %lld -> %lld, barriers %lld -> %lld, gets %lld -> "
-        "%lld (+%lld prefetch), drains %lld -> %lld, "
-        "drain wait %.1f -> %.1f ms\n",
-        load.name, o0s.seconds, o2s.seconds, o0t.seconds, o2t.seconds,
-        static_cast<long long>(o0s.messages),
-        static_cast<long long>(o2s.messages),
-        static_cast<long long>(o0s.barriers),
-        static_cast<long long>(o2s.barriers),
-        static_cast<long long>(o0s.get_executions),
-        static_cast<long long>(o2s.get_executions),
-        static_cast<long long>(o2s.prefetches),
-        static_cast<long long>(o0t.executor.drains),
-        static_cast<long long>(o2t.executor.drains),
-        o0t.executor.drain_wait_seconds * 1e3,
-        o2t.executor.drain_wait_seconds * 1e3);
+        "%s: -O0 %.3f s / -O2 %.3f s; messages %lld -> %lld, barriers "
+        "%lld -> %lld, gets %lld -> %lld (+%lld prefetch)\n",
+        load.name, o0.seconds, o2.seconds,
+        static_cast<long long>(o0.messages),
+        static_cast<long long>(o2.messages),
+        static_cast<long long>(o0.barriers),
+        static_cast<long long>(o2.barriers),
+        static_cast<long long>(o0.get_executions),
+        static_cast<long long>(o2.get_executions),
+        static_cast<long long>(o2.prefetches));
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

@@ -1,18 +1,13 @@
-// Machine-readable dataflow-executor benchmark: the compute counterpart
-// of BENCH_comm.json and BENCH_io.json. Runs the contraction-dense
+// Machine-readable pardo compute benchmark: the compute counterpart of
+// BENCH_comm.json and BENCH_io.json. Runs the contraction-dense
 // comm_storm workload (pardo a,b { do k { get; tmp = A*A; put C += tmp }})
-// on the legacy serial path (worker_threads=0) and with the intra-worker
-// dataflow window at 2 and 4 pool threads, and writes wall time, workload
-// GFLOP/s, and window counters as JSON so each PR can diff scheduling
-// behavior against the committed baseline
+// with one in-process worker and with the same worker spawned as an OS
+// process, and writes wall time and workload GFLOP/s as JSON so each PR
+// can diff against the committed baseline
 // (`cmake --build build --target bench_json`).
 //
 // workers=1 keeps the pardo chunk schedule deterministic, so the
-// collective checksum must be bit-identical across every engine — retire
-// order equals program order by construction. Speedups are host
-// dependent: on a single-core container the pool time-slices one CPU and
-// the threaded engines land at ~1x; the ≥2.5x target applies to
-// multi-core hosts where the renamed contractions genuinely overlap.
+// collective checksum must be bit-identical across both transports.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -38,7 +33,6 @@ constexpr double kFlops = 2.0 * kNorb * kNorb * kNorb;
 struct Sample {
   double seconds = 0.0;
   double cnorm2 = 0.0;
-  sip::ProfileReport::Executor executor;
 };
 
 Sample run_once(const std::string& source, SipConfig config) {
@@ -48,13 +42,12 @@ Sample run_once(const std::string& source, SipConfig config) {
   Sample sample;
   sample.seconds = wall_seconds() - t0;
   sample.cnorm2 = result.scalar("cnorm2");
-  sample.executor = result.profile.executor;
   return sample;
 }
 
-// Median of the collected samples by wall time (counters come from the
-// median run): the median of several alternated runs is far more stable
-// under host-load drift than a single run or a best-of.
+// Median of the collected samples by wall time: the median of several
+// alternated runs is far more stable under host-load drift than a single
+// run or a best-of.
 Sample median_of(std::vector<Sample> samples) {
   std::sort(samples.begin(), samples.end(),
             [](const Sample& a, const Sample& b) {
@@ -63,48 +56,29 @@ Sample median_of(std::vector<Sample> samples) {
   return samples[samples.size() / 2];
 }
 
-SipConfig pardo_config(int worker_threads) {
+SipConfig pardo_config(const char* transport) {
   SipConfig config;
   config.workers = 1;  // deterministic chunk schedule => bit-identity
   config.io_servers = 0;
   config.default_segment = kSegment;
-  config.worker_threads = worker_threads;
+  config.transport = transport;
   config.constants = {{"norb", kNorb}};
   return config;
 }
 
 void emit(std::FILE* out, const char* name, const char* engine,
-          int worker_threads, const Sample& sample, bool last) {
-  const auto& x = sample.executor;
-  std::fprintf(
-      out,
-      "    {\n"
-      "      \"name\": \"%s\",\n"
-      "      \"engine\": \"%s\",\n"
-      "      \"worker_threads\": %d,\n"
-      "      \"wall_seconds\": %.6f,\n"
-      "      \"workload_gflops\": %.3f,\n"
-      "      \"cnorm2\": %.17g,\n"
-      "      \"entries_retired\": %lld,\n"
-      "      \"pool_tasks\": %lld,\n"
-      "      \"hazard_stalls\": %lld,\n"
-      "      \"operand_stalls\": %lld,\n"
-      "      \"drains\": %lld,\n"
-      "      \"window_peak\": %lld,\n"
-      "      \"avg_occupancy\": %.2f,\n"
-      "      \"drain_wait_ms\": %.3f,\n"
-      "      \"pool_busy_ms\": %.3f\n"
-      "    }%s\n",
-      name, engine, worker_threads, sample.seconds,
-      kFlops / sample.seconds * 1e-9, sample.cnorm2,
-      static_cast<long long>(x.entries_retired),
-      static_cast<long long>(x.tasks_executed),
-      static_cast<long long>(x.hazard_stalls),
-      static_cast<long long>(x.operand_stalls),
-      static_cast<long long>(x.drains),
-      static_cast<long long>(x.window_peak), x.avg_occupancy(),
-      x.drain_wait_seconds * 1e3, x.thread_busy_seconds * 1e3,
-      last ? "" : ",");
+          const Sample& sample, bool last) {
+  std::fprintf(out,
+               "    {\n"
+               "      \"name\": \"%s\",\n"
+               "      \"engine\": \"%s\",\n"
+               "      \"wall_seconds\": %.6f,\n"
+               "      \"workload_gflops\": %.3f,\n"
+               "      \"cnorm2\": %.17g\n"
+               "    }%s\n",
+               name, engine, sample.seconds,
+               kFlops / sample.seconds * 1e-9, sample.cnorm2,
+               last ? "" : ",");
 }
 
 }  // namespace
@@ -125,52 +99,34 @@ int main(int argc, char** argv) {
 
   constexpr int kReps = 5;
   const std::string source = chem::comm_storm_source();
-  // Alternate engines run-by-run so slow drift in host load hits all
-  // sides equally.
-  std::vector<Sample> serial_runs, t2_runs, t4_runs, spawn_runs;
+  // Alternate transports run-by-run so slow drift in host load hits both
+  // sides equally. The gap between them is pure transport: the spawned
+  // worker is a real OS process over the socket fabric.
+  std::vector<Sample> serial_runs, spawn_runs;
   for (int rep = 0; rep < kReps; ++rep) {
-    serial_runs.push_back(run_once(source, pardo_config(0)));
-    t2_runs.push_back(run_once(source, pardo_config(2)));
-    t4_runs.push_back(run_once(source, pardo_config(4)));
-    // The multi-process column: same serial engine, but the worker is a
-    // real OS process over the socket fabric. workers=1 keeps the chunk
-    // schedule deterministic, so cnorm2 must stay bit-identical; the gap
-    // to "serial" is pure transport (spawn-mode runs do not ship the
-    // per-instruction executor profile, so those counters read zero).
-    SipConfig spawn_config = pardo_config(0);
-    spawn_config.transport = "spawn";
-    spawn_runs.push_back(run_once(source, spawn_config));
+    serial_runs.push_back(run_once(source, pardo_config("thread")));
+    spawn_runs.push_back(run_once(source, pardo_config("spawn")));
   }
   const Sample serial = median_of(std::move(serial_runs));
-  const Sample t2 = median_of(std::move(t2_runs));
-  const Sample t4 = median_of(std::move(t4_runs));
   const Sample spawned = median_of(std::move(spawn_runs));
 
   std::fprintf(out, "{\n  \"benchmarks\": [\n");
-  emit(out, "comm_storm_n1536_s128", "serial", 0, serial, false);
-  emit(out, "comm_storm_n1536_s128", "threads2", 2, t2, false);
-  emit(out, "comm_storm_n1536_s128", "threads4", 4, t4, false);
-  emit(out, "comm_storm_n1536_s128", "spawn_serial", 0, spawned, true);
+  emit(out, "comm_storm_n1536_s128", "serial", serial, false);
+  emit(out, "comm_storm_n1536_s128", "spawn_serial", spawned, true);
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
 
-  std::printf(
-      "comm_storm n=%ld seg=%d (%.2f GFLOP): serial %.3f s (%.2f GFLOP/s), "
-      "2 threads %.3f s (%.2fx), 4 threads %.3f s (%.2fx, window peak %lld, "
-      "avg occupancy %.1f)\n",
-      kNorb, kSegment, kFlops * 1e-9, serial.seconds,
-      kFlops / serial.seconds * 1e-9, t2.seconds,
-      serial.seconds / t2.seconds, t4.seconds, serial.seconds / t4.seconds,
-      static_cast<long long>(t4.executor.window_peak),
-      t4.executor.avg_occupancy());
+  std::printf("comm_storm n=%ld seg=%d (%.2f GFLOP): serial %.3f s "
+              "(%.2f GFLOP/s)\n",
+              kNorb, kSegment, kFlops * 1e-9, serial.seconds,
+              kFlops / serial.seconds * 1e-9);
   std::printf("spawn (1 worker process): %.3f s (%.2fx of serial)\n",
               spawned.seconds, spawned.seconds / serial.seconds);
-  if (t2.cnorm2 != serial.cnorm2 || t4.cnorm2 != serial.cnorm2 ||
-      spawned.cnorm2 != serial.cnorm2) {
+  if (spawned.cnorm2 != serial.cnorm2) {
     std::fprintf(stderr,
-                 "FAIL: cnorm2 differs between engines "
-                 "(%.17g vs %.17g vs %.17g vs spawn %.17g)\n",
-                 serial.cnorm2, t2.cnorm2, t4.cnorm2, spawned.cnorm2);
+                 "FAIL: cnorm2 differs between transports "
+                 "(%.17g vs spawn %.17g)\n",
+                 serial.cnorm2, spawned.cnorm2);
     return 1;
   }
   std::printf("wrote %s (cnorm2 bit-identical: %.6e)\n", path.c_str(),

@@ -2,19 +2,15 @@
 // actually land near the best hand-swept configuration with zero user
 // knobs, and does its prediction error shrink once calibrated?
 //
-// Two grids mirror the ablation benches:
-//   1. worker_threads on comm_storm (n=768, seg=48, 1 worker) — the
-//      grid behind BENCH_pardo.json, where a 1-core host must get the
-//      serial engine;
-//   2. segment size on the Fock build (norb=32, 4 workers) — "the most
-//      significant factor" (paper §VI-A).
-// Both run bigger problems than the interactive ablations so the ~5 ms
+// The grid mirrors ablation_segment_size: segment size on the Fock build
+// (norb=32, 4 workers), "the most significant factor" (paper §VI-A). It
+// runs a bigger problem than the interactive ablation so the ~5 ms
 // planning cost (GEMM probe + sweep), which the auto cell pays and hand
 // cells do not, is amortized the way it is in real runs.
 // Each hand cell pins the swept knob; the auto cell leaves it to the
 // planner (config.autotune, fresh calibration file), runs cold, then
 // runs again calibrated and reports both model errors. The committed
-// BENCH_plan.json records auto-vs-best/worst ratios per grid
+// BENCH_plan.json records the auto-vs-best/worst ratios
 // (`cmake --build build --target bench_json`).
 #include <algorithm>
 #include <cmath>
@@ -129,8 +125,7 @@ void emit_cell(std::FILE* out, const char* grid, const Cell& cell) {
                cell.sample.checksum);
 }
 
-void emit_auto(std::FILE* out, const char* grid, const GridResult& result,
-               bool last) {
+void emit_auto(std::FILE* out, const char* grid, const GridResult& result) {
   const Sample& tuned = result.auto_calibrated;
   std::fprintf(
       out,
@@ -147,12 +142,11 @@ void emit_auto(std::FILE* out, const char* grid, const GridResult& result,
       "      \"best_hand_seconds\": %.6f,\n"
       "      \"worst_hand_seconds\": %.6f,\n"
       "      \"auto_vs_best\": %.3f\n"
-      "    }%s\n",
+      "    }\n",
       grid, tuned.seconds, tuned.checksum, tuned.plan.summary.c_str(),
       tuned.plan.candidates, tuned.plan.predicted_seconds,
       result.auto_cold.plan.error_percent(), tuned.plan.error_percent(),
-      result.best_hand, result.worst_hand, tuned.seconds / result.best_hand,
-      last ? "" : ",");
+      result.best_hand, result.worst_hand, tuned.seconds / result.best_hand);
 }
 
 }  // namespace
@@ -173,29 +167,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Grid 1: worker_threads on comm_storm (the BENCH_pardo regression,
-  // at the opt_json problem size).
-  const auto storm_config = [](int worker_threads) {
-    SipConfig config;
-    config.workers = 1;
-    config.io_servers = 0;
-    config.default_segment = 48;
-    config.worker_threads = worker_threads;
-    config.constants = {{"norb", 768}};
-    return config;
-  };
-  std::vector<std::pair<std::string, SipConfig>> storm_cells;
-  for (const int t : {0, 1, 2, 4}) {
-    storm_cells.emplace_back("threads" + std::to_string(t), storm_config(t));
-  }
-  SipConfig storm_auto = storm_config(0);
-  storm_auto.worker_threads = SipConfig{}.worker_threads;  // planner's call
-  const GridResult storm =
-      run_grid(chem::comm_storm_source(), "cnorm2", storm_cells, storm_auto,
-               "sia_cal_bench_threads");
-
-  // Grid 2: segment size on the Fock build (ablation_segment_size grid,
-  // scaled up; segment 1 dropped — at norb=32 it is all overhead).
+  // Segment size on the Fock build (ablation_segment_size grid, scaled
+  // up; segment 1 dropped — at norb=32 it is all overhead).
   const long norb = 32;
   const auto fock_config = [&](int segment) {
     SipConfig config;
@@ -215,53 +188,29 @@ int main(int argc, char** argv) {
                "sia_cal_bench_segment");
 
   std::fprintf(out, "{\n  \"benchmarks\": [\n");
-  for (const Cell& cell : storm.cells) {
-    emit_cell(out, "threads_comm_storm_n768_s48", cell);
-  }
-  emit_auto(out, "threads_comm_storm_n768_s48", storm, false);
   for (const Cell& cell : fock.cells) {
     emit_cell(out, "segment_fock_norb32_w4", cell);
   }
-  emit_auto(out, "segment_fock_norb32_w4", fock, true);
+  emit_auto(out, "segment_fock_norb32_w4", fock);
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
 
-  std::printf("threads grid: best hand %.3f s, worst %.3f s, auto %.3f s "
-              "(%.2fx of best; plan: %s)\n",
-              storm.best_hand, storm.worst_hand,
-              storm.auto_calibrated.seconds,
-              storm.auto_calibrated.seconds / storm.best_hand,
-              storm.auto_calibrated.plan.summary.c_str());
   std::printf("segment grid: best hand %.3f s, worst %.3f s, auto %.3f s "
               "(%.2fx of best; plan: %s)\n",
               fock.best_hand, fock.worst_hand, fock.auto_calibrated.seconds,
               fock.auto_calibrated.seconds / fock.best_hand,
               fock.auto_calibrated.plan.summary.c_str());
-  std::printf("model error: threads %.1f%% cold -> %.1f%% calibrated; "
-              "segment %.1f%% cold -> %.1f%% calibrated\n",
-              storm.auto_cold.plan.error_percent(),
-              storm.auto_calibrated.plan.error_percent(),
+  std::printf("model error: %.1f%% cold -> %.1f%% calibrated\n",
               fock.auto_cold.plan.error_percent(),
               fock.auto_calibrated.plan.error_percent());
 
-  // Sanity, not timing: the tuned runs must still be correct.
-  bool ok = true;
-  for (const Cell& cell : storm.cells) {
-    if (cell.sample.checksum != storm.auto_calibrated.checksum) {
-      // comm_storm at 1 worker is bit-identical across engines.
-      std::fprintf(stderr, "FAIL: cnorm2 differs (%s %.17g vs auto %.17g)\n",
-                   cell.label.c_str(), cell.sample.checksum,
-                   storm.auto_calibrated.checksum);
-      ok = false;
-    }
-  }
+  // Sanity, not timing: the tuned run must still be correct.
   const double want = chem::ref_fock_norm(norb);
   if (std::abs(fock.auto_calibrated.checksum - want) > 1e-9 * want) {
     std::fprintf(stderr, "FAIL: tuned fnorm %.17g vs reference %.17g\n",
                  fock.auto_calibrated.checksum, want);
-    ok = false;
+    return 1;
   }
-  if (!ok) return 1;
   std::printf("wrote %s\n", path.c_str());
   return 0;
 }

@@ -69,7 +69,6 @@ constexpr std::pair<const char*, const char*> kFieldFlags[] = {
     {"-w", "workers"},
     {"-s", "io_servers"},
     {"-g", "default_segment"},
-    {"-t", "worker_threads"},
     {"--sparse-threshold", "sparse_threshold"},
     {"--transport", "transport"},
 };
@@ -77,7 +76,7 @@ constexpr std::pair<const char*, const char*> kFieldFlags[] = {
 int usage() {
   std::fprintf(stderr,
                "usage: sial_tool {compile|dryrun|run|plan|model} <file.sial> "
-               "[-w workers] [-s servers] [-g segment] [-t threads] "
+               "[-w workers] [-s servers] [-g segment] "
                "[-O0|-O1|-O2] [--dump-bytecode[=opt|raw]] "
                "[--sparse-threshold X] [-D name=value]... "
                "[--no-autotune] "
@@ -109,7 +108,8 @@ int main(int argc, char** argv) {
       const auto alias = std::find_if(
           std::begin(kFieldFlags), std::end(kFieldFlags),
           [&flag](const auto& entry) { return flag == entry.first; });
-      if (alias != std::end(kFieldFlags) && arg + 1 < argc) {
+      if (alias != std::end(kFieldFlags)) {
+        if (arg + 1 == argc) return usage();
         sia::fields::parse(config, alias->second, argv[++arg]);
       } else if (flag.starts_with("-O")) {
         sia::fields::parse(config, "opt_level", flag.substr(2));
@@ -120,14 +120,15 @@ int main(int argc, char** argv) {
         dump_raw = true;
       } else if (flag == "--no-autotune") {
         no_autotune = true;
-      } else if (flag == "-D" && arg + 1 < argc) {
+      } else if (flag == "-D") {
+        if (arg + 1 == argc) return usage();
         const std::string def = argv[++arg];
         const std::size_t eq = def.find('=');
         if (eq == std::string::npos) return usage();
         sia::fields::parse(config, "constants[" + def.substr(0, eq) + "]",
                            def.substr(eq + 1));
       } else {
-        return usage();
+        throw sia::Error("unknown option '" + flag + "'");
       }
     }
     config.validate();

@@ -103,9 +103,8 @@ class BlockCache {
                            std::vector<Victim>& victims);
 
   // Guards every container below; victim handlers run outside it. The
-  // executor's pool threads hold BlockPtrs obtained from the interpreter
-  // thread, so the cache itself is only mutated on one thread today —
-  // the lock makes the pin/evict contract explicit and TSAN-provable.
+  // cache is only mutated on its owner's thread today — the lock makes
+  // the pin/evict contract explicit and TSAN-provable.
   mutable std::mutex mutex_;
   std::size_t capacity_;
   std::size_t used_ = 0;

@@ -1,7 +1,5 @@
 #include "block/block_pool.hpp"
 
-#include <algorithm>
-#include <array>
 #include <atomic>
 
 #include "common/error.hpp"
@@ -10,34 +8,16 @@ namespace sia {
 
 namespace detail {
 
-namespace {
-
-// Stable small shard index per thread: threads get round-robin shard
-// homes process-wide, so an interpreter thread and its pool workers land
-// on different shards and the fast path never contends.
-std::size_t this_thread_shard() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t shard =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return shard;
-}
-
-}  // namespace
-
 // Shared slot storage. Referenced by the owning BlockPool and by every
 // outstanding PoolBuffer, so buffers stay valid after the BlockPool
 // object is gone (zero-copy messaging hands pool-backed blocks across
 // rank boundaries and destruction order between ranks is arbitrary).
 //
-// Free lists are sharded: each size class splits its slots over
-// kShards independently locked stacks, and a thread allocates from its
-// home shard, stealing from the others only when the home stack is
-// empty. With the dataflow executor several threads allocate scratch
-// concurrently; sharding keeps them off one global mutex.
+// Each size class is one mutex-guarded stack of free slots. The owning
+// worker is the only allocator, but a zero-copy block is released on
+// whichever rank's thread drops the last reference.
 class PoolCore {
  public:
-  static constexpr std::size_t kShards = 8;
-
   PoolCore() = default;
   PoolCore(std::map<std::size_t, std::size_t> size_classes,
            bool allow_heap_fallback)
@@ -52,13 +32,10 @@ class PoolCore {
     for (const auto& [capacity, slots] : size_classes) {  // map: ascending
       auto cls = std::make_unique<SizeClass>();
       cls->capacity = capacity;
-      // Deal slots round-robin so every shard starts with its share.
       for (std::size_t s = 0; s < slots; ++s) {
-        cls->shards[s % kShards].free_slots.push_back(arena_.data() +
-                                                      offset);
+        cls->free_slots.push_back(arena_.data() + offset);
         offset += capacity;
       }
-      cls->free_count.store(slots, std::memory_order_relaxed);
       classes_.push_back(std::move(cls));
     }
   }
@@ -66,27 +43,17 @@ class PoolCore {
   PoolBuffer allocate(const std::shared_ptr<PoolCore>& self,
                       std::size_t count) {
     SIA_CHECK(count > 0, "BlockPool: zero-size allocation");
-    const std::size_t home = this_thread_shard();
     for (auto& cls : classes_) {
       if (cls->capacity < count) continue;
-      // Cheap skip of drained classes; the per-shard locks make the
-      // count advisory, so a miss here just means one wasted scan.
-      if (cls->free_count.load(std::memory_order_relaxed) == 0) continue;
-      for (std::size_t probe = 0; probe < kShards; ++probe) {
-        Shard& shard = cls->shards[(home + probe) % kShards];
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        if (shard.free_slots.empty()) continue;
-        double* slot = shard.free_slots.back();
-        shard.free_slots.pop_back();
-        cls->free_count.fetch_sub(1, std::memory_order_relaxed);
-        pool_allocs_.fetch_add(1, std::memory_order_relaxed);
-        add_in_use(cls->capacity);
-        return PoolBuffer(self, slot, cls->capacity, cls->capacity, false);
-      }
+      std::lock_guard<std::mutex> lock(cls->mutex);
+      if (cls->free_slots.empty()) continue;
+      double* slot = cls->free_slots.back();
+      cls->free_slots.pop_back();
+      pool_allocs_.fetch_add(1, std::memory_order_relaxed);
+      add_in_use(cls->capacity);
+      return PoolBuffer(self, slot, cls->capacity, cls->capacity, false);
     }
     if (!allow_heap_fallback_) {
-      // Every shard of every fitting class was scanned under its lock
-      // above, so this really is exhaustion, not an unlucky race.
       throw RuntimeError("block pool exhausted for request of " +
                          std::to_string(count) +
                          " doubles; dry-run sizing was violated");
@@ -105,12 +72,8 @@ class PoolCore {
     }
     for (auto& cls : classes_) {
       if (cls->capacity == size_class) {
-        Shard& shard = cls->shards[this_thread_shard() % kShards];
-        {
-          std::lock_guard<std::mutex> lock(shard.mutex);
-          shard.free_slots.push_back(data);
-        }
-        cls->free_count.fetch_add(1, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(cls->mutex);
+        cls->free_slots.push_back(data);
         return;
       }
     }
@@ -133,21 +96,18 @@ class PoolCore {
   std::size_t free_slots_for(std::size_t count) const {
     for (const auto& cls : classes_) {
       if (cls->capacity >= count) {
-        return cls->free_count.load(std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(cls->mutex);
+        return cls->free_slots.size();
       }
     }
     return 0;
   }
 
  private:
-  struct Shard {
-    std::mutex mutex;
-    std::vector<double*> free_slots;  // stack of available slots
-  };
   struct SizeClass {
     std::size_t capacity = 0;  // doubles per slot
-    std::array<Shard, kShards> shards;
-    std::atomic<std::size_t> free_count{0};  // advisory sum over shards
+    mutable std::mutex mutex;
+    std::vector<double*> free_slots;  // stack of available slots
   };
 
   void add_in_use(std::size_t doubles) {
@@ -161,7 +121,7 @@ class PoolCore {
   }
 
   std::vector<double> arena_;
-  // unique_ptr: SizeClass holds mutexes and atomics, so it must not move.
+  // unique_ptr: SizeClass holds a mutex, so it must not move.
   std::vector<std::unique_ptr<SizeClass>> classes_;  // capacity ascending
   bool allow_heap_fallback_ = true;
   std::atomic<std::size_t> pool_allocs_{0};

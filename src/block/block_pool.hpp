@@ -15,9 +15,8 @@
 // relies on this — a block allocated from worker A's pool can sit in
 // worker B's cache past the point where A's rank object is destroyed.
 //
-// Free lists are sharded per thread (home shard + steal) so the dataflow
-// executor's pool threads and the interpreter thread allocate scratch
-// concurrently without serializing on one mutex.
+// Each size class is one mutex-guarded free stack: a zero-copy block may
+// be released on another rank's thread.
 #pragma once
 
 #include <cstddef>

@@ -445,9 +445,7 @@ pardo la, nu
 endpardo la, nu
 sip_barrier
 
-# Phase 2: F(mu,nu) = sum_la D(mu,la) * G(la,nu). The fused accumulate
-# form lets the dataflow executor retire screened contractions at decode
-# time without occupying a pool thread.
+# Phase 2: F(mu,nu) = sum_la D(mu,la) * G(la,nu), fused accumulate form.
 pardo mu, nu
   f(mu,nu) = 0.0
   do la

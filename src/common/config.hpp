@@ -14,12 +14,10 @@
 // by name through the same strict parser.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <thread>
 
 #include "common/fields.hpp"
 
@@ -109,9 +107,9 @@ struct SipConfig {
   // Bytecode optimization level applied between the SIAL compiler and
   // program finalization (src/sial/opt/). 0 = none (bytecode runs
   // exactly as compiled), 1 = bit-exact transforms (static prefetch
-  // hoisting, redundant-barrier and dead-store elimination, static
-  // dataflow sets), 2 = additionally reassociate contraction chains
-  // when a compile-time flop model proves it strictly cheaper.
+  // hoisting, redundant-barrier and dead-store elimination), 2 =
+  // additionally reassociate contraction chains when a compile-time flop
+  // model proves it strictly cheaper.
   int opt_level = 2;
 
   // Number of future loop iterations for which the interpreter issues
@@ -120,26 +118,6 @@ struct SipConfig {
   // at the I/O server flagged as look-ahead and become low-priority
   // read-ahead jobs).
   int prefetch_depth = 2;
-
-  // Compute threads per worker for the intra-worker dataflow executor
-  // (the instruction window). 0 = legacy serial interpreter: no window,
-  // every super instruction runs inline on the interpreter thread,
-  // bit- and message-identical to the pre-executor runtime. >= 1 turns
-  // the window on with that many pool threads (1 still overlaps compute
-  // with fabric service). -1 = auto: hardware concurrency divided by the
-  // launch's rank count — the window only turns on when the host has
-  // spare cores per rank, so an oversubscribed laptop run stays serial.
-  int worker_threads = -1;
-  // Instruction-window depth: how many decoded super instructions may be
-  // in flight per worker (the scan-ahead distance). Only meaningful with
-  // worker_threads >= 1.
-  int window_limit = 64;
-
-  int effective_worker_threads() const {
-    if (worker_threads >= 0) return worker_threads;
-    const int hw = static_cast<int>(std::thread::hardware_concurrency());
-    return std::max(0, hw / std::max(1, total_ranks()));
-  }
 
   // Disk service threads per I/O server. Cache-miss reads (and on-demand
   // block generation) become jobs on this pool so the server's message
@@ -186,18 +164,18 @@ struct SipConfig {
 
   // Guided-schedule work stealing: when the chunk schedule is exhausted
   // and a worker still asks for work, the master splits the tail off the
-  // largest outstanding chunk (the victim clamps the split to its scan
-  // position, so started iterations are never revoked) and hands it to
+  // largest outstanding chunk (the victim clamps the split to its
+  // current position, so started iterations are never revoked) and hands it to
   // the starved worker. Results stay bit-identical for assignment-
   // independent pardos — iterations are independent by construction.
   bool work_stealing = true;
 
   // ---- Launch-time autotuning (the planner) ----
 
-  // Sweep the tunable knobs above (worker_threads, window_limit,
-  // prefetch_depth, chunk_divisor/min_chunk, segment size, put
-  // coalescing, server knobs) through the DES performance model at
-  // launch and apply the winning plan before resolution. A tuned knob
+  // Sweep the tunable knobs above (prefetch_depth, chunk_divisor/
+  // min_chunk, segment size, put coalescing, server knobs) through the
+  // DES performance model at launch and apply the winning plan before
+  // resolution. A tuned knob
   // (its `fields` entry names a planner dimension) that differs from a
   // default-constructed SipConfig is pinned and never overridden. The
   // SIA_AUTOTUNE environment variable ("0"/"1") wins over this field
@@ -340,10 +318,6 @@ struct SipConfig {
     visit("opt_level", Knob{.min = 0, .max = 2}, s.opt_level...);
     visit("prefetch_depth", Knob{.min = 0, .tuned = "prefetch_depth"},
           s.prefetch_depth...);
-    visit("worker_threads", Knob{.min = -1, .tuned = "worker_threads"},
-          s.worker_threads...);
-    visit("window_limit", Knob{.min = 1, .tuned = "window_limit"},
-          s.window_limit...);
     visit("server_disk_threads",
           Knob{.min = 0, .tuned = "server_disk_threads"},
           s.server_disk_threads...);

@@ -30,8 +30,9 @@ enum Tag : int {
   // Worker <-> worker: distributed array traffic.
   kBlockGetRequest = 201,  // [array_id, block_linear, reply_rank, epoch]
   kBlockGetReply = 202,    // [array_id, block_linear] + data
-  kBlockPut = 203,         // [array_id, block_linear, epoch] + data
-  kBlockPutAcc = 204,      // [array_id, block_linear, epoch] + data (accumulate)
+  kBlockPut = 203,         // [array_id, block_linear, writer, epoch,
+                           //  screened] + data
+  kBlockPutAcc = 204,      // same header, accumulate
   kBlockDelete = 205,      // [array_id] delete all blocks of array
 
   // Worker <-> I/O server: served array traffic.

@@ -104,19 +104,6 @@ struct ExecOperand {
   double number = 0.0;
 };
 
-// One symbolic element of an instruction's static read/write set: the
-// block the instruction touches, expressed over index *variables* (the
-// same operand form the bytecode itself uses). Computed by the optimizer
-// (src/sial/opt/analysis.cpp) at -O1 and above; empty at -O0.
-struct StaticAccess {
-  BlockOperand operand;
-  bool write = false;
-  // write-only full overwrite of an unsliced block (assign mode): the
-  // destination can be renamed by the dataflow window without reading
-  // the previous contents.
-  bool full_overwrite = false;
-};
-
 struct Instruction {
   Opcode op = Opcode::kNop;
   int line = 0;
@@ -125,13 +112,6 @@ struct Instruction {
   double f0 = 0.0;
   std::vector<BlockOperand> blocks;
   std::vector<ExecOperand> eargs;
-
-  // Static dataflow annotations (optimizer output; see StaticAccess).
-  std::vector<StaticAccess> access;
-  // Compile-time proof that the destination is a full unsliced overwrite
-  // of a temp block: the window renames it instead of rediscovering the
-  // fact at decode time.
-  bool renames_dst = false;
 };
 
 // ---------------------------------------------------------------------
@@ -171,12 +151,6 @@ struct PardoInfo {
   int sub_of = -1;
   int start_pc = -1;
   int end_pc = -1;
-  // Optimizer proof (static read/write sets) that the dataflow window
-  // may span iteration boundaries: every temp is fully overwritten
-  // before it is read each iteration, and the gets/requests in the body
-  // touch arrays disjoint from its puts/prepares. The threaded engine
-  // then defers the per-iteration drain to an in-order retire entry.
-  bool window_safe = false;
 };
 
 struct ProcInfo {
@@ -198,11 +172,9 @@ struct CompiledProgram {
 
   // The SIAL text this program was compiled from (diagnostic snippets).
   std::string source;
-  // Mid-end bookkeeping: true once static read/write sets were computed
-  // (-O1 and above); opt_level_applied records the level that ran; each
-  // opt_note tags a pc with what a pass did there ("hoisted", an
+  // Mid-end bookkeeping: opt_level_applied records the level that ran;
+  // each opt_note tags a pc with what a pass did there ("hoisted", an
   // "eliminated: ..." marker on a kNop, ...) for annotated disassembly.
-  bool analyzed = false;
   int opt_level_applied = 0;
   std::vector<std::pair<int, std::string>> opt_notes;
 

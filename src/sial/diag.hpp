@@ -40,7 +40,6 @@ struct Diag {
 
 // Stable warning codes emitted by the optimizer (docs/COMPILER.md).
 inline constexpr const char* kDiagRedundantBarrier = "W001";
-inline constexpr const char* kDiagTempDefeatsRenaming = "W002";
 inline constexpr const char* kDiagLoopInvariantGet = "W003";
 inline constexpr const char* kDiagDeadStore = "W004";
 inline constexpr const char* kDiagReassociated = "W005";

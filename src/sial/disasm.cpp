@@ -135,26 +135,10 @@ std::string disassemble_instruction(const CompiledProgram& program, int pc) {
 
 namespace {
 
-// Trailing annotation for one instruction from the optimizer's static
-// facts; empty when there is nothing to say.
+// Trailing annotation for one instruction: the optimizer notes for its
+// pc; empty when there is nothing to say.
 std::string annotate_instruction(const CompiledProgram& program, int pc) {
-  const Instruction& instr = program.code[static_cast<std::size_t>(pc)];
   std::ostringstream out;
-  if (!instr.access.empty()) {
-    std::string reads, writes;
-    for (const StaticAccess& access : instr.access) {
-      std::string& side = access.write ? writes : reads;
-      if (!side.empty()) side += ",";
-      side += operand_string(program, access.operand);
-      if (access.write && access.full_overwrite) side += "!";
-    }
-    out << "  ; R={" << reads << "} W={" << writes << "}";
-    if (instr.renames_dst) out << " renames";
-  }
-  if (instr.op == Opcode::kPardoStart &&
-      program.pardos[static_cast<std::size_t>(instr.a0)].window_safe) {
-    out << (instr.access.empty() ? "  ;" : "") << " window-safe";
-  }
   for (const auto& [note_pc, text] : program.opt_notes) {
     if (note_pc == pc) {
       out << "  ; " << text;
@@ -195,8 +179,7 @@ std::string disassemble(const CompiledProgram& program) {
 std::string disassemble_annotated(const CompiledProgram& program) {
   std::ostringstream out;
   out << "program " << program.name << " ; opt level "
-      << program.opt_level_applied
-      << (program.analyzed ? " (analyzed)" : "") << "\n";
+      << program.opt_level_applied << "\n";
   for (int pc = 0; pc < static_cast<int>(program.code.size()); ++pc) {
     out << "  " << disassemble_instruction(program, pc)
         << annotate_instruction(program, pc) << "\n";

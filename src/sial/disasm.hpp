@@ -14,11 +14,8 @@ std::string disassemble_instruction(const CompiledProgram& program, int pc);
 std::string disassemble(const CompiledProgram& program);
 
 // Like disassemble(), but each instruction line is annotated with the
-// optimizer's static facts when present: per-instruction read/write
-// sets (`R={...} W={...}`, a `!` marking full overwrites), a `renames`
-// marker on proven-renamable destinations, and the optimizer note for
-// hoisted kPrefetch / eliminated kNop slots. Window-safe pardos are
-// flagged on their kPardoStart line.
+// optimizer's note for it when present (hoisted kPrefetch, eliminated
+// kNop slots, reassociated pairs).
 std::string disassemble_annotated(const CompiledProgram& program);
 
 }  // namespace sia::sial

@@ -1,8 +1,6 @@
 #include "sial/opt/analysis.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/error.hpp"
 
@@ -11,30 +9,25 @@ namespace sia::sial::opt {
 namespace {
 
 constexpr int kModeAssign = static_cast<int>(AssignStmt::Op::kAssign);
-constexpr int kModeAcc = static_cast<int>(AssignStmt::Op::kPlusAssign);
 
-ArrayKind kind_of(const CompiledProgram& program, int array_id) {
-  return program.arrays[static_cast<std::size_t>(array_id)].kind;
-}
-
-StaticAccess read_of(const BlockOperand& operand) {
-  StaticAccess access;
+Access read_of(const BlockOperand& operand) {
+  Access access;
   access.operand = operand;
   access.write = false;
   return access;
 }
 
-StaticAccess write_of(const CompiledProgram& program,
-                      const BlockOperand& operand, bool full) {
-  StaticAccess access;
+Access write_of(const CompiledProgram& program, const BlockOperand& operand,
+                bool full) {
+  Access access;
   access.operand = operand;
   access.write = true;
   access.full_overwrite = full && !maybe_sliced(program, operand);
   return access;
 }
 
-StaticAccess whole_array_write(int array_id) {
-  StaticAccess access;
+Access whole_array_write(int array_id) {
+  Access access;
   access.operand.array_id = array_id;
   access.operand.rank = 0;
   access.write = true;
@@ -150,9 +143,9 @@ bool maybe_sliced(const CompiledProgram& program,
   return false;
 }
 
-std::vector<StaticAccess> instruction_accesses(const CompiledProgram& program,
-                                               const Instruction& instr) {
-  std::vector<StaticAccess> access;
+std::vector<Access> instruction_accesses(const CompiledProgram& program,
+                                         const Instruction& instr) {
+  std::vector<Access> access;
   switch (instr.op) {
     case Opcode::kBlockScalarOp: {
       // blocks[0] op= scalar.
@@ -222,35 +215,6 @@ std::vector<StaticAccess> instruction_accesses(const CompiledProgram& program,
   return access;
 }
 
-void compute_access_sets(CompiledProgram& program) {
-  for (Instruction& instr : program.code) {
-    instr.access = instruction_accesses(program, instr);
-    instr.renames_dst = false;
-    // Mirrors the dynamic rule in Interpreter::window_block_op exactly:
-    // the destination is renamable when the op never reads it
-    // (kBlockBinary reads its target only when accumulating) and it is a
-    // never-sliced temp.
-    bool reads_dst = true;
-    switch (instr.op) {
-      case Opcode::kBlockScalarOp:
-      case Opcode::kBlockCopy:
-      case Opcode::kBlockScaledCopy:
-        reads_dst = instr.a0 != kModeAssign;
-        break;
-      case Opcode::kBlockBinary:
-        reads_dst = instr.a0 == kModeAcc;
-        break;
-      default:
-        continue;
-    }
-    instr.renames_dst =
-        !reads_dst &&
-        kind_of(program, instr.blocks[0].array_id) == ArrayKind::kTemp &&
-        !maybe_sliced(program, instr.blocks[0]);
-  }
-  program.analyzed = true;
-}
-
 // ---------------------------------------------------------------------
 // Nominal cost model.
 
@@ -279,168 +243,6 @@ long nominal_extent(const CompiledProgram& program, int index_id) {
   }
   return std::max<long>(1, nominal_eval(index.high) - nominal_eval(index.low) +
                                1);
-}
-
-// ---------------------------------------------------------------------
-// Window safety.
-
-namespace {
-
-// Ops the dataflow window can decode into entries (or that touch only
-// the scalar stack, which stays on the scan thread). Anything else
-// forces the window to drain and disqualifies the pardo.
-bool window_decodable(Opcode op) {
-  switch (op) {
-    case Opcode::kNop:
-    case Opcode::kPushNumber:
-    case Opcode::kPushScalar:
-    case Opcode::kPushIndex:
-    case Opcode::kPushConst:
-    case Opcode::kNeg:
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kMul:
-    case Opcode::kDiv:
-    case Opcode::kSqrt:
-    case Opcode::kAbs:
-    case Opcode::kExpFn:
-    case Opcode::kCompare:
-    case Opcode::kStoreScalar:
-    case Opcode::kPrintTop:
-    case Opcode::kPrintString:
-    case Opcode::kBlockScalarOp:
-    case Opcode::kBlockCopy:
-    case Opcode::kBlockBinary:
-    case Opcode::kBlockScaledCopy:
-    case Opcode::kGet:
-    case Opcode::kRequest:
-    case Opcode::kPrefetch:
-    case Opcode::kPut:
-    case Opcode::kPrepare:
-    case Opcode::kDoStart:
-    case Opcode::kDoEnd:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
-void analyze_window_safety(CompiledProgram& program,
-                           std::vector<Diag>& diags) {
-  SIA_CHECK(program.analyzed,
-            "analyze_window_safety requires access sets");
-  const std::vector<Region> regions = find_regions(program);
-
-  for (std::size_t p = 0; p < program.pardos.size(); ++p) {
-    PardoInfo& pardo = program.pardos[p];
-    pardo.window_safe = false;
-    if (pardo.start_pc < 0 || pardo.end_pc < 0) continue;
-
-    // The region of this pardo instance. A pardo body may be emitted
-    // more than once (procedures are not — kCall is not decodable — so
-    // pardo table ids map 1:1 to regions here).
-    int region_id = -1;
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      if (regions[r].is_pardo && regions[r].pardo_id == static_cast<int>(p)) {
-        region_id = static_cast<int>(r);
-        break;
-      }
-    }
-    if (region_id < 0) continue;
-
-    bool safe = true;
-    std::unordered_set<int> fetched_arrays;  // dist/served reads
-    std::unordered_set<int> put_arrays;      // put/prepare targets
-
-    for (int pc = pardo.start_pc + 1; pc < pardo.end_pc && safe; ++pc) {
-      const Instruction& instr = program.code[static_cast<std::size_t>(pc)];
-      if (!window_decodable(instr.op)) {
-        safe = false;
-        break;
-      }
-      for (const StaticAccess& access : instr.access) {
-        const ArrayKind kind = kind_of(program, access.operand.array_id);
-        if (kind != ArrayKind::kDistributed && kind != ArrayKind::kServed) {
-          continue;
-        }
-        if (instr.op == Opcode::kPut || instr.op == Opcode::kPrepare) {
-          if (access.write) {
-            put_arrays.insert(access.operand.array_id);
-          }
-        } else if (!access.write) {
-          fetched_arrays.insert(access.operand.array_id);
-        } else {
-          safe = false;  // a write to a remote array outside put/prepare
-        }
-      }
-    }
-    if (!safe) continue;
-
-    // Scan-time gets of a later iteration must not race puts of an
-    // earlier one still in the window: fetched and put arrays disjoint.
-    for (const int array_id : fetched_arrays) {
-      if (put_arrays.count(array_id) > 0) {
-        safe = false;
-        break;
-      }
-    }
-    if (!safe) continue;
-
-    // Per-temp renaming proof: in linear body order the first access
-    // must be a full overwrite, created either directly at pardo depth
-    // (renamed every iteration) or entirely within one inner do region.
-    struct TempFacts {
-      std::vector<int> pcs;           // accessing pcs, in order
-      std::vector<int> region_ids;    // innermost region per access
-      bool first_is_full_write = false;
-      bool first_seen = false;
-      int first_pc = -1;
-    };
-    std::unordered_map<int, TempFacts> temps;
-    for (int pc = pardo.start_pc + 1; pc < pardo.end_pc; ++pc) {
-      const Instruction& instr = program.code[static_cast<std::size_t>(pc)];
-      for (const StaticAccess& access : instr.access) {
-        if (kind_of(program, access.operand.array_id) != ArrayKind::kTemp) {
-          continue;
-        }
-        TempFacts& facts = temps[access.operand.array_id];
-        if (!facts.first_seen) {
-          facts.first_seen = true;
-          facts.first_pc = pc;
-          facts.first_is_full_write = access.write && access.full_overwrite;
-        }
-        facts.pcs.push_back(pc);
-        facts.region_ids.push_back(innermost_region(regions, pc));
-      }
-    }
-    for (const auto& [array_id, facts] : temps) {
-      const bool at_pardo_depth =
-          !facts.region_ids.empty() && facts.region_ids.front() == region_id;
-      const bool one_inner_region =
-          !facts.region_ids.empty() && facts.region_ids.front() != region_id &&
-          std::all_of(facts.region_ids.begin(), facts.region_ids.end(),
-                      [&](int r) { return r == facts.region_ids.front(); });
-      if (facts.first_is_full_write && (at_pardo_depth || one_inner_region)) {
-        continue;
-      }
-      safe = false;
-      Diag diag;
-      diag.code = kDiagTempDefeatsRenaming;
-      diag.message =
-          "this pardo temp defeats renaming: '" +
-          program.arrays[static_cast<std::size_t>(array_id)].name +
-          "' is not fully overwritten before its first use each iteration";
-      diag.range =
-          program.code[static_cast<std::size_t>(facts.first_pc)].range;
-      diag.notes.push_back(
-          {program.code[static_cast<std::size_t>(pardo.start_pc)].range,
-           "the dataflow window cannot span iterations of this pardo"});
-      diags.push_back(std::move(diag));
-    }
-    pardo.window_safe = safe;
-  }
 }
 
 }  // namespace sia::sial::opt

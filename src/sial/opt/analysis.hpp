@@ -1,18 +1,16 @@
 // Static analyses over SIAL bytecode shared by the optimizer passes
 // (src/sial/opt/optimizer.cpp): region (loop) structure, control-flow
-// successors, symbolic per-instruction read/write sets, a nominal cost
-// model for compile-time flop estimates, and the window-safety proof the
-// threaded dataflow executor consumes.
+// successors, symbolic per-instruction read/write sets, and a nominal
+// cost model for compile-time flop estimates.
 //
-// Everything here is conservative: analyses may say "don't know" (no
-// access sets, not window-safe, maybe sliced) but must never claim a
-// fact the runtime could contradict.
+// Everything here is conservative: analyses may say "don't know" (maybe
+// sliced, maybe written) but must never claim a fact the runtime could
+// contradict.
 #pragma once
 
 #include <vector>
 
 #include "sial/bytecode.hpp"
-#include "sial/diag.hpp"
 
 namespace sia::sial::opt {
 
@@ -57,18 +55,25 @@ std::vector<int> successors(const CompiledProgram& program, int pc);
 // but no pass should treat them as full blocks).
 bool maybe_sliced(const CompiledProgram& program, const BlockOperand& operand);
 
+// One symbolic element of an instruction's read/write set: the block the
+// instruction touches, expressed over index *variables* (the same
+// operand form the bytecode itself uses).
+struct Access {
+  BlockOperand operand;
+  bool write = false;
+  // Write-only full overwrite of an unsliced block (assign mode): the
+  // previous contents are dead.
+  bool full_overwrite = false;
+};
+
 // Symbolic read/write set of a single instruction, reads before writes.
 // Mirrors the interpreter's data accesses: block operands of compute
 // ops, fetch targets, put/prepare destinations (write-only, even when
 // accumulating: the local shadow never reads the remote block), kExecute
 // eargs (read and write each), and whole-array ops (create/delete/
 // checkpoint/restore) as rank-0 writes.
-std::vector<StaticAccess> instruction_accesses(const CompiledProgram& program,
-                                               const Instruction& instr);
-
-// Fills Instruction::access and Instruction::renames_dst for every
-// instruction and sets program.analyzed.
-void compute_access_sets(CompiledProgram& program);
+std::vector<Access> instruction_accesses(const CompiledProgram& program,
+                                         const Instruction& instr);
 
 // ---------------------------------------------------------------------
 // Nominal cost model.
@@ -84,16 +89,5 @@ long nominal_eval(const IntExpr& expr);
 // Nominal element extent of an index (>= 1). Subindices inherit the
 // extent of their super index.
 long nominal_extent(const CompiledProgram& program, int index_id);
-
-// ---------------------------------------------------------------------
-// Window safety.
-
-// Proves, per pardo, that the threaded engine's dataflow window may span
-// iteration boundaries (PardoInfo::window_safe): the body contains only
-// window-decodable ops, its fetched arrays are disjoint from its
-// put/prepare targets, and every temp is fully overwritten before it is
-// read. Temps that defeat renaming get a W002 diagnostic. Requires
-// compute_access_sets to have run.
-void analyze_window_safety(CompiledProgram& program, std::vector<Diag>& diags);
 
 }  // namespace sia::sial::opt

@@ -229,7 +229,7 @@ SyncFacts instruction_effects(const CompiledProgram& program,
     default:
       break;
   }
-  for (const StaticAccess& access :
+  for (const Access& access :
        instruction_accesses(program, instr)) {
     const ArrayKind kind = kind_of(program, access.operand.array_id);
     int c = -1;
@@ -421,7 +421,7 @@ void eliminate_dead_stores(CompiledProgram& program,
           program.code[static_cast<std::size_t>(look)];
       if (stops_dse_scan(probe.op)) break;
       bool aborted = false;
-      for (const StaticAccess& access :
+      for (const Access& access :
            instruction_accesses(program, probe)) {
         if (access.operand.array_id != dst.array_id) continue;
         if (!access.write) {
@@ -656,9 +656,6 @@ OptResult optimize(const CompiledProgram& input, int level) {
   eliminate_barriers(program, result.diagnostics);
   eliminate_dead_stores(program, result.diagnostics);
   if (level >= 2) reassociate(program, result.diagnostics);
-
-  compute_access_sets(program);
-  analyze_window_safety(program, result.diagnostics);
   return result;
 }
 

@@ -5,7 +5,7 @@
 // token with its range; the parser unions token ranges into statement
 // and block-reference ranges; the compiler copies statement ranges onto
 // the bytecode instructions it emits, so the optimizer's diagnostics and
-// the executor's error attribution can point back at the exact span of
+// the runtime's error attribution can point back at the exact span of
 // SIAL text with caret accuracy.
 #pragma once
 

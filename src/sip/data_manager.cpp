@@ -89,23 +89,6 @@ BlockPtr DataManager::write_local_kind(const sial::BlockSelector& selector) {
   }
 }
 
-BlockPtr DataManager::rename_local(const sial::BlockSelector& selector) {
-  const sial::ResolvedArray& array = program_.array(selector.array_id);
-  SIA_CHECK(array.kind == sial::ArrayKind::kTemp && !selector.sliced,
-            "rename_local is only defined for unsliced temp blocks");
-  const BlockId id = selector.id();
-  BlockPtr block = make_block(selector.block_shape());
-  auto it = blocks_.find(id);
-  if (it == blocks_.end()) {
-    blocks_.emplace(id, block);
-    temp_ids_.push_back(id);
-  } else {
-    account_remove(it->second->size());
-    it->second = block;
-  }
-  return block;
-}
-
 void DataManager::allocate_local(int array_id, std::span<const int> lo,
                                  std::span<const int> hi) {
   const sial::ResolvedArray& array = program_.array(array_id);

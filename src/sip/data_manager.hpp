@@ -61,15 +61,6 @@ class DataManager {
   // For sliced writes the containing block must already exist for temps.
   BlockPtr write_local_kind(const sial::BlockSelector& selector);
 
-  // Register renaming for the dataflow window: rebinds an unsliced temp
-  // block to fresh storage and returns it. Earlier decoded window entries
-  // keep their BlockPtr snapshots of the superseded block, so a full
-  // overwrite need not wait out in-flight readers/writers of the old
-  // storage. Only valid for unsliced temp selectors. The superseded
-  // block leaves local-memory accounting immediately (it is owned by the
-  // window from here on, bounded by the window limit).
-  BlockPtr rename_local(const sial::BlockSelector& selector);
-
   // True if the block currently exists.
   bool has_block(const BlockId& id) const;
 

@@ -154,7 +154,8 @@ void DistArrayManager::send_put_message(const BlockId& id,
   ++stats_.puts_remote;
   msg::Message message;
   message.tag = accumulate ? msg::kBlockPutAcc : msg::kBlockPut;
-  message.header = {id.array_id, linear_of(id), my_rank_};
+  message.header = {id.array_id, linear_of(id), my_rank_, epoch_,
+                    /*screened=*/0};
   message.block = std::move(exclusive_data);
   if (channel_ != nullptr) {
     // Tracked ordered send: retransmitted until the home worker acks,
@@ -197,7 +198,8 @@ void DistArrayManager::put(const BlockId& id, BlockPtr data,
     ++stats_.puts_remote;
     msg::Message message;
     message.tag = msg::kBlockPut;
-    message.header = {id.array_id, linear_of(id), my_rank_, /*screened=*/1};
+    message.header = {id.array_id, linear_of(id), my_rank_, epoch_,
+                      /*screened=*/1};
     message.data = {norm};
     if (channel_ != nullptr) {
       channel_->send_ordered(owner, std::move(message));
@@ -332,8 +334,12 @@ void DistArrayManager::advance_epoch() {
   cache_.clear();
   pending_.clear();
   misses_.clear();
-  for (const msg::Message& early : std::exchange(early_gets_, {})) {
-    handle_get_request(early);
+  for (msg::Message& early : std::exchange(early_, {})) {
+    if (early.tag == msg::kBlockGetRequest) {
+      handle_get_request(early);
+    } else {
+      handle_put(early, early.tag == msg::kBlockPutAcc);
+    }
   }
 }
 
@@ -352,7 +358,7 @@ void DistArrayManager::handle_get_request(const msg::Message& message) {
   // worker's get can overtake this owner's own release; answer it once
   // this owner is in the requester's epoch.
   if (message.header[3] > epoch_) {
-    early_gets_.push_back(message);
+    early_.push_back(message);
     return;
   }
 
@@ -442,9 +448,15 @@ void DistArrayManager::handle_put(msg::Message& message, bool accumulate) {
   const int array_id = static_cast<int>(message.header[0]);
   const BlockId id = id_from_linear(array_id, message.header[1]);
   const int writer = static_cast<int>(message.header[2]);
+  // Like a get, a released worker's put can overtake this owner's own
+  // release: apply it once this owner is in the sender's epoch.
+  if (message.header.at(3) > epoch_) {
+    early_.push_back(std::move(message));
+    return;
+  }
   check_write_conflict(id, writer, accumulate);
 
-  if (message.header.size() > 3 && message.header[3] != 0) {
+  if (message.header.at(4) != 0) {
     // Screened replace marker: the sender's payload was below the
     // threshold, so the block becomes a norm-table entry with no storage.
     auto it = home_.find(id);

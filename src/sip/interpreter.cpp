@@ -50,13 +50,6 @@ Interpreter::Interpreter(SipShared& shared, int worker_index)
     served_->set_channel(channel_.get());
   }
 
-  const int worker_threads = shared_.config.effective_worker_threads();
-  if (worker_threads > 0) {
-    executor_ = std::make_unique<DataflowExecutor>(
-        worker_threads,
-        static_cast<std::size_t>(shared_.config.window_limit));
-  }
-
   // Resolve super instruction names once.
   const auto& names = program_.code().superinstructions;
   superinstructions_.reserve(names.size());
@@ -168,11 +161,11 @@ void Interpreter::handle_message(msg::Message& message) {
       break;
     case msg::kChunkStealRequest: {
       // The master wants the tail of this worker's outstanding chunk for
-      // a starved worker. Clamp the proposed split to the current scan
-      // position — iterations already started (including ones still in
-      // the dataflow window, which are all < pos) are never revoked — and
-      // grant [max(split, pos), chunk_end). Runs on the interpreter
-      // thread like every handler, so touching the frame is safe.
+      // a starved worker. Clamp the proposed split to the current
+      // position — iterations already started (all < pos) are never
+      // revoked — and grant [max(split, pos), chunk_end). Runs on the
+      // interpreter thread like every handler, so touching the frame is
+      // safe.
       const int pardo_id = static_cast<int>(message.header[0]);
       const std::int64_t instance = message.header[1];
       const std::int64_t split = message.header[2];
@@ -404,382 +397,6 @@ BlockPtr Interpreter::permuted_for(BlockPtr src,
 }
 
 // ---------------------------------------------------------------------
-// Dataflow window (worker_threads >= 1).
-
-BlockPtr Interpreter::resolve_dist_operand(const BlockId& id) {
-  // One of our own window puts still targets this block: its data is not
-  // at the home yet (the send happens at the put's retire). Wait it out —
-  // program-order retirement guarantees it lands before this entry needs
-  // the operand.
-  if (window_put_targets_.count(id) > 0) return nullptr;
-  if (shared_.owner_rank(id) == my_rank_) {
-    return dist_->try_read(id);  // throws if never put
-  }
-  if (BlockPtr block = dist_->try_read(id)) return block;  // throws on miss
-  if (!dist_->pending(id)) dist_->issue_get(id, /*implicit=*/true);
-  return nullptr;
-}
-
-BlockPtr Interpreter::resolve_served_operand(const BlockId& id) {
-  if (window_put_targets_.count(id) > 0) return nullptr;
-  if (BlockPtr block = served_->try_read(id)) return block;
-  // Dedups while a demand fetch is in flight; promotes a pending
-  // look-ahead to demand priority (same as the serial fetch loop).
-  served_->issue_request(id);
-  return nullptr;
-}
-
-void Interpreter::bind_read_operand(DataflowExecutor::Entry& entry,
-                                    const std::shared_ptr<WindowOp>& op,
-                                    const BlockOperand& operand,
-                                    std::size_t slot) {
-  const BlockSelector selector = resolve(operand);
-  op->src_sel[slot] = selector;
-  const BlockId id = selector.id();
-  entry.reads.push_back(id);
-  const sial::ResolvedArray& array = program_.array(selector.array_id);
-  switch (array.kind) {
-    case ArrayKind::kStatic:
-    case ArrayKind::kTemp:
-    case ArrayKind::kLocal:
-      // Decode-time binding: the pointer snapshot plus the RAW dep on the
-      // last window writer reproduce serial read-after-write semantics.
-      op->src[slot] = data_->read_local_kind(selector);
-      return;
-    case ArrayKind::kDistributed:
-      if (window_put_targets_.count(id) == 0) {
-        if (shared_.owner_rank(id) == my_rank_) {
-          op->src[slot] = dist_->try_read(id);  // throws if never put
-          return;
-        }
-        dist_->issue_get(id, /*implicit=*/true);
-        if (BlockPtr block = dist_->try_read(id)) {
-          op->src[slot] = std::move(block);
-          return;
-        }
-        // The window stalls on this fetch: pull the prefetcher's
-        // prediction for the same operand (one source of truth, see
-        // prefetch.hpp) so the following iterations' fetches overlap
-        // this entry's wait. issue_get dedups re-requests.
-        for (const BlockId& candidate : lookahead_candidates(operand)) {
-          dist_->issue_get(candidate, /*implicit=*/true);
-        }
-      }
-      entry.pending_operands.push_back(DataflowExecutor::PendingOperand{
-          id, [this, id] { return resolve_dist_operand(id); },
-          [op, slot](BlockPtr block) { op->src[slot] = std::move(block); }});
-      return;
-    case ArrayKind::kServed:
-      if (window_put_targets_.count(id) == 0) {
-        served_->issue_request(id);
-        if (BlockPtr block = served_->try_read(id)) {
-          op->src[slot] = std::move(block);
-          return;
-        }
-        // Stalled on the I/O server: queue the shared look-ahead
-        // prediction as low-priority read-ahead behind the demand fetch.
-        for (const BlockId& candidate : lookahead_candidates(operand)) {
-          served_->issue_lookahead(candidate);
-        }
-      }
-      entry.pending_operands.push_back(DataflowExecutor::PendingOperand{
-          id, [this, id] { return resolve_served_operand(id); },
-          [op, slot](BlockPtr block) { op->src[slot] = std::move(block); }});
-      return;
-  }
-  throw InternalError("bind_read_operand: bad array kind");
-}
-
-void Interpreter::run_window_block_op(const Instruction& instr,
-                                      WindowOp& op, double scalar0) {
-  // Pool-thread body: pure block compute over decode-time captures. Must
-  // not touch data_/dist_/served_/profiler (interpreter-thread state);
-  // pool_ allocation is thread safe.
-  const auto src_of = [&](std::size_t slot) -> BlockPtr {
-    const BlockSelector& sel = op.src_sel[slot];
-    BlockPtr base = op.src[slot];
-    if (!sel.sliced) return base;
-    return std::make_shared<Block>(
-        slice(*base,
-              {sel.slice_origin.data(), static_cast<std::size_t>(sel.rank)},
-              sel.shape()));
-  };
-  const auto with_dst = [&](bool needs_existing,
-                            const std::function<void(Block&)>& compute) {
-    if (!op.dst_selector.sliced) {
-      compute(*op.dst);
-      return;
-    }
-    const std::span<const int> origin = {
-        op.dst_selector.slice_origin.data(),
-        static_cast<std::size_t>(op.dst_selector.rank)};
-    Block scratch = needs_existing
-                        ? slice(*op.container, origin, op.dst_selector.shape())
-                        : Block(op.dst_selector.shape());
-    compute(scratch);
-    insert(*op.container, origin, scratch);
-  };
-
-  switch (instr.op) {
-    case Opcode::kBlockScalarOp:
-      switch (instr.a0) {
-        case kModeAssign:
-          with_dst(false,
-                   [&](Block& dst) { blas::fill(dst.data(), scalar0); });
-          return;
-        case kModeAcc:
-          with_dst(true,
-                   [&](Block& dst) { blas::shift(dst.data(), scalar0); });
-          return;
-        case kModeSub:
-          with_dst(true,
-                   [&](Block& dst) { blas::shift(dst.data(), -scalar0); });
-          return;
-        case kModeScale:
-          with_dst(true,
-                   [&](Block& dst) { blas::scal(dst.data(), scalar0); });
-          return;
-        default:
-          throw InternalError("bad block scalar mode");
-      }
-    case Opcode::kBlockCopy: {
-      BlockPtr src = src_of(0);
-      const CopyMode mode = instr.a0 == kModeAssign ? CopyMode::kAssign
-                            : instr.a0 == kModeAcc  ? CopyMode::kAccumulate
-                                                    : CopyMode::kSubtract;
-      with_dst(mode != CopyMode::kAssign, [&](Block& dst_block) {
-        block_copy_permute(dst_block, ids_of(instr.blocks[0]), *src,
-                           ids_of(instr.blocks[1]), mode,
-                           shared_.config.sparse_threshold);
-      });
-      return;
-    }
-    case Opcode::kBlockBinary: {
-      BlockPtr a = src_of(0);
-      BlockPtr b = src_of(1);
-      const bool accumulate = instr.a0 == kModeAcc;
-      const auto bin_op = static_cast<sial::BinOp>(instr.a1);
-      with_dst(accumulate, [&](Block& dst_block) {
-        if (bin_op == sial::BinOp::kMul) {
-          block_contract(dst_block, ids_of(instr.blocks[0]), *a,
-                         ids_of(instr.blocks[1]), *b,
-                         ids_of(instr.blocks[2]), accumulate,
-                         shared_.config.sparse_threshold);
-        } else {
-          block_add(dst_block, ids_of(instr.blocks[0]), *a,
-                    ids_of(instr.blocks[1]), *b, ids_of(instr.blocks[2]),
-                    bin_op == sial::BinOp::kSub, accumulate);
-        }
-      });
-      return;
-    }
-    case Opcode::kBlockScaledCopy: {
-      BlockPtr src = src_of(0);
-      with_dst(instr.a0 != kModeAssign, [&](Block& dst_block) {
-        BlockPtr permuted =
-            permuted_for(src, ids_of(instr.blocks[1]),
-                         ids_of(instr.blocks[0]), dst_block.shape());
-        auto src_span = permuted->data();
-        auto dst_span = dst_block.data();
-        switch (instr.a0) {
-          case kModeAssign:
-            for (std::size_t i = 0; i < dst_span.size(); ++i) {
-              dst_span[i] = scalar0 * src_span[i];
-            }
-            return;
-          case kModeAcc:
-            blas::axpy(scalar0, src_span, dst_span);
-            return;
-          case kModeSub:
-            blas::axpy(-scalar0, src_span, dst_span);
-            return;
-          default:
-            throw InternalError("bad scaled copy mode");
-        }
-      });
-      return;
-    }
-    default:
-      throw InternalError("run_window_block_op: bad opcode");
-  }
-}
-
-void Interpreter::window_block_op(const Instruction& instr, double scalar0) {
-  DataflowExecutor::Entry entry;
-  entry.pc = pc_;
-  auto op = std::make_shared<WindowOp>();
-  const BlockSelector dst = resolve(instr.blocks[0]);
-  op->dst_selector = dst;
-
-  bool needs_existing = false;
-  switch (instr.op) {
-    case Opcode::kBlockScalarOp:
-      needs_existing = instr.a0 != kModeAssign;
-      break;
-    case Opcode::kBlockCopy:
-    case Opcode::kBlockScaledCopy:
-      needs_existing = instr.a0 != kModeAssign;
-      break;
-    case Opcode::kBlockBinary:
-      needs_existing = instr.a0 == kModeAcc;
-      break;
-    default:
-      throw InternalError("window_block_op: bad opcode");
-  }
-
-  // Sources bind before the destination so a self-referencing op
-  // (tmp = tmp * x) captures the pre-instruction block even when the
-  // destination is renamed below.
-  for (std::size_t i = 1; i < instr.blocks.size(); ++i) {
-    bind_read_operand(entry, op, instr.blocks[i], i - 1);
-  }
-
-  // Destination binding mirrors with_write_block, split across decode
-  // (pointer resolution, here) and execute (the compute, on the pool).
-  // A full overwrite of an unsliced temp is register-renamed to fresh
-  // storage: without this, the single physical block behind a loop-reused
-  // temp (do k { tmp = A*B; put C += tmp }) WAW-chains every iteration
-  // and the pool runs one contraction at a time.
-  // With static dataflow sets (-O1 and above) the compile-time proof
-  // decides; otherwise fall back to the dynamic discovery. Both rules
-  // agree wherever the static analysis claims renamability.
-  const bool renamed =
-      program_.code().analyzed
-          ? instr.renames_dst && !dst.sliced
-          : !needs_existing && !dst.sliced &&
-                program_.array(dst.array_id).kind == sial::ArrayKind::kTemp;
-  if (!dst.sliced) {
-    op->dst = needs_existing ? data_->read_local_kind(dst)
-              : renamed      ? data_->rename_local(dst)
-                             : data_->write_local_kind(dst);
-  } else {
-    op->container = data_->read_local_kind(dst);
-  }
-  if (renamed) {
-    entry.renamed_writes.push_back(dst.id());
-  } else {
-    entry.writes.push_back(dst.id());
-  }
-  // A sliced write is a read-modify-write of the container, and an
-  // accumulate reads its target: both add a read so the RAW rule chains
-  // same-target updates in program order.
-  if (needs_existing || dst.sliced) entry.reads.push_back(dst.id());
-
-  // Decode-time screening: an accumulate-mode contraction whose operands
-  // are both bound already (local/cached, no fetch pending) and whose
-  // norm product is below the threshold contributes nothing — leave the
-  // entry retire-only, so it flows straight through the window without
-  // ever occupying a pool thread. Sliced operands screen on the base
-  // block's norm, which bounds every slice's norm from above. Operands
-  // still in flight fall through to the execute-time screen inside
-  // block_contract.
-  const double screen = shared_.config.sparse_threshold;
-  const bool screened_contract =
-      screen > 0.0 && instr.op == Opcode::kBlockBinary &&
-      instr.a0 == kModeAcc &&
-      static_cast<sial::BinOp>(instr.a1) == sial::BinOp::kMul &&
-      entry.pending_operands.empty() && op->src[0] != nullptr &&
-      op->src[1] != nullptr &&
-      op->src[0]->norm() * op->src[1]->norm() < screen;
-  if (screened_contract) {
-    note_kernel_screened();
-  } else {
-    const Instruction* ip = &instr;  // program code is stable for the run
-    entry.execute = [this, ip, op, scalar0] {
-      run_window_block_op(*ip, *op, scalar0);
-    };
-  }
-  enqueue_entry(std::move(entry));
-}
-
-void Interpreter::window_put(const Instruction& instr, bool served) {
-  DataflowExecutor::Entry entry;
-  entry.pc = pc_;
-  auto op = std::make_shared<WindowOp>();
-  const BlockSelector dst = resolve(instr.blocks[0]);
-  op->dst_selector = dst;
-  bind_read_operand(entry, op, instr.blocks[1], 0);
-
-  const bool accumulate = instr.a0 == 1;
-  const BlockId target = dst.id();
-  ++window_put_targets_[target];
-
-  const Instruction* ip = &instr;
-  // Shape the payload on the pool (the permuted copy is the expensive
-  // part of a put); the send itself is a retire-time program-order
-  // effect, so the fabric sees the exact serial message sequence and the
-  // coalescing shadow table merges in serial order.
-  entry.execute = [this, ip, op, served] {
-    const BlockSelector& sel = op->src_sel[0];
-    BlockPtr src = op->src[0];
-    if (sel.sliced) {
-      src = std::make_shared<Block>(
-          slice(*src,
-                {sel.slice_origin.data(),
-                 static_cast<std::size_t>(sel.rank)},
-                sel.shape()));
-    }
-    BlockPtr shaped =
-        permuted_for(std::move(src), ids_of(ip->blocks[1]),
-                     ids_of(ip->blocks[0]), op->dst_selector.shape());
-    if (shaped->size() != op->dst_selector.shape().element_count()) {
-      throw RuntimeError(std::string(served ? "prepare" : "put") +
-                         ": block shape mismatch");
-    }
-    if (shaped.get() == op->src[0].get()) {
-      // Identity permute: the payload aliases the source block, which a
-      // later window writer may overwrite once its WAR dependency on this
-      // entry clears — before our retire-time send. Snapshot it now; the
-      // hazard rules make the execute-time contents equal the serial
-      // at-pc value, and the exclusive copy ships zero-copy.
-      auto copy = std::make_shared<Block>(shaped->shape(),
-                                          pool_->allocate(shaped->size()));
-      blas::copy(shaped->data(), copy->data());
-      shaped = std::move(copy);
-    }
-    op->put_payload = std::move(shaped);
-  };
-  entry.retire = [this, op, target, accumulate, served] {
-    if (served) {
-      served_->prepare(target, std::move(op->put_payload), accumulate);
-    } else {
-      dist_->put(target, std::move(op->put_payload), accumulate);
-    }
-    auto it = window_put_targets_.find(target);
-    if (it != window_put_targets_.end() && --it->second <= 0) {
-      window_put_targets_.erase(it);
-    }
-  };
-  enqueue_entry(std::move(entry));
-}
-
-void Interpreter::enqueue_entry(DataflowExecutor::Entry entry) {
-  while (executor_->window_full()) {
-    shared_.check_abort();
-    service_messages();
-    executor_->pump();
-    if (executor_->window_full()) executor_->wait_progress(2);
-  }
-  executor_->enqueue(std::move(entry));
-  executor_->pump();
-}
-
-void Interpreter::drain_window() {
-  if (!executor_ || executor_->idle()) return;
-  const double start = wall_seconds();
-  while (true) {
-    shared_.check_abort();
-    executor_->pump();
-    if (executor_->idle()) break;
-    service_messages();
-    executor_->pump();
-    if (executor_->idle()) break;
-    executor_->wait_progress(2);
-  }
-  executor_->record_drain(wall_seconds() - start);
-}
-
-// ---------------------------------------------------------------------
 // Pardo machinery.
 
 void Interpreter::set_pardo_indices(const Frame& frame, std::int64_t raw) {
@@ -817,39 +434,11 @@ bool Interpreter::pardo_request_chunk(Frame& frame) {
 }
 
 bool Interpreter::pardo_advance(Frame& frame) {
-  // Iteration boundary: by default the window must drain first (retires
-  // feed the coalescing shadow tables, and clear_temps below frees
-  // blocks that in-flight entries may still touch), then write-combined
-  // put/prepare accumulates push out before starting the next iteration
-  // (or blocking on the master for a chunk).
-  //
-  // A pardo the optimizer proved window-safe (PardoInfo::window_safe)
-  // skips the drain: the flush still has to happen after every earlier
-  // put retired, so it rides an in-order retire-only entry instead.
-  // clear_temps stays at scan time — in-flight entries keep shared_ptrs
-  // to the blocks they touch, and the proof guarantees every temp is
-  // fully overwritten (hence renamed to fresh storage) before its next
-  // use. Per-worker retire order equals program order, so the flushed
-  // message sequence — and with it every accumulation order — is
-  // unchanged and results stay bit-identical to the drained path.
-  const bool span_window =
-      executor_ != nullptr &&
-      program_.code()
-          .pardos[static_cast<std::size_t>(frame.pardo_id)]
-          .window_safe;
-  if (span_window) {
-    DataflowExecutor::Entry entry;
-    entry.pc = pc_;
-    entry.retire = [this] {
-      dist_->flush_coalesced();
-      served_->flush_coalesced();
-    };
-    enqueue_entry(std::move(entry));
-  } else {
-    drain_window();
-    dist_->flush_coalesced();
-    served_->flush_coalesced();
-  }
+  // Iteration boundary: write-combined put/prepare accumulates push out
+  // before starting the next iteration (or blocking on the master for a
+  // chunk).
+  dist_->flush_coalesced();
+  served_->flush_coalesced();
   // Poll the mailbox once per iteration boundary: a compute-bound body
   // may issue no blocking operation for a whole chunk, and the master's
   // steal requests (and peers' get requests) should not wait that long.
@@ -863,16 +452,7 @@ bool Interpreter::pardo_advance(Frame& frame) {
       profiler_.record_pardo_iteration(frame.pardo_id);
       return true;
     }
-    if (!pardo_request_chunk(frame)) {
-      if (span_window) {
-        // Loop exhausted: the caller is about to tear the frame down
-        // (clear_pardo_indices), so everything in flight must land now.
-        drain_window();
-        dist_->flush_coalesced();
-        served_->flush_coalesced();
-      }
-      return false;
-    }
+    if (!pardo_request_chunk(frame)) return false;
   }
 }
 
@@ -1096,31 +676,12 @@ std::vector<BlockId> Interpreter::lookahead_candidates(
     const sial::BlockOperand& operand) const {
   if (shared_.config.prefetch_depth <= 0) return {};
   const std::vector<LoopContext> loops = loop_contexts();
-  // Blocks one of our own un-retired puts targets must not be requested:
-  // the fetch would race the put's retire-time send. Skipping (rather
-  // than deferring) a speculative fetch is always safe.
-  const auto excluded = [this](const BlockId& id) {
-    return executor_ != nullptr && window_put_targets_.count(id) > 0;
-  };
-  return lookahead_read_set(program_, operand, data_->index_values(), loops,
-                            shared_.config.prefetch_depth, excluded);
+  return prefetch_candidates(program_, operand, data_->index_values(), loops,
+                             shared_.config.prefetch_depth);
 }
 
 void Interpreter::exec_get(const Instruction& instr) {
-  const BlockSelector selector = resolve(instr.blocks[0]);
-  const BlockId id = selector.id();
-  if (executor_ != nullptr && window_put_targets_.count(id) > 0) {
-    // Read-your-own-write across the window: an un-retired put targets
-    // this block, so the get request must not reach the home before that
-    // put's data. Defer the issue to a retire-only window entry —
-    // program-order retirement runs it right after the put's send.
-    DataflowExecutor::Entry entry;
-    entry.pc = pc_;
-    entry.retire = [this, id] { dist_->issue_get(id); };
-    enqueue_entry(std::move(entry));
-  } else {
-    dist_->issue_get(id);
-  }
+  dist_->issue_get(resolve(instr.blocks[0]).id());
 
   // Look ahead along the enclosing loops (paper §V-A).
   for (const BlockId& candidate : lookahead_candidates(instr.blocks[0])) {
@@ -1129,16 +690,7 @@ void Interpreter::exec_get(const Instruction& instr) {
 }
 
 void Interpreter::exec_request(const Instruction& instr) {
-  const BlockSelector selector = resolve(instr.blocks[0]);
-  const BlockId id = selector.id();
-  if (executor_ != nullptr && window_put_targets_.count(id) > 0) {
-    DataflowExecutor::Entry entry;
-    entry.pc = pc_;
-    entry.retire = [this, id] { served_->issue_request(id); };
-    enqueue_entry(std::move(entry));
-  } else {
-    served_->issue_request(id);
-  }
+  served_->issue_request(resolve(instr.blocks[0]).id());
 
   // Served-array look-ahead, mirroring exec_get: speculative requests for
   // the next iterations become low-priority read-ahead jobs at the I/O
@@ -1172,17 +724,7 @@ void Interpreter::exec_prefetch(const Instruction& instr) {
   const BlockId id = resolve(instr.blocks[0]).id();
   const bool served = program_.array(instr.blocks[0].array_id).kind ==
                       sial::ArrayKind::kServed;
-  if (executor_ != nullptr && window_put_targets_.count(id) > 0) {
-    // Same read-your-own-write deferral as exec_get/exec_request.
-    DataflowExecutor::Entry entry;
-    entry.pc = pc_;
-    if (served) {
-      entry.retire = [this, id] { served_->issue_request(id); };
-    } else {
-      entry.retire = [this, id] { dist_->issue_get(id); };
-    }
-    enqueue_entry(std::move(entry));
-  } else if (served) {
+  if (served) {
     served_->issue_request(id);
   } else {
     dist_->issue_get(id);
@@ -1351,9 +893,6 @@ void Interpreter::exec_execute(const Instruction& instr) {
 }
 
 void Interpreter::exec_barrier(bool server) {
-  // Window entries may still produce puts at retire; every one of them
-  // must be out before the coalesced flush and the barrier enter.
-  drain_window();
   // All coalesced writes must be at their home/server before this worker
   // enters the barrier: the fabric enqueues synchronously, so flushing
   // here guarantees the puts sit in the destination mailbox ahead of the
@@ -1578,9 +1117,6 @@ void Interpreter::step() {
       return;
     }
     case Opcode::kBlockDot: {
-      // Reduces into the scalar stack, which later scan-time instructions
-      // consume: serialize with the window.
-      drain_window();
       batch_issue_gets(instr, 0);
       BlockPtr a = read_operand(instr.blocks[0]);
       BlockPtr b = read_operand(instr.blocks[1]);
@@ -1610,38 +1146,22 @@ void Interpreter::step() {
       ++pc_;
       return;
     case Opcode::kBlockScalarOp:
-      if (executor_) {
-        window_block_op(instr, pop());
-      } else {
-        exec_block_scalar_op(instr);
-      }
+      exec_block_scalar_op(instr);
       ++pc_;
       return;
     case Opcode::kBlockCopy:
-      if (executor_) {
-        window_block_op(instr, 0.0);
-      } else {
-        batch_issue_gets(instr, 1);  // dst (index 0) is a local-kind write
-        exec_block_copy(instr);
-      }
+      batch_issue_gets(instr, 1);  // dst (index 0) is a local-kind write
+      exec_block_copy(instr);
       ++pc_;
       return;
     case Opcode::kBlockBinary:
-      if (executor_) {
-        window_block_op(instr, 0.0);
-      } else {
-        batch_issue_gets(instr, 1);
-        exec_block_binary(instr);
-      }
+      batch_issue_gets(instr, 1);
+      exec_block_binary(instr);
       ++pc_;
       return;
     case Opcode::kBlockScaledCopy:
-      if (executor_) {
-        window_block_op(instr, pop());
-      } else {
-        batch_issue_gets(instr, 1);
-        exec_block_scaled_copy(instr);
-      }
+      batch_issue_gets(instr, 1);
+      exec_block_scaled_copy(instr);
       ++pc_;
       return;
     case Opcode::kGet:
@@ -1657,21 +1177,13 @@ void Interpreter::step() {
       ++pc_;
       return;
     case Opcode::kPut:
-      if (executor_) {
-        window_put(instr, /*served=*/false);
-      } else {
-        batch_issue_gets(instr, 1);  // source may itself be remote
-        exec_put(instr);
-      }
+      batch_issue_gets(instr, 1);  // source may itself be remote
+      exec_put(instr);
       ++pc_;
       return;
     case Opcode::kPrepare:
-      if (executor_) {
-        window_put(instr, /*served=*/true);
-      } else {
-        batch_issue_gets(instr, 1);
-        exec_prepare(instr);
-      }
+      batch_issue_gets(instr, 1);
+      exec_prepare(instr);
       ++pc_;
       return;
     case Opcode::kAllocate:
@@ -1679,25 +1191,18 @@ void Interpreter::step() {
       ++pc_;
       return;
     case Opcode::kDeallocate:
-      // Frees local blocks an in-flight entry may still reference by id.
-      drain_window();
       exec_allocate(instr, false);
       ++pc_;
       return;
     case Opcode::kCreate:
-      drain_window();
       dist_->create_array(instr.a0);
       ++pc_;
       return;
     case Opcode::kDeleteArr:
-      drain_window();
       dist_->delete_array(instr.a0);
       ++pc_;
       return;
     case Opcode::kExecute:
-      // Super instructions touch blocks through their own protocol the
-      // window cannot see; run them on the serial machine state.
-      drain_window();
       batch_issue_gets(instr, 0);  // block operands live in eargs
       exec_execute(instr);
       ++pc_;
@@ -1711,7 +1216,6 @@ void Interpreter::step() {
       ++pc_;
       return;
     case Opcode::kCollective:
-      drain_window();
       exec_collective(instr);
       ++pc_;
       return;
@@ -1734,10 +1238,6 @@ void Interpreter::execute_program() {
   while (true) {
     shared_.check_abort();
     service_messages();
-    // Resolve operands that just arrived, issue unblocked entries, retire
-    // completed ones — every scan step, so the window turns over even
-    // while the interpreter thread is busy decoding.
-    if (executor_) executor_->pump();
     const int pc = pc_;
     const Instruction& instr =
         program_.code().code[static_cast<std::size_t>(pc)];
@@ -1747,7 +1247,6 @@ void Interpreter::execute_program() {
     profiler_.record_instruction(pc, instr.line, opcode_name(instr.op),
                                  wall_seconds() - t0);
   }
-  drain_window();
   profiler_.record_total(wall_seconds() - start);
 
   // Nothing may stay write-combined past the end of the program.
@@ -1777,20 +1276,11 @@ void Interpreter::run() {
   try {
     execute_program();
   } catch (const Aborted&) {
-    // Another rank failed first. Unwind the window without running
-    // retires: pending operands may never arrive once peers are gone.
-    if (executor_) executor_->cancel();
+    // Another rank failed first; it already raised the abort.
   } catch (const std::exception& error) {
-    if (executor_) executor_->cancel();
-    // A deferred error surfaces at retirement, by which time pc_ has
-    // scanned ahead; the executor remembers the failing entry's pc.
-    int pc = pc_;
-    if (executor_ && executor_->last_error_pc() >= 0) {
-      pc = executor_->last_error_pc();
-    }
     const int line =
-        pc >= 0 && pc < static_cast<int>(program_.code().code.size())
-            ? program_.code().code[static_cast<std::size_t>(pc)].line
+        pc_ >= 0 && pc_ < static_cast<int>(program_.code().code.size())
+            ? program_.code().code[static_cast<std::size_t>(pc_)].line
             : 0;
     shared_.raise_abort(std::string(error.what()) +
                         (line > 0 ? " (at SIAL line " + std::to_string(line) +

@@ -12,17 +12,14 @@
 // enclosing pardo loop (paper §VI-B).
 #pragma once
 
-#include <array>
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "block/block_pool.hpp"
 #include "msg/reliable.hpp"
 #include "sip/data_manager.hpp"
-#include "sip/executor.hpp"
 #include "sip/dist_array.hpp"
 #include "sip/prefetch.hpp"
 #include "sip/profiler.hpp"
@@ -48,8 +45,6 @@ class Interpreter {
   BlockPool& pool() { return *pool_; }
   Profiler& profiler() { return profiler_; }
   int worker_index() const { return worker_index_; }
-  // Null when worker_threads resolves to 0 (legacy serial path).
-  const DataflowExecutor* executor() const { return executor_.get(); }
   // Null when the reliable protocol is off.
   const msg::ReliableChannel* channel() const { return channel_.get(); }
   const msg::PeerSequencer& sequencer() const { return sequencer_; }
@@ -109,61 +104,10 @@ class Interpreter {
   void exec_collective(const sial::Instruction& instr);
   void exec_checkpoint(const sial::Instruction& instr, bool restore);
 
-  // ------------------------------------------------------------------
-  // Dataflow executor (worker_threads >= 1): decode-at-enqueue window.
-  //
-  // The interpreter thread scans ahead over the straight-line region,
-  // resolving selectors and binding local block pointers *in program
-  // order* (decode-time binding renames destinations, so captures behave
-  // like serial snapshots), then hands the heavy block work to the pool.
-  // Scalar and control-flow opcodes still execute at scan time — they
-  // never enter the window, which is what lets the window span inner
-  // do-loop iterations.
-
-  // Per-entry closure state shared by decode, execute, and retire.
-  struct WindowOp {
-    sial::BlockSelector dst_selector;
-    BlockPtr dst;        // unsliced destination binding
-    BlockPtr container;  // sliced destination: containing block
-    std::array<BlockPtr, 4> src{};        // operand base blocks
-    std::array<sial::BlockSelector, 4> src_sel{};
-    BlockPtr put_payload;  // produced by execute, shipped by retire
-  };
-
-  // Decodes a block compute op (copy/binary/scaled-copy/scalar-op) into
-  // a window entry. `scalar0` is the operand popped at scan time.
-  void window_block_op(const sial::Instruction& instr, double scalar0);
-  // Decodes put/prepare: permute on the pool, send at retire.
-  void window_put(const sial::Instruction& instr, bool served);
-  // Binds source operand `slot` of a window entry: local-kind blocks
-  // resolve immediately; distributed/served blocks either hit the cache
-  // or become PendingOperands (with the fetch issued now unless an
-  // un-retired window put targets the same block).
-  void bind_read_operand(DataflowExecutor::Entry& entry,
-                         const std::shared_ptr<WindowOp>& op,
-                         const sial::BlockOperand& operand,
-                         std::size_t slot);
-  // Pump-time operand resolution (interpreter thread): returns the block
-  // once available, nullptr while in flight, throws when it can never
-  // arrive. Defers while one of our own window puts targets `id`.
-  BlockPtr resolve_dist_operand(const BlockId& id);
-  BlockPtr resolve_served_operand(const BlockId& id);
   // Shared look-ahead prediction (see prefetch.hpp): the candidates for
-  // `operand`'s next iterations, minus blocks an un-retired window put
-  // targets. Empty when prefetch_depth is 0.
+  // `operand`'s next iterations. Empty when prefetch_depth is 0.
   std::vector<BlockId> lookahead_candidates(
       const sial::BlockOperand& operand) const;
-  // Pool-thread body shared by all windowed block compute entries.
-  void run_window_block_op(const sial::Instruction& instr, WindowOp& op,
-                           double scalar0);
-  // Enqueues, first making room in the window (pumping retires and
-  // servicing the fabric while it is full).
-  void enqueue_entry(DataflowExecutor::Entry entry);
-  // Blocks until the window is empty: every entry executed and retired.
-  // Required before any operation whose semantics assume the serial
-  // machine state (barriers, collectives, pardo-iteration boundaries,
-  // super instructions, allocate/create/delete, block-dot).
-  void drain_window();
 
   // Requests the next chunk for the frame; false when the pardo is done.
   bool pardo_request_chunk(Frame& frame);
@@ -258,15 +202,6 @@ class Interpreter {
 
   // Resolved super instruction functions by table id.
   std::vector<const SuperInstructionFn*> superinstructions_;
-
-  // Un-retired window put/prepare counts per destination block: scan-time
-  // gets and operand binds for these ids defer until the put's retire has
-  // actually sent (or locally applied) the data, preserving
-  // read-your-own-write ordering across the window.
-  std::unordered_map<BlockId, int, BlockIdHash> window_put_targets_;
-  // Declared last: entries hold closures over the managers above, so the
-  // executor (and its pool threads) must die first.
-  std::unique_ptr<DataflowExecutor> executor_;
 };
 
 }  // namespace sia::sip

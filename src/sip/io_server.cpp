@@ -260,9 +260,14 @@ void WriteBehind::enqueue(DiskStore* store, int array_id,
 }
 
 void WriteBehind::abandon() {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   queue_.clear();
   pending_.clear();
+  // The caller abandons the stores next, which discards unflushed
+  // presence bytes. A batch still on a lane would then journal acks for
+  // blocks whose presence never reached the map, and the respawned
+  // server would drop their retransmits as duplicates of lost data.
+  cv_.wait(lock, [&] { return in_flight_keys_.empty(); });
 }
 
 BlockPtr WriteBehind::lookup(int array_id, std::int64_t linear) const {
@@ -1303,9 +1308,9 @@ void IoServer::admit_prepare(msg::Message& message) {
 void IoServer::crash_abandon() {
   // The rank "died": drop all dirty state without letting it reach disk,
   // so the durable files the respawned incarnation rebuilds from reflect
-  // the moment of death, not a tidy shutdown. In-flight write batches on
-  // the lanes may still land (a real crash can also land mid-write);
-  // their acks are journaled but the sends are swallowed by the fabric.
+  // the moment of death, not a tidy shutdown. Write batches already on
+  // the lanes land first, whole; their acks are journaled but the sends
+  // are swallowed by the fabric.
   write_behind_.abandon();
   for (auto& [array_id, store] : stores_) store->abandon();
 }

@@ -175,9 +175,9 @@ class WriteBehind {
   void enqueue(DiskStore* store, int array_id, std::int64_t linear,
                BlockPtr block, AckList acks = {});
 
-  // Crash simulation: drop the queue (and queued acks) without writing.
-  // In-flight batches on other lanes still complete — a real crash can
-  // also land mid-write — but nothing new starts.
+  // Crash simulation: drop the queue (and queued acks) without writing,
+  // then wait for the batches already on a lane, which land whole: data,
+  // presence map, journaled acks. Nothing new starts.
   void abandon();
   // Block still waiting to be written, if any.
   BlockPtr lookup(int array_id, std::int64_t linear) const;

@@ -196,13 +196,6 @@ double segment_efficiency(int segment, double knee) {
   return eff(static_cast<double>(std::max(segment, 1))) / eff(64.0);
 }
 
-// Compute threads a candidate actually gets on this host (the runtime's
-// -1 auto rule, resolved against the modeled core count).
-int resolved_threads(const SipConfig& cfg, int cores) {
-  if (cfg.worker_threads >= 0) return cfg.worker_threads;
-  return std::max(0, cores / std::max(1, cfg.total_ranks()));
-}
-
 }  // namespace
 
 double predict_seconds(const sim::WorkloadModel& workload,
@@ -210,29 +203,17 @@ double predict_seconds(const sim::WorkloadModel& workload,
                        const HostModel& host) {
   const int cores = host.resolved_cores();
   const int workers = candidate.workers;
-  const int threads = resolved_threads(candidate, cores);
 
-  // Per-worker compute rate. Each worker exposes max(1, threads) compute
-  // lanes; all lanes across workers time-slice the host's cores. The
-  // windowed engine pays bookkeeping overhead, threads >= 2 pay
-  // synchronization, and oversubscribed lanes pay context switching —
-  // which is exactly why threading loses on a 1-core host.
-  const double lanes_per_worker = std::max(1, threads);
-  const double total_lanes = lanes_per_worker * workers;
-  const double core_share = std::min(1.0, cores / total_lanes);
-  const double window_lanes =
-      threads >= 1
-          ? std::min(lanes_per_worker,
-                     std::max(1.0, candidate.window_limit / 8.0))
-          : 1.0;
-  double engine = 1.0;
-  if (threads >= 1) engine *= 0.95;   // window bookkeeping
-  if (threads >= 2) engine *= 0.92;   // pool synchronization
-  if (total_lanes > cores) engine *= 0.85;  // context switching
+  // Per-worker compute rate. Each worker is one sequential interpreter;
+  // the workers time-slice the host's cores, and oversubscribed workers
+  // pay context switching.
+  const double core_share =
+      std::min(1.0, cores / static_cast<double>(workers));
+  const double oversubscribed = workers > cores ? 0.85 : 1.0;
   const double worker_rate =
       cal.gemm_gflops * 1e9 *
       segment_efficiency(candidate.default_segment, cal.kernel_knee) *
-      core_share * window_lanes * engine;
+      core_share * oversubscribed;
 
   sim::MachineModel machine;
   machine.name = "host";
@@ -398,16 +379,13 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
     return predict_seconds(ctx.workload, cfg, cal, host);
   };
 
-  // The serial baseline: the user's configuration with the legacy serial
-  // engine. Seeding the search with it guarantees the chosen plan is
-  // never predicted slower than serial (acceptance floor); when the user
-  // pinned worker_threads the pin wins and the seed is the base itself.
+  // The baseline: the user's configuration. Seeding the search with it
+  // guarantees the chosen plan is never predicted slower than the
+  // untuned run.
   SipConfig best = base;
-  if (!pinned("worker_threads")) best.worker_threads = 0;
   double best_seconds = eval(best);
   choice.baseline_seconds = best_seconds;
 
-  const int cores = host.resolved_cores();
   std::vector<int> segments;
   if (pinned("segment")) {
     segments = {base.default_segment};
@@ -419,26 +397,15 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
                    segments.end());
   }
 
-  std::vector<int> thread_cands = {0, 1, 2, 4, 8, 16};
-  thread_cands.erase(
-      std::remove_if(thread_cands.begin(), thread_cands.end(),
-                     [&](int t) { return t > 2 * cores; }),
-      thread_cands.end());
-
   for (const int segment : segments) {
     if (!context_for(segment).valid) continue;
     SipConfig cfg = base;
     cfg.default_segment = segment;
-    // Start the descent from the explicit serial engine when threads are
-    // unpinned: the sweep tries every thread count anyway, strict-
-    // improvement ties then resolve to 0, and the emitted plan never
-    // contains the ambiguous -1 auto value.
-    if (!pinned("worker_threads")) cfg.worker_threads = 0;
     double seconds = eval(cfg);
     // Coordinate descent from the user's configuration, two passes so
-    // knobs that interact (threads and window, prefetch and chunking)
-    // settle. Strict improvement only: ties keep the earlier value, so
-    // the sweep is deterministic and defaults win ties.
+    // knobs that interact (prefetch and chunking) settle. Strict
+    // improvement only: ties keep the earlier value, so the sweep is
+    // deterministic and defaults win ties.
     for (int pass = 0; pass < 2; ++pass) {
       auto try_value = [&](auto field, auto value) {
         SipConfig trial = cfg;
@@ -449,16 +416,6 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
           cfg = trial;
         }
       };
-      if (!pinned("worker_threads")) {
-        for (const int t : thread_cands) {
-          try_value(&SipConfig::worker_threads, t);
-        }
-      }
-      if (!pinned("window_limit") && resolved_threads(cfg, cores) >= 1) {
-        for (const int w : {8, 16, 32, 64, 128}) {
-          try_value(&SipConfig::window_limit, w);
-        }
-      }
       if (!pinned("prefetch_depth")) {
         for (const int d : {0, 1, 2, 4, 8}) {
           try_value(&SipConfig::prefetch_depth, d);
@@ -502,7 +459,8 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
     }
     if (served_total > 0) {
       if (!pinned("server_disk_threads")) {
-        best.server_disk_threads = std::clamp(cores / 2, 1, 4);
+        best.server_disk_threads =
+            std::clamp(host.resolved_cores() / 2, 1, 4);
       }
       if (!pinned("server_cache_bytes")) {
         const std::size_t per_server =

@@ -67,7 +67,7 @@ struct HostModel {
 struct PlanChoice {
   SipConfig config;
   double predicted_seconds = 0.0;
-  double baseline_seconds = 0.0;  // predicted serial-baseline time
+  double baseline_seconds = 0.0;  // predicted time of the untuned config
   int candidates = 0;             // configurations evaluated
   bool calibrated = false;        // calibration had prior runs
   std::string summary;            // tuned knobs, "dimension=value ..."

@@ -76,16 +76,4 @@ std::vector<BlockId> prefetch_candidates(
   return out;
 }
 
-std::vector<BlockId> lookahead_read_set(
-    const sial::ResolvedProgram& program, const sial::BlockOperand& operand,
-    std::span<const long> index_values, std::span<const LoopContext> loops,
-    int depth, const std::function<bool(const BlockId&)>& exclude) {
-  std::vector<BlockId> out =
-      prefetch_candidates(program, operand, index_values, loops, depth);
-  if (exclude) {
-    out.erase(std::remove_if(out.begin(), out.end(), exclude), out.end());
-  }
-  return out;
-}
-
 }  // namespace sia::sip

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -44,18 +43,5 @@ std::vector<BlockId> prefetch_candidates(
     const sial::ResolvedProgram& program, const sial::BlockOperand& operand,
     std::span<const long> index_values,
     std::span<const LoopContext> loops, int depth);
-
-// The look-ahead read set: prefetch_candidates minus the ids `exclude`
-// rejects. This is the single source of truth for "blocks this operand
-// will need soon" — the serial prefetcher (speculative gets / read-ahead
-// requests) and the dataflow window (fetches issued when an operand bind
-// stalls) both consume it, so the two look-ahead mechanisms can never
-// disagree about the predicted stream. `exclude` may be null; the
-// interpreter passes its un-retired-window-put filter so neither
-// mechanism requests a block its own pending put is about to overwrite.
-std::vector<BlockId> lookahead_read_set(
-    const sial::ResolvedProgram& program, const sial::BlockOperand& operand,
-    std::span<const long> index_values, std::span<const LoopContext> loops,
-    int depth, const std::function<bool(const BlockId&)>& exclude);
 
 }  // namespace sia::sip

@@ -79,23 +79,6 @@ std::string ProfileReport::to_string() const {
           << robustness.faults_disk << " disk\n";
     }
   }
-  if (executor.any()) {
-    out << "dataflow executor: " << executor.threads
-        << " threads/worker, " << executor.entries_retired
-        << " entries retired (" << executor.tasks_executed
-        << " pool tasks), window peak " << executor.window_peak
-        << ", avg occupancy "
-        << TablePrinter::num(executor.avg_occupancy(), 1) << "\n";
-    out << "  stalls: " << executor.hazard_stalls << " hazard ("
-        << executor.raw_deps << " RAW / " << executor.war_deps << " WAR / "
-        << executor.waw_deps << " WAW edges), "
-        << executor.operand_stalls << " operand; " << executor.drains
-        << " drains ("
-        << TablePrinter::num(executor.drain_wait_seconds * 1e3, 2)
-        << " ms waited), pool busy "
-        << TablePrinter::num(executor.thread_busy_seconds * 1e3, 2)
-        << " ms\n";
-  }
   if (screening.any()) {
     out << "screening: threshold " << screening.threshold << ", "
         << screening.blocks_screened << " transfers elided ("

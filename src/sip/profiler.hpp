@@ -223,35 +223,13 @@ struct ProfileReport {
   };
   Robustness robustness;
 
-  // Dataflow-window counters (config.worker_threads >= 1), aggregated
-  // over workers. All zero on the legacy serial path.
+  // Workers run one sequential interpreter each, so these are always 0.
+  // They remain only because the sipbench per-layer report still reads
+  // them; the next benchmark change drops them.
   struct Executor {
-    int threads = 0;                  // pool size (max over workers)
-    std::int64_t tasks_executed = 0;  // entries run on pool threads
-    std::int64_t entries_retired = 0;
-    std::int64_t hazard_stalls = 0;   // enqueued behind a RAW/WAR/WAW dep
-    // Dependency edges observed at enqueue, split by hazard kind (may
-    // sum past hazard_stalls: one stalled entry can carry many edges).
-    std::int64_t raw_deps = 0;
-    std::int64_t war_deps = 0;
-    std::int64_t waw_deps = 0;
-    std::int64_t operand_stalls = 0;  // parked on an in-flight fetch
-    std::int64_t drains = 0;          // full-window drains at boundaries
-    std::int64_t window_peak = 0;     // max in-flight entries (over workers)
-    std::int64_t occupancy_sum = 0;   // window size sampled at enqueue
-    std::int64_t occupancy_samples = 0;
-    double drain_wait_seconds = 0.0;  // interpreter blocked draining
-    double thread_busy_seconds = 0.0; // summed over all pool threads
-
-    double avg_occupancy() const {
-      return occupancy_samples > 0
-                 ? static_cast<double>(occupancy_sum) /
-                       static_cast<double>(occupancy_samples)
-                 : 0.0;
-    }
-    bool any() const {
-      return entries_retired != 0 || tasks_executed != 0;
-    }
+    std::int64_t hazard_stalls = 0;
+    double drain_wait_seconds = 0.0;
+    double thread_busy_seconds = 0.0;
   };
   Executor executor;
 

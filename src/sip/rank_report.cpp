@@ -1,7 +1,6 @@
 #include "sip/rank_report.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -64,10 +63,6 @@ RankReport make_rank_report(const SipShared& shared, int rank,
     r.pool = worker->pool().stats();
     r.peak_local_doubles = worker->data().peak_doubles();
     r.served = worker->served().stats();
-    if (const DataflowExecutor* executor = worker->executor()) {
-      r.executor = executor->stats();
-      r.threads = executor->threads();
-    }
     for (const auto& [id, block] : worker->dist().home_blocks()) {
       ++r.resident[id.array_id];
     }
@@ -219,24 +214,6 @@ void merge_reports(const std::vector<RankReport>& reports,
   robustness.faults_reordered = total.chaos.reorders;
   robustness.faults_kill_swallowed = total.chaos.kill_swallowed;
   robustness.faults_disk = total.disk_faults;
-
-  ProfileReport::Executor& executor = profile.executor;
-  executor.threads = total.threads;
-  executor.tasks_executed = total.executor.tasks_executed;
-  executor.entries_retired = total.executor.entries_retired;
-  executor.hazard_stalls = total.executor.hazard_stalls;
-  executor.raw_deps = total.executor.raw_deps;
-  executor.war_deps = total.executor.war_deps;
-  executor.waw_deps = total.executor.waw_deps;
-  executor.operand_stalls = total.executor.operand_stalls;
-  executor.drains = total.executor.drains;
-  executor.window_peak = total.executor.window_peak;
-  executor.occupancy_sum = total.executor.occupancy_sum;
-  executor.occupancy_samples = total.executor.occupancy_samples;
-  executor.drain_wait_seconds = total.executor.drain_wait_seconds;
-  executor.thread_busy_seconds =
-      std::accumulate(total.executor.thread_busy_seconds.begin(),
-                      total.executor.thread_busy_seconds.end(), 0.0);
 
   ProfileReport::Scheduling& scheduling = profile.scheduling;
   scheduling.chunks_served = total.master.chunks_served;

@@ -24,7 +24,6 @@
 #include "msg/message.hpp"
 #include "msg/reliable.hpp"
 #include "sip/dist_array.hpp"
-#include "sip/executor.hpp"
 #include "sip/io_server.hpp"
 #include "sip/launch.hpp"
 #include "sip/master.hpp"
@@ -58,8 +57,6 @@ struct RankReport {
   std::size_t peak_local_doubles = 0;
   ServedArrayClient::Stats served;
   IoServer::Stats server;
-  DataflowExecutor::Stats executor;
-  int threads = 0;  // executor pool size
   Master::Stats master;
   // Sparse census: array id -> blocks that materialized (home blocks on
   // workers, data blocks on disk on servers).
@@ -81,8 +78,6 @@ struct RankReport {
     visit("peak_local_doubles", Fold::kMax, s.peak_local_doubles...);
     visit("served", Fold::kSum, s.served...);
     visit("server", Fold::kSum, s.server...);
-    visit("executor", Fold::kSum, s.executor...);
-    visit("threads", Fold::kMax, s.threads...);
     visit("master", Fold::kSum, s.master...);
     visit("resident", Fold::kSum, s.resident...);
   }

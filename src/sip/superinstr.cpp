@@ -45,10 +45,6 @@ std::uint64_t kernels_screened_count() {
   return g_kernels_screened.load(std::memory_order_relaxed);
 }
 
-void note_kernel_screened() {
-  g_kernels_screened.fetch_add(1, std::memory_order_relaxed);
-}
-
 void block_contract(Block& dst, std::span<const int> dst_ids, const Block& a,
                     std::span<const int> a_ids, const Block& b,
                     std::span<const int> b_ids, bool accumulate,

@@ -64,9 +64,6 @@ std::uint64_t contract_operand_permute_count();
 // Number of block kernels (contractions, dots, permuted accumulates)
 // skipped by norm screening since process start.
 std::uint64_t kernels_screened_count();
-// Bumps that counter for a kernel elided before it ever reached a pool
-// thread (decode-time screening in the executor window).
-void note_kernel_screened();
 
 // dst(dst_ids) op= src(src_ids) with permutation derived from the ids.
 // With screen_threshold > 0, accumulate/subtract of a source block with

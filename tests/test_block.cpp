@@ -2,6 +2,7 @@
 // pools, and the LRU cache.
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "block/block.hpp"
@@ -187,7 +188,12 @@ TEST(BlockPoolTest, AllocatesFromMatchingClass) {
 TEST(BlockPoolTest, StrictModeThrowsWhenExhausted) {
   BlockPool pool({{8, 1}}, /*allow_heap_fallback=*/false);
   PoolBuffer a = pool.allocate(8);
+  EXPECT_EQ(pool.free_slots_for(8), 0u);
   EXPECT_THROW(pool.allocate(8), RuntimeError);
+  // Releasing refills the drained class.
+  a = PoolBuffer();
+  EXPECT_EQ(pool.free_slots_for(8), 1u);
+  EXPECT_TRUE(pool.allocate(8).valid());
 }
 
 TEST(BlockPoolTest, SlotsAreRecycled) {
@@ -236,6 +242,37 @@ TEST(BlockPoolTest, MoveTransfersOwnership) {
   PoolBuffer b = std::move(a);
   EXPECT_FALSE(a.valid());
   EXPECT_TRUE(b.valid());
+}
+
+TEST(BlockPoolTest, CrossThreadReleaseReturnsSlot) {
+  // A zero-copy block can be dropped on another rank's thread.
+  BlockPool pool({{4, 1}}, /*allow_heap_fallback=*/false);
+  PoolBuffer buffer = pool.allocate(4);
+  std::thread releaser([&] { PoolBuffer moved = std::move(buffer); });
+  releaser.join();
+  EXPECT_EQ(pool.free_slots_for(4), 1u);
+  EXPECT_TRUE(pool.allocate(4).valid());
+}
+
+TEST(BlockPoolTest, ConcurrentChurnBalances) {
+  BlockPool pool({{32, 64}}, /*allow_heap_fallback=*/true);
+  constexpr int kThreads = 4;
+  constexpr int kIters = 300;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&pool, t] {
+      std::vector<PoolBuffer> live;
+      for (int i = 0; i < kIters; ++i) {
+        live.push_back(pool.allocate(1 + (i * 7 + t * 13) % 32));
+        if (live.size() > 8) live.erase(live.begin());
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const BlockPool::Stats stats = pool.stats();
+  EXPECT_EQ(stats.in_use_doubles, 0u);
+  EXPECT_GT(stats.pool_allocs, 0u);
+  EXPECT_GT(stats.peak_in_use_doubles, 0u);
 }
 
 // ---------------------------------------------------------------------

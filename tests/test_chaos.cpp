@@ -304,52 +304,6 @@ TEST(ReliableProtocolTest, FaultFreeRunIsBitIdenticalWithNoRetries) {
 }
 
 // ---------------------------------------------------------------------
-// Dataflow executor under chaos: workers with an instruction window must
-// keep the two-outcome contract. Masked faults (loss, duplication) must
-// complete with the integer-valued checksum bit-identical — retransmits
-// and dedup land between out-of-order issue and in-order retire — and
-// fatal faults must abort with the original diagnosis after a clean
-// window drain (cancel() drops unstarted entries instead of hanging on
-// operands that will never arrive).
-
-TEST(ChaosExecutorTest, ThreadedWorkersSurviveLossAndDuplication) {
-  const double baseline = dist_baseline();
-  SipConfig config = dist_config();
-  config.worker_threads = 2;
-  std::int64_t injected = 0;
-  for (int seed = 1; seed <= 5; ++seed) {
-    const RunResult result =
-        run_with_plan(config, dist_storm_source(),
-                      "drop=0.01,dup=0.02,seed=" + std::to_string(seed));
-    EXPECT_EQ(result.scalar("cnorm2"), baseline) << "seed " << seed;
-    // The window must actually have been exercised under the faults.
-    EXPECT_GT(result.profile.executor.entries_retired, 0) << "seed " << seed;
-    injected += result.profile.robustness.faults_injected();
-  }
-  EXPECT_GT(injected, 0);
-}
-
-TEST(ChaosExecutorTest, ThreadedWorkerKillAbortsWithCleanDrain) {
-  SipConfig config = dist_config();
-  config.worker_threads = 2;
-  const auto start = std::chrono::steady_clock::now();
-  try {
-    run_with_plan(config, dist_storm_source(), "kill_rank=1@msg:10,seed=1");
-    FAIL() << "threaded run with a dead worker completed";
-  } catch (const RuntimeError& error) {
-    EXPECT_NE(std::string(error.what()).find("unresponsive"),
-              std::string::npos)
-        << error.what();
-  }
-  // The abort path cancels the window (pending operands never resolve);
-  // a few watchdog intervals plus teardown, never a hang.
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  EXPECT_LT(seconds, 20.0);
-}
-
-// ---------------------------------------------------------------------
 // Screening under chaos: served sparse traffic at a real threshold.
 // Phase 1 prepares a tridiagonal block band — the exactly-zero blocks
 // outside it travel as norm-only markers. Phase 2 accumulates a wider
@@ -440,17 +394,6 @@ TEST(ChaosScreeningTest, ScreenedPreparesStayExactlyOnce) {
   }
   EXPECT_GT(injected, 0);
   EXPECT_GT(screened, 0);
-}
-
-TEST(ChaosExecutorTest, EnvironmentPlanAppliesToThreadedRun) {
-  const double baseline = dist_baseline();
-  EnvGuard guard("dup=0.02,seed=7");
-  SipConfig config = dist_config();
-  config.worker_threads = 2;
-  const RunResult result = run_with_deadline(config, dist_storm_source());
-  EXPECT_EQ(result.scalar("cnorm2"), baseline);
-  EXPECT_GT(result.profile.robustness.faults_duplicated, 0);
-  EXPECT_GT(result.profile.executor.entries_retired, 0);
 }
 
 }  // namespace

@@ -160,6 +160,14 @@ TEST(SipConfigTest, BundleParserRejectsMalformedText) {
   reject("constants[n]=1.5\nsource=0\n");         // map value type
   reject("workers=3\n");                           // no source section
   reject("workers=3");                              // unterminated line
+  try {  // a removed knob is an unknown key, and the error names it
+    sip::read_bundle("worker_threads=2\nsource=0\n");
+    ADD_FAILURE() << "worker_threads accepted";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("worker_threads"),
+              std::string::npos)
+        << error.what();
+  }
 
   sip::Bundle bundle;
   bundle.source = "sial x\nendsial\n";

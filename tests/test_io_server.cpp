@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -312,6 +313,44 @@ TEST_F(DiskStoreTest, CancelArrayDropsQueuedWrites) {
   EXPECT_FALSE(a.has(0));  // deleted array was not resurrected on disk
   EXPECT_FALSE(a.has(3));
   EXPECT_TRUE(b.has(0));  // unrelated array unaffected
+}
+
+TEST_F(DiskStoreTest, AbandonWaitsForTheBatchOnALane) {
+  // A crashed server abandons its stores right after the write-behind
+  // queue, discarding unflushed presence bytes. A batch already on a lane
+  // must have retired (map flushed, acks journaled) by then, or its acks
+  // would outlive the presence of its blocks.
+  DiskStore store(dir_, "wb", 4, 8);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool retiring = false;
+  bool release = false;
+  WriteBehind writer(/*lanes=*/1, /*batched=*/true, nullptr,
+                     [&](const WriteBehind::AckList&) {
+                       std::unique_lock<std::mutex> lock(mutex);
+                       retiring = true;
+                       cv.notify_all();
+                       cv.wait(lock, [&] { return release; });
+                     });
+  writer.enqueue(&store, 0, 1, block_of(1.0), {{1, 7}});
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return retiring; });
+  }
+  std::atomic<bool> abandoned{false};
+  std::thread crash([&] {
+    writer.abandon();
+    abandoned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(abandoned) << "abandon returned with a batch on a lane";
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  cv.notify_all();
+  crash.join();
+  EXPECT_TRUE(abandoned);
 }
 
 // ---------------------------------------------------------------------

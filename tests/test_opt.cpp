@@ -1,9 +1,9 @@
 // Tests for the SIAL mid-end (src/sial/opt/): loop-invariant hoisting to
 // kPrefetch, redundant-barrier elimination, dead-store elimination,
-// contraction reassociation, static access sets, window-safety proofs,
-// the source-ranged diagnostics the passes emit, and — the load-bearing
-// property — that optimized programs produce bit-identical results on
-// the full SIP, serial and threaded, across every chemistry workload.
+// contraction reassociation, static access sets, the source-ranged
+// diagnostics the passes emit, and — the load-bearing property — that
+// optimized programs produce bit-identical results on the full SIP
+// across every chemistry workload.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -186,15 +186,11 @@ TEST(HoistTest, HoistedRunMatchesUnoptimizedBitForBit) {
   const sip::RunResult r0 = sip0.run_source(kHoistSource);
 
   for (int level : {1, 2}) {
-    for (int threads : {0, 2}) {
-      SipConfig config = small_config();
-      config.opt_level = level;
-      config.worker_threads = threads;
-      sip::Sip sip(config);
-      const sip::RunResult r = sip.run_source(kHoistSource);
-      EXPECT_EQ(r.scalar("total"), r0.scalar("total"))
-          << "level=" << level << " threads=" << threads;
-    }
+    SipConfig config = small_config();
+    config.opt_level = level;
+    sip::Sip sip(config);
+    const sip::RunResult r = sip.run_source(kHoistSource);
+    EXPECT_EQ(r.scalar("total"), r0.scalar("total")) << "level=" << level;
   }
 }
 
@@ -464,73 +460,22 @@ TEST(ReassocTest, NeverFiresOnShippedChemistryPrograms) {
 }
 
 // ---------------------------------------------------------------------
-// Static access sets, renaming proofs, window safety.
+// Static access sets.
 
-TEST(AccessSetTest, SetsPresentOnlyWhenAnalyzed) {
-  const CompiledProgram raw =
+TEST(AccessSetTest, ContractionReadsOperandsAndOverwritesTemp) {
+  const CompiledProgram program =
       sial::compile_sial(chem::comm_storm_source());
-  EXPECT_FALSE(raw.analyzed);
-  const OptResult o0 = sial::opt::optimize(raw, 0);
-  EXPECT_FALSE(o0.program.analyzed);
-  const OptResult o1 = sial::opt::optimize(raw, 1);
-  EXPECT_TRUE(o1.program.analyzed);
-
   // The sweep's `tmp(a,b) = A(a,k) * A(b,k)` reads both gets' blocks and
-  // fully overwrites a never-sliced temp: a proven rename.
-  const int pc = find_op(o1.program, Opcode::kBlockBinary);
+  // fully overwrites a never-sliced temp.
+  const int pc = find_op(program, Opcode::kBlockBinary);
   ASSERT_GE(pc, 0);
-  const auto& instr = o1.program.code[static_cast<std::size_t>(pc)];
-  ASSERT_EQ(instr.access.size(), 3u);
-  EXPECT_FALSE(instr.access[0].write);
-  EXPECT_FALSE(instr.access[1].write);
-  EXPECT_TRUE(instr.access[2].write);
-  EXPECT_TRUE(instr.access[2].full_overwrite);
-  EXPECT_TRUE(instr.renames_dst);
-
-  const std::string listing = sial::disassemble_annotated(o1.program);
-  EXPECT_NE(listing.find("opt level 1 (analyzed)"), std::string::npos);
-  EXPECT_NE(listing.find("R={"), std::string::npos);
-  EXPECT_NE(listing.find("renames"), std::string::npos);
-}
-
-TEST(WindowSafetyTest, CommStormSweepProvenSafe) {
-  const OptResult opt =
-      sial::opt::optimize(sial::compile_sial(chem::comm_storm_source()), 1);
-  ASSERT_EQ(opt.program.pardos.size(), 3u);
-  EXPECT_FALSE(opt.program.pardos[0].window_safe);  // kExecute in body
-  EXPECT_TRUE(opt.program.pardos[1].window_safe);   // the sweep
-  EXPECT_FALSE(opt.program.pardos[2].window_safe);  // kBlockDot in body
-  EXPECT_NE(sial::disassemble_annotated(opt.program).find("window-safe"),
-            std::string::npos);
-}
-
-TEST(WindowSafetyTest, ReadBeforeWriteTempDefeatsRenaming) {
-  const OptResult opt = sial::opt::optimize(sial::compile_sial(R"(
-sial w002
-aoindex a = 1, n
-aoindex b = 1, n
-aoindex k = 1, n
-distributed A(a,k)
-temp acc(a,b)
-pardo a, b
-  do k
-    get A(a,k)
-    acc(a,b) += A(a,k) * A(b,k)
-  enddo k
-endpardo a, b
-endsial
-)"),
-                                             1);
-  ASSERT_EQ(opt.program.pardos.size(), 1u);
-  EXPECT_FALSE(opt.program.pardos[0].window_safe);
-  ASSERT_EQ(count_diags(opt.diagnostics, sial::kDiagTempDefeatsRenaming),
-            1);
-  const Diag* diag =
-      find_diag(opt.diagnostics, sial::kDiagTempDefeatsRenaming);
-  EXPECT_NE(diag->message.find("this pardo temp defeats renaming"),
-            std::string::npos);
-  EXPECT_NE(diag->message.find("'acc'"), std::string::npos);
-  ASSERT_EQ(diag->notes.size(), 1u);
+  const auto access = sial::opt::instruction_accesses(
+      program, program.code[static_cast<std::size_t>(pc)]);
+  ASSERT_EQ(access.size(), 3u);
+  EXPECT_FALSE(access[0].write);
+  EXPECT_FALSE(access[1].write);
+  EXPECT_TRUE(access[2].write);
+  EXPECT_TRUE(access[2].full_overwrite);
 }
 
 // ---------------------------------------------------------------------
@@ -555,7 +500,7 @@ TEST(DiagRenderTest, CaretSnippetsWithNotes) {
 // ---------------------------------------------------------------------
 // The opt-vs-noopt bit-identity matrix over the chemistry programs.
 
-TEST(BitIdentityTest, AllLevelsSerialAndThreadedMatchO0) {
+TEST(BitIdentityTest, AllLevelsMatchO0) {
   // Compared on each program's published (post-collective) result
   // scalars: worker-0 partial sums like csum/esum legitimately vary with
   // dynamic chunk assignment even without the optimizer. comm_storm's
@@ -580,71 +525,22 @@ TEST(BitIdentityTest, AllLevelsSerialAndThreadedMatchO0) {
     sip::Sip sip0(base);
     const sip::RunResult baseline = sip0.run_source(source);
 
-    for (int level : {0, 1, 2}) {
-      for (int threads : {0, 2}) {
-        if (level == 0 && threads == 0) continue;  // the baseline itself
-        SipConfig config = small_config();
-        config.opt_level = level;
-        config.worker_threads = threads;
-        sip::Sip sip(config);
-        const sip::RunResult got = sip.run_source(source);
-        for (const std::string& scalar : outputs) {
-          const double want = baseline.scalar(scalar);
-          if (exact) {
-            EXPECT_EQ(got.scalar(scalar), want)
-                << scalar << " -O" << level << " threads=" << threads;
-          } else {
-            EXPECT_NEAR(got.scalar(scalar), want, 1e-10 * std::abs(want))
-                << scalar << " -O" << level << " threads=" << threads;
-          }
+    for (int level : {1, 2}) {
+      SipConfig config = small_config();
+      config.opt_level = level;
+      sip::Sip sip(config);
+      const sip::RunResult got = sip.run_source(source);
+      for (const std::string& scalar : outputs) {
+        const double want = baseline.scalar(scalar);
+        if (exact) {
+          EXPECT_EQ(got.scalar(scalar), want) << scalar << " -O" << level;
+        } else {
+          EXPECT_NEAR(got.scalar(scalar), want, 1e-10 * std::abs(want))
+              << scalar << " -O" << level;
         }
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------
-// Runtime consumption: hazard-edge split and window-spanning pardos.
-
-TEST(ExecutorStatsTest, HazardEdgesSplitByKind) {
-  SipConfig config = small_config();
-  config.constants["norb"] = 16;
-  config.worker_threads = 2;
-  config.opt_level = 2;
-  sip::Sip sip(config);
-  const sip::RunResult result = sip.run_source(chem::comm_storm_source());
-  const auto& ex = result.profile.executor;
-  ASSERT_TRUE(ex.any());
-  // put C += tmp behind the contraction that made tmp: RAW edges are
-  // guaranteed because the put is enqueued while its producer is still
-  // in flight. WAR/WAW edges are only counted when the earlier access
-  // is still live at enqueue time, so they can legitimately be zero
-  // when prior entries retire quickly; the split must simply add up.
-  EXPECT_GT(ex.raw_deps, 0);
-  EXPECT_GE(ex.raw_deps + ex.war_deps + ex.waw_deps, ex.hazard_stalls);
-  EXPECT_NE(result.profile.to_string().find("RAW"), std::string::npos);
-}
-
-TEST(ExecutorStatsTest, WindowSafePardoSkipsPerIterationDrains) {
-  SipConfig config = small_config();
-  config.constants["norb"] = 16;
-  config.worker_threads = 2;
-
-  config.opt_level = 0;
-  sip::Sip sip0(config);
-  const sip::RunResult r0 = sip0.run_source(chem::comm_storm_source());
-
-  config.opt_level = 2;
-  sip::Sip sip2(config);
-  const sip::RunResult r2 = sip2.run_source(chem::comm_storm_source());
-
-  // To rounding, not bit for bit: concurrent put += accumulate order at
-  // the owner varies run to run (see BitIdentityTest).
-  EXPECT_NEAR(r2.scalar("cnorm2"), r0.scalar("cnorm2"),
-              1e-10 * std::abs(r0.scalar("cnorm2")));
-  // The proven-safe sweep defers its per-iteration drain to a retire
-  // entry: the drain count must drop sharply.
-  EXPECT_LT(r2.profile.executor.drains, r0.profile.executor.drains);
 }
 
 }  // namespace

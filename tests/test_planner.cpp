@@ -106,19 +106,9 @@ TEST(PlannerTest, SweepIsDeterministic) {
   EXPECT_EQ(first.candidates, second.candidates);
   EXPECT_DOUBLE_EQ(first.predicted_seconds, second.predicted_seconds);
   EXPECT_EQ(first.config.default_segment, second.config.default_segment);
-  EXPECT_EQ(first.config.worker_threads, second.config.worker_threads);
+  EXPECT_EQ(first.config.chunk_divisor, second.config.chunk_divisor);
   EXPECT_EQ(first.config.prefetch_depth, second.config.prefetch_depth);
   EXPECT_GT(first.candidates, 1);
-}
-
-TEST(PlannerTest, OneCoreHostChoosesSerialEngine) {
-  // The BENCH_pardo regression: on a 1-core host the windowed executor
-  // only adds synchronization and oversubscription cost, so the planner
-  // must keep the serial interpreter.
-  const SipConfig base = sweep_config();
-  const PlanChoice choice =
-      plan_launch(optimized_sweep(base), base, Calibration{}, HostModel{1});
-  EXPECT_EQ(choice.config.worker_threads, 0);
 }
 
 TEST(PlannerTest, NeverPredictedSlowerThanSerial) {
@@ -136,12 +126,12 @@ TEST(PlannerTest, NeverPredictedSlowerThanSerial) {
 
 TEST(PlannerTest, PinnedKnobsAreNeverOverridden) {
   SipConfig base = sweep_config();
-  base.worker_threads = 2;     // differs from default -1 -> pinned
+  base.chunk_divisor = 3;      // differs from default 2 -> pinned
   base.prefetch_depth = 7;     // differs from default 2 -> pinned
   base.default_segment = 6;    // differs from the default -> pinned
   const PlanChoice choice =
       plan_launch(optimized_sweep(base), base, Calibration{}, HostModel{4});
-  EXPECT_EQ(choice.config.worker_threads, 2);
+  EXPECT_EQ(choice.config.chunk_divisor, 3);
   EXPECT_EQ(choice.config.prefetch_depth, 7);
   EXPECT_EQ(choice.config.default_segment, 6);
   const auto pinned_has = [&](const char* name) {
@@ -150,7 +140,7 @@ TEST(PlannerTest, PinnedKnobsAreNeverOverridden) {
     }
     return false;
   };
-  EXPECT_TRUE(pinned_has("worker_threads"));
+  EXPECT_TRUE(pinned_has("chunk_divisor"));
   EXPECT_TRUE(pinned_has("prefetch_depth"));
   EXPECT_TRUE(pinned_has("segment"));
 }

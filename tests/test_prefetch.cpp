@@ -88,35 +88,6 @@ TEST(PrefetchTest, PredictionMatchesActualFutureReads) {
   }
 }
 
-TEST(PrefetchTest, LookaheadReadSetIsPrefetchCandidatesFiltered) {
-  // lookahead_read_set is the shared source of truth for the serial
-  // prefetcher and the dataflow window: unfiltered it must be identical
-  // to prefetch_candidates, and the filter must remove exactly the
-  // excluded ids (the interpreter excludes un-retired window puts).
-  Fixture fx(kDoLoopGet);
-  fx.values[0] = 2;
-  fx.values[1] = 1;
-  LoopContext loop;
-  loop.is_pardo = false;
-  loop.index_id = fx.program->code().index_id("j");
-  loop.current = 1;
-  loop.last = 4;
-  const auto raw = prefetch_candidates(*fx.program, fx.get_operand(),
-                                       fx.values, {&loop, 1}, 3);
-  const auto unfiltered =
-      lookahead_read_set(*fx.program, fx.get_operand(), fx.values,
-                         {&loop, 1}, 3, nullptr);
-  EXPECT_EQ(unfiltered, raw);
-
-  ASSERT_GE(raw.size(), 2u);
-  const BlockId blocked = raw[1];
-  const auto filtered = lookahead_read_set(
-      *fx.program, fx.get_operand(), fx.values, {&loop, 1}, 3,
-      [&blocked](const BlockId& id) { return id == blocked; });
-  EXPECT_EQ(filtered.size(), raw.size() - 1);
-  for (const BlockId& id : filtered) EXPECT_NE(id, blocked);
-}
-
 TEST(PrefetchTest, LookaheadStopsAtLoopEnd) {
   Fixture fx(kDoLoopGet);
   fx.values[0] = 1;

@@ -69,7 +69,7 @@ TEST(RankReportCodecTest, RoundTripIsExact) {
     ++leaves;
     values.insert(line.substr(line.find('=') + 1));
   }
-  EXPECT_GT(leaves, 100);
+  EXPECT_GT(leaves, 90);
   EXPECT_EQ(static_cast<int>(values.size()), leaves);
 
   const msg::Message wire = report.encode();
@@ -83,8 +83,6 @@ TEST(RankReportCodecTest, RoundTripIsExact) {
   EXPECT_EQ(back.traffic.peer_down_drops, report.traffic.peer_down_drops);
   EXPECT_EQ(back.server.evictions_screened, report.server.evictions_screened);
   EXPECT_EQ(back.pool.peak_in_use_doubles, report.pool.peak_in_use_doubles);
-  EXPECT_EQ(back.executor.thread_busy_seconds,
-            report.executor.thread_busy_seconds);
   EXPECT_EQ(back.master.worker_iterations, report.master.worker_iterations);
   EXPECT_EQ(back.profile.instructions().size(), 2u);
 }
@@ -205,9 +203,6 @@ struct RankReportMergeTest : ::testing::Test {
     w0.profile.record_wait(-1, 0.125, WaitKind::kServed);
     w0.profile.record_wait(-1, 0.125, WaitKind::kBarrier);
     w0.profile.record_total(2.0);
-    w0.executor.window_peak = 9;
-    w0.executor.thread_busy_seconds = {0.5, 0.25};
-    w0.threads = 4;
     w0.peak_local_doubles = 100;
     w0.dist.gets_issued = 5;
     w0.dist.coalesce_flushes = 2;
@@ -222,9 +217,6 @@ struct RankReportMergeTest : ::testing::Test {
     w1.profile.record_wait(-1, 0.0625, WaitKind::kBlock);
     w1.profile.record_wait(-1, 0.1875, WaitKind::kChunk);
     w1.profile.record_total(3.0);
-    w1.executor.window_peak = 6;
-    w1.executor.thread_busy_seconds = {0.125};
-    w1.threads = 2;
     w1.peak_local_doubles = 300;
     w1.dist.gets_issued = 7;
     w1.resident[0] = 1;
@@ -259,14 +251,11 @@ TEST_F(RankReportMergeTest, SumsSumFieldsAndMaxesMaxFields) {
 
   // Max fields.
   EXPECT_EQ(p.total_elapsed, 3.0);
-  EXPECT_EQ(p.executor.window_peak, 9);
-  EXPECT_EQ(p.executor.threads, 4);
   EXPECT_EQ(result.workers.peak_local_doubles, 300u);
 
   // Sum fields, including the retired incarnation's.
   EXPECT_EQ(p.total_wait, 0.75);
   EXPECT_EQ(p.block_wait, 0.3125);
-  EXPECT_EQ(p.executor.thread_busy_seconds, 0.875);
   EXPECT_EQ(result.workers.gets_issued, 12);
   EXPECT_EQ(result.workers.coalesce_flushes, 3);
   EXPECT_EQ(p.served.server_requests, 14);
@@ -302,14 +291,16 @@ TEST_F(RankReportMergeTest, AddFoldsByFieldList) {
   for (const RankReport& report : reports) fields::fold(total, report);
   EXPECT_EQ(total.profile.total_elapsed(), 3.0);
   EXPECT_EQ(total.profile.total_wait(), 0.75);
-  EXPECT_EQ(total.threads, 4);
-  EXPECT_EQ(total.executor.window_peak, 9);
   EXPECT_EQ(total.peak_local_doubles, 300u);
   EXPECT_EQ(total.dist.gets_issued, 12);
   EXPECT_EQ(total.profile.instructions().at(0).count, 3);
-  EXPECT_EQ(total.executor.thread_busy_seconds,
-            (std::vector<double>{0.625, 0.25}));
   EXPECT_EQ(total.resident[0], 3);
+  // Vectors fold element-wise, growing to the longer operand.
+  RankReport extra;
+  extra.master.worker_iterations = {1};
+  fields::fold(total, extra);
+  EXPECT_EQ(total.master.worker_iterations,
+            (std::vector<std::int64_t>{4, 5}));
 }
 
 TEST_F(RankReportMergeTest, ReportsThatDoNotFitAreRejected) {

@@ -402,5 +402,49 @@ TEST(SipDistTest, GetOvertakingTheOwnersReleaseWaitsForIt) {
   EXPECT_EQ(got->data()[0], 5.0);
 }
 
+// The same ordering race for puts: worker 1 puts a block in epoch 0,
+// worker 2 is released first and replaces it in epoch 1 before the
+// owner's own release. That is a legal put-barrier-put, not two workers
+// writing one block in the same epoch: the owner applies it once it is
+// released.
+TEST(SipDistTest, PutOvertakingTheOwnersReleaseWaitsForIt) {
+  SipConfig config = config_with(3, 3);
+  const sial::ResolvedProgram program(
+      sial::compile_sial("sial test\nmoindex i = 1, n\ndistributed d(i)\n"
+                         "endsial\n"),
+      config);
+  msg::Fabric fabric(config.total_ranks());
+  SipShared shared(program, config, "", {});
+  shared.fabric = &fabric;
+  BlockPool first_pool, second_pool, owner_pool;
+  DistArrayManager first(shared, 1, first_pool, 1 << 16);
+  DistArrayManager second(shared, 2, second_pool, 1 << 16);
+  DistArrayManager owner(shared, 3, owner_pool, 1 << 16);
+  BlockId id(0, std::vector<int>{1});
+  for (int segment = 2; shared.owner_rank(id) != 3; ++segment) {
+    id = BlockId(0, std::vector<int>{segment});
+  }
+  const auto put_value = [&](DistArrayManager& writer, double value) {
+    auto block = std::make_shared<Block>(BlockShape(std::vector<int>{3}));
+    for (double& v : block->data()) v = value;
+    writer.put(id, block, /*accumulate=*/false);
+    std::optional<msg::Message> put = fabric.try_recv(3);
+    EXPECT_TRUE(put.has_value());
+    if (put.has_value()) {
+      EXPECT_EQ(put->tag, msg::kBlockPut);
+      EXPECT_NO_THROW(owner.handle_put(*put, /*accumulate=*/false));
+    }
+  };
+  put_value(first, 5.0);
+
+  second.advance_epoch();  // worker 2's release arrived first
+  put_value(second, 7.0);
+  EXPECT_EQ(owner.home_blocks().at(id)->data()[0], 5.0)
+      << "applied a put from a later epoch";
+
+  owner.advance_epoch();  // the owner's release
+  EXPECT_EQ(owner.home_blocks().at(id)->data()[0], 7.0);
+}
+
 }  // namespace
 }  // namespace sia::sip

@@ -121,14 +121,12 @@ TEST(KernelScreenTest, PermuteAccumulateSkipsButAssignCopies) {
 // ---------------------------------------------------------------------
 // Randomized end-to-end properties over ranks 1-4.
 
-SipConfig sparse_config(int workers, int segment, double threshold,
-                        int worker_threads = -1) {
+SipConfig sparse_config(int workers, int segment, double threshold) {
   chem::register_chem_superinstructions();
   SipConfig config;
   config.workers = workers;
   config.io_servers = 1;
   config.default_segment = segment;
-  config.worker_threads = worker_threads;
   config.sparse_threshold = threshold;
   config.constants = {{"n", 16}, {"norb", 96}, {"nocc", 16}};
   return config;
@@ -169,22 +167,22 @@ std::string rank_roundtrip_source(int rank, bool sparse, double rate,
 TEST(SparsePropertyTest, ThresholdZeroIsBitIdenticalToDense) {
   std::mt19937 rng(20260808);
   for (int rank = 1; rank <= 4; ++rank) {
-    for (const int threads : {0, 2}) {
+    for (int draw = 0; draw < 2; ++draw) {
       const double rate =
           std::uniform_real_distribution<double>(1.8, 2.5)(rng);
       const int fill_seed = static_cast<int>(rng() % 1000) + 1;
-      // One worker and hazard-ordered retire make the float accumulation
-      // order reproducible across the two runs, so equality is exact.
+      // One worker makes the float accumulation order reproducible
+      // across the two runs, so equality is exact.
       const std::string dense =
           rank_roundtrip_source(rank, false, rate, fill_seed);
       const std::string sparse =
           rank_roundtrip_source(rank, true, rate, fill_seed);
-      Sip dense_sip(sparse_config(1, 4, 0.0, threads));
-      Sip sparse_sip(sparse_config(1, 4, 0.0, threads));
+      Sip dense_sip(sparse_config(1, 4, 0.0));
+      Sip sparse_sip(sparse_config(1, 4, 0.0));
       const double want = dense_sip.run_source(dense).scalar("total");
       const RunResult got = sparse_sip.run_source(sparse);
       EXPECT_EQ(got.scalar("total"), want)
-          << "rank=" << rank << " threads=" << threads;
+          << "rank=" << rank << " draw=" << draw;
       EXPECT_EQ(got.traffic.blocks_screened, 0);
       EXPECT_FALSE(got.profile.screening.any());
     }

@@ -217,7 +217,6 @@ SipConfig parity_config(const std::string& transport) {
   SipConfig config;
   config.workers = 1;
   config.io_servers = 1;
-  config.worker_threads = 0;
   config.prefetch_depth = 0;
   config.server_disk_threads = 0;
   config.default_segment = 4;
