@@ -93,26 +93,22 @@ void BM_Permute4(benchmark::State& state) {
 }
 BENCHMARK(BM_Permute4)->Arg(8)->Arg(16)->Arg(24);
 
-// On-demand integral block generation (compute_integrals body).
+// On-demand integral block generation: the table-driven fill that the
+// compute_integrals super instruction and the server generator run.
 void BM_IntegralBlock(benchmark::State& state) {
   const int seg = static_cast<int>(state.range(0));
-  Block block{BlockShape(std::vector<int>{seg, seg, seg, seg})};
+  const std::vector<int> extents = {seg, seg, seg, seg};
+  const std::vector<long> first = {1, 1, 1, 1};
+  Block block{BlockShape(extents)};
   for (auto _ : state) {
-    auto data = block.data();
-    std::size_t n = 0;
-    for (int p = 1; p <= seg; ++p) {
-      for (int q = 1; q <= seg; ++q) {
-        for (int r = 1; r <= seg; ++r) {
-          for (int s = 1; s <= seg; ++s) {
-            data[n++] = chem::synthetic_integral(p, q, r, s);
-          }
-        }
-      }
-    }
-    benchmark::DoNotOptimize(data.data());
+    chem::fill_integral_block(block.data(), extents, first);
+    benchmark::DoNotOptimize(block.data().data());
+    benchmark::ClobberMemory();
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(block.size()));
 }
-BENCHMARK(BM_IntegralBlock)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_IntegralBlock)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
 // Preallocated pool slots vs heap fallback (the paper's block stacks).
 void BM_PoolAllocate(benchmark::State& state) {

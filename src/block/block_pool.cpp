@@ -27,13 +27,15 @@ class PoolCore {
       SIA_CHECK(capacity > 0, "BlockPool: zero-capacity size class");
       total += capacity * slots;
     }
-    arena_.resize(total);
+    // Default-initialised, not zeroed (see block_pool.hpp).
+    arena_ = std::make_unique_for_overwrite<double[]>(total);
+    arena_doubles_ = total;
     std::size_t offset = 0;
     for (const auto& [capacity, slots] : size_classes) {  // map: ascending
       auto cls = std::make_unique<SizeClass>();
       cls->capacity = capacity;
       for (std::size_t s = 0; s < slots; ++s) {
-        cls->free_slots.push_back(arena_.data() + offset);
+        cls->free_slots.push_back(arena_.get() + offset);
         offset += capacity;
       }
       classes_.push_back(std::move(cls));
@@ -91,7 +93,7 @@ class PoolCore {
     return stats;
   }
 
-  std::size_t total_pool_doubles() const { return arena_.size(); }
+  std::size_t total_pool_doubles() const { return arena_doubles_; }
 
   std::size_t free_slots_for(std::size_t count) const {
     for (const auto& cls : classes_) {
@@ -120,7 +122,8 @@ class PoolCore {
     }
   }
 
-  std::vector<double> arena_;
+  std::unique_ptr<double[]> arena_;
+  std::size_t arena_doubles_ = 0;
   // unique_ptr: SizeClass holds a mutex, so it must not move.
   std::vector<std::unique_ptr<SizeClass>> classes_;  // capacity ascending
   bool allow_heap_fallback_ = true;

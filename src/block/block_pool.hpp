@@ -9,6 +9,12 @@
 // release pushes it back. A configurable heap fallback (with a counter)
 // lets non-dry-run callers keep running while making pool misses visible.
 //
+// The arena is reserved, not zeroed: its pages fault in when a slot is
+// first written, so a pool sized for the dry run's peak costs nothing up
+// front for slots a run never reaches. Slots (fresh or recycled) hold
+// arbitrary bytes; Block's constructors zero-fill their storage, and the
+// runtime hands out every slot through one of them.
+//
 // The slot storage lives in a shared PoolCore: the owning BlockPool and
 // every outstanding PoolBuffer hold a reference, so a buffer may outlive
 // the BlockPool object that allocated it. The zero-copy message path

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <mutex>
 #include <span>
+#include <vector>
 
 #include "common/error.hpp"
 #include "sip/io_server.hpp"
@@ -29,6 +30,65 @@ double synthetic_integral(long p, long q, long r, long s) {
          (1.0 + 0.10 * dc);
 }
 
+void fill_integral_block(std::span<double> data, std::span<const int> extents,
+                         std::span<const long> first) {
+  SIA_CHECK(extents.size() == 4 && first.size() == 4,
+            "fill_integral_block: region must have rank 4");
+  const long np = extents[0], nq = extents[1], nr = extents[2],
+             ns = extents[3];
+  SIA_CHECK(np >= 0 && nq >= 0 && nr >= 0 && ns >= 0 &&
+                data.size() == static_cast<std::size_t>(np * nq * nr * ns),
+            "fill_integral_block: data size does not match the extents");
+  if (data.empty()) return;
+  const long p0 = first[0], q0 = first[1], r0 = first[2], s0 = first[3];
+
+  // a(p,q) = 0.25 exp(-0.2|p-q|) and b(r,s) = exp(-0.2|r-s|): the two
+  // leading factors of synthetic_integral, computed the same way (scaling
+  // b by 1.0 is exact).
+  auto decay_table = [](long x0, long nx, long y0, long ny, double scale) {
+    std::vector<double> table;
+    table.reserve(static_cast<std::size_t>(nx * ny));
+    for (long x = x0; x < x0 + nx; ++x) {
+      for (long y = y0; y < y0 + ny; ++y) {
+        const double d = static_cast<double>(x > y ? x - y : y - x);
+        table.push_back(scale * std::exp(-0.20 * d));
+      }
+    }
+    return table;
+  };
+  const std::vector<double> a = decay_table(p0, np, q0, nq, 0.25);
+  const std::vector<double> b = decay_table(r0, nr, s0, ns, 1.0);
+
+  // The denominator depends on k = (p+q)-(r+s) only: synthetic_integral's
+  // dc = |(p+q)/2 - (r+s)/2| is a difference of exact half-integers, so it
+  // equals |k|/2 exactly. The table runs over kmax..kmin (descending k),
+  // so that it ascends with s in the inner loop.
+  const long kmax = (p0 + np - 1) + (q0 + nq - 1) - (r0 + s0);
+  const long kmin = (p0 + q0) - ((r0 + nr - 1) + (s0 + ns - 1));
+  std::vector<double> den(static_cast<std::size_t>(kmax - kmin + 1));
+  for (long k = kmax; k >= kmin; --k) {
+    const double dc = 0.5 * static_cast<double>(k > 0 ? k : -k);
+    den[static_cast<std::size_t>(kmax - k)] = 1.0 + 0.10 * dc;
+  }
+
+  double* out = data.data();
+  for (long p = 0; p < np; ++p) {
+    for (long q = 0; q < nq; ++q) {
+      const double apq = a[static_cast<std::size_t>(p * nq + q)];
+      // den index of (p,q,r,s) is kmax - k = base + r + s.
+      const long base = kmax - ((p0 + p) + (q0 + q)) + r0 + s0;
+      for (long r = 0; r < nr; ++r) {
+        const double* brs = b.data() + r * ns;
+        const double* drs = den.data() + (base + r);
+        for (long s = 0; s < ns; ++s) {
+          out[s] = apq * brs[s] / drs[s];
+        }
+        out += ns;
+      }
+    }
+  }
+}
+
 double synthetic_core_h(long p, long q) {
   const double d = static_cast<double>(p > q ? p - q : q - p);
   const double diag = p == q ? -2.0 - 0.002 * static_cast<double>(p) : 0.0;
@@ -52,6 +112,42 @@ double denominator_from_coords(std::span<const long> coords, long nocc) {
     denom += p <= nocc ? eps : -eps;
   }
   return denom;
+}
+
+void divide_by_denominators(std::span<double> t, std::span<const double> r,
+                            std::span<const int> extents,
+                            std::span<const long> first, long nocc) {
+  SIA_CHECK(extents.size() == 4 && first.size() == 4,
+            "divide_by_denominators: region must have rank 4");
+  // signed_eps[d][x]: the term denominator_from_coords adds for coordinate
+  // first[d] + x along axis d.
+  std::array<std::vector<double>, 4> signed_eps;
+  std::size_t count = 1;
+  for (std::size_t d = 0; d < 4; ++d) {
+    SIA_CHECK(extents[d] >= 0, "divide_by_denominators: negative extent");
+    for (long p = first[d]; p < first[d] + extents[d]; ++p) {
+      const double eps = orbital_energy(p, nocc);
+      signed_eps[d].push_back(p <= nocc ? eps : -eps);
+    }
+    count *= static_cast<std::size_t>(extents[d]);
+  }
+  SIA_CHECK(t.size() == count && r.size() == count,
+            "divide_by_denominators: data size does not match the extents");
+  const auto& [e0, e1, e2, e3] = signed_eps;
+  std::size_t n = 0;
+  for (const double t0 : e0) {
+    const double d0 = 0.0 + t0;
+    for (const double t1 : e1) {
+      const double d1 = d0 + t1;
+      for (const double t2 : e2) {
+        const double d2 = d1 + t2;
+        for (const double t3 : e3) {
+          t[n] = r[n] / (d2 + t3);
+          ++n;
+        }
+      }
+    }
+  }
 }
 
 namespace {
@@ -96,9 +192,9 @@ void require_rank(SuperInstructionContext& ctx, int arg, int rank,
 // compute_integrals V(p,q,r,s): fill the block with synthetic (pq|rs).
 void si_compute_integrals(SuperInstructionContext& ctx) {
   require_rank(ctx, 0, 4, "compute_integrals");
-  visit_block(ctx, 0, [](double& value, std::span<const long> c) {
-    value = synthetic_integral(c[0], c[1], c[2], c[3]);
-  });
+  const sial::BlockSelector& sel = ctx.selector(0);
+  fill_integral_block(ctx.block_arg(0).data(), {sel.extents.data(), 4},
+                      {sel.first_element.data(), 4});
 }
 
 // compute_core_h H(p,q).
@@ -155,11 +251,10 @@ void si_cc_update(SuperInstructionContext& ctx) {
   if (r.size() != ctx.block_arg(0).size()) {
     throw RuntimeError("cc_update: T and R shapes differ");
   }
-  const double* src = r.data().data();
-  std::size_t n = 0;
-  visit_block(ctx, 0, [&](double& t, std::span<const long> c) {
-    t = src[n++] / denominator_from_coords(c, nocc);
-  });
+  const sial::BlockSelector& sel = ctx.selector(0);
+  divide_by_denominators(ctx.block_arg(0).data(), r.data(),
+                         {sel.extents.data(), 4},
+                         {sel.first_element.data(), 4}, nocc);
 }
 
 }  // namespace
@@ -184,18 +279,7 @@ void register_chem_superinstructions() {
           if (block.shape().rank() != 4) {
             throw RuntimeError("integral_generator needs a rank-4 array");
           }
-          auto data = block.data();
-          std::size_t n = 0;
-          for (int p = 0; p < block.shape().extent(0); ++p) {
-            for (int q = 0; q < block.shape().extent(1); ++q) {
-              for (int r = 0; r < block.shape().extent(2); ++r) {
-                for (int s = 0; s < block.shape().extent(3); ++s) {
-                  data[n++] = synthetic_integral(first[0] + p, first[1] + q,
-                                                 first[2] + r, first[3] + s);
-                }
-              }
-            }
-          }
+          fill_integral_block(block.data(), block.shape().extents(), first);
         });
   });
 }

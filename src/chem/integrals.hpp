@@ -18,6 +18,16 @@
 //   cc_update          T R               T = R / orbital-energy denominator
 // All are pure functions of absolute coordinates, so every worker sees
 // identical replicated data.
+//
+// Integral blocks are filled separably (fill_integral_block): the two
+// exponentials depend only on (p,q) and on (r,s), and the denominator only
+// on the integer (p+q)-(r+s), so each block builds three small tables and
+// its inner loop is one multiply and one divide per element. The tables
+// hold exactly the subexpressions synthetic_integral computes, and the
+// inner loop combines them in the same order, so every element is
+// bit-identical to the per-element reference. cc_update does the same
+// with per-axis tables of signed orbital energies, summed in coordinate
+// order as denominator_from_coords does.
 #pragma once
 
 #include <span>
@@ -32,6 +42,13 @@ double orbital_energy(long p, long nocc);
 // Synthetic two-electron integral (pq|rs), 1-based orbital indices.
 double synthetic_integral(long p, long q, long r, long s);
 
+// Fills `data` (row-major, last index fastest) with synthetic_integral
+// over the rank-4 region of `extents` whose first element has 1-based
+// coordinates `first`. Bit-identical to calling synthetic_integral per
+// element.
+void fill_integral_block(std::span<double> data, std::span<const int> extents,
+                         std::span<const long> first);
+
 // Synthetic one-electron (core) Hamiltonian element.
 double synthetic_core_h(long p, long q);
 
@@ -45,6 +62,13 @@ double mp2_denominator(long i, long a, long j, long b, long nocc);
 // enter with +eps, virtuals with -eps, so any index order of a doubles
 // amplitude block yields the same value.
 double denominator_from_coords(std::span<const long> coords, long nocc);
+
+// t = r / denominator over the rank-4 region of `extents` whose first
+// element has 1-based coordinates `first` (the cc_update body).
+// Bit-identical to dividing each element by denominator_from_coords.
+void divide_by_denominators(std::span<double> t, std::span<const double> r,
+                            std::span<const int> extents,
+                            std::span<const long> first, long nocc);
 
 // Registers the chem super instructions (idempotent). The number of
 // occupied orbitals is read from the SIAL program's `nocc` constant via

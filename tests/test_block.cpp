@@ -2,6 +2,8 @@
 // pools, and the LRU cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -205,6 +207,23 @@ TEST(BlockPoolTest, SlotsAreRecycled) {
   }
   PoolBuffer b = pool.allocate(8);
   EXPECT_EQ(b.data(), first);
+}
+
+TEST(BlockPoolTest, BlockFromDirtyRecycledSlotReadsZero) {
+  // The arena is never zeroed, so a recycled slot keeps whatever its last
+  // block wrote; the Block constructor must clear it.
+  const BlockShape shape(std::vector<int>{2, 3, 4});
+  BlockPool pool({{shape.element_count(), 1}}, /*allow_heap_fallback=*/false);
+  double* slot = nullptr;
+  {
+    PoolBuffer buffer = pool.allocate(shape.element_count());
+    slot = buffer.data();
+    std::fill_n(slot, buffer.capacity(), std::nan(""));
+  }
+  const Block block(shape, pool.allocate(shape.element_count()));
+  ASSERT_EQ(block.data().data(), slot);
+  for (const double v : block.data()) EXPECT_EQ(v, 0.0);
+  EXPECT_EQ(block.norm(), 0.0);
 }
 
 TEST(BlockPoolTest, HeapFallbackCounted) {

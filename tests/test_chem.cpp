@@ -3,11 +3,18 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "chem/integrals.hpp"
 #include "chem/reference.hpp"
 #include "chem/system.hpp"
+#include "sial/compiler.hpp"
+#include "sip/io_server.hpp"
+#include "sip/superinstr.hpp"
 
 namespace sia::chem {
 namespace {
@@ -145,6 +152,132 @@ TEST(ReferenceTest, ContractionChecksumDeterministic) {
                    ref_contraction_rnorm2(6, 3, 7.0));
   EXPECT_NE(ref_contraction_rnorm2(6, 3, 7.0),
             ref_contraction_rnorm2(6, 3, 8.0));
+}
+
+// A random rank-4 region: extents 1..20 per axis, first element at 1-based
+// offsets up to 300, cut out of a larger containing block the way a
+// subindex or slice operand selects its effective region.
+sial::BlockSelector random_region(std::mt19937& rng) {
+  std::uniform_int_distribution<int> extent(1, 20);
+  std::uniform_int_distribution<int> origin(0, 5);
+  std::uniform_int_distribution<long> first(1, 300);
+  sial::BlockSelector sel;
+  sel.rank = 4;
+  sel.sliced = true;
+  for (std::size_t d = 0; d < 4; ++d) {
+    sel.extents[d] = extent(rng);
+    sel.slice_origin[d] = origin(rng);
+    sel.block_extents[d] = sel.slice_origin[d] + sel.extents[d] + origin(rng);
+    sel.first_element[d] = first(rng);
+  }
+  return sel;
+}
+
+// Calls super instruction `name` with `args` as a worker would.
+void run_superinstruction(const std::string& name,
+                          std::vector<sip::ExecArgValue>& args) {
+  register_chem_superinstructions();
+  static const sial::ResolvedProgram program(
+      sial::compile_sial("sial chem_test\nendsial\n"), SipConfig{});
+  const sip::SuperInstructionFn* fn =
+      sip::SuperInstructionRegistry::global().lookup(name);
+  ASSERT_NE(fn, nullptr) << name;
+  sip::SuperInstructionContext ctx(program, args, 0, 1);
+  (*fn)(ctx);
+}
+
+sip::ExecArgValue block_arg(const sial::BlockSelector& sel) {
+  sip::ExecArgValue arg;
+  arg.kind = sial::ExecOperand::Kind::kBlock;
+  arg.block = std::make_shared<Block>(sel.shape());
+  arg.selector = sel;
+  return arg;
+}
+
+// Number of elements of `got` whose bits differ from `want` (all of them
+// when the sizes differ).
+std::size_t bit_mismatches(std::span<const double> got,
+                           std::span<const double> want) {
+  if (got.size() != want.size()) return want.size();
+  std::size_t bad = 0;
+  for (std::size_t n = 0; n < want.size(); ++n) {
+    if (std::memcmp(&got[n], &want[n], sizeof(double)) != 0) ++bad;
+  }
+  return bad;
+}
+
+// synthetic_integral over `sel`'s region, row-major.
+std::vector<double> scalar_integrals(const sial::BlockSelector& sel) {
+  std::vector<double> want;
+  const auto& f = sel.first_element;
+  for (long p = f[0]; p < f[0] + sel.extents[0]; ++p) {
+    for (long q = f[1]; q < f[1] + sel.extents[1]; ++q) {
+      for (long r = f[2]; r < f[2] + sel.extents[2]; ++r) {
+        for (long s = f[3]; s < f[3] + sel.extents[3]; ++s) {
+          want.push_back(synthetic_integral(p, q, r, s));
+        }
+      }
+    }
+  }
+  return want;
+}
+
+TEST(IntegralFillTest, BlockFillMatchesScalarBitForBit) {
+  register_chem_superinstructions();
+  const sip::ServerComputeFn* generator =
+      sip::ServerComputeRegistry::global().lookup("integral_generator");
+  ASSERT_NE(generator, nullptr);
+  std::mt19937 rng(20100601);
+  for (int trial = 0; trial < 40; ++trial) {
+    const sial::BlockSelector sel = random_region(rng);
+    const std::vector<double> want = scalar_integrals(sel);
+    const std::span<const long> first(sel.first_element.data(), 4);
+
+    // compute_integrals on an effective-region operand.
+    std::vector<sip::ExecArgValue> args = {block_arg(sel)};
+    run_superinstruction("compute_integrals", args);
+    EXPECT_EQ(bit_mismatches(std::as_const(*args[0].block).data(), want), 0u)
+        << "compute_integrals, trial " << trial << " " << sel.shape().to_string();
+
+    // The I/O server's on-demand generator for computed served arrays.
+    Block served(sel.shape());
+    (*generator)(served, first);
+    EXPECT_EQ(bit_mismatches(std::as_const(served).data(), want), 0u)
+        << "integral_generator, trial " << trial;
+  }
+}
+
+TEST(CcUpdateTest, TableDenominatorMatchesPerElement) {
+  std::mt19937 rng(20100602);
+  std::uniform_real_distribution<double> value(-1.0, 1.0);
+  for (int trial = 0; trial < 40; ++trial) {
+    const sial::BlockSelector sel = random_region(rng);
+    // nocc inside the region's coordinate span, so both occupied (+eps)
+    // and virtual (-eps) terms occur.
+    const long nocc = std::uniform_int_distribution<long>(1, 320)(rng);
+    std::vector<sip::ExecArgValue> args = {block_arg(sel), block_arg(sel),
+                                           sip::ExecArgValue{}};
+    args[2].number = static_cast<double>(nocc);
+    for (double& r : args[1].block->data()) r = value(rng);
+    run_superinstruction("cc_update", args);
+
+    const Block& r = *args[1].block;
+    std::vector<double> want;
+    const auto& f = sel.first_element;
+    std::size_t n = 0;
+    for (long a = f[0]; a < f[0] + sel.extents[0]; ++a) {
+      for (long i = f[1]; i < f[1] + sel.extents[1]; ++i) {
+        for (long b = f[2]; b < f[2] + sel.extents[2]; ++b) {
+          for (long j = f[3]; j < f[3] + sel.extents[3]; ++j) {
+            const std::array<long, 4> c = {a, i, b, j};
+            want.push_back(r.data()[n++] / denominator_from_coords(c, nocc));
+          }
+        }
+      }
+    }
+    EXPECT_EQ(bit_mismatches(std::as_const(*args[0].block).data(), want), 0u)
+        << "trial " << trial << " nocc " << nocc;
+  }
 }
 
 TEST(ChemSuperInstructionsTest, RegistrationIsIdempotent) {
