@@ -4,9 +4,9 @@
 //
 // The grid mirrors ablation_segment_size: segment size on the Fock build
 // (norb=32, 4 workers), "the most significant factor" (paper §VI-A). It
-// runs a bigger problem than the interactive ablation so the ~5 ms
-// planning cost (GEMM probe + sweep), which the auto cell pays and hand
-// cells do not, is amortized the way it is in real runs.
+// runs a bigger problem than the interactive ablation so the planning
+// cost (the segment sweep), which the auto cell pays and hand cells do
+// not, is amortized the way it is in real runs.
 // Each hand cell pins the swept knob; the auto cell leaves it to the
 // planner (config.autotune, fresh calibration file), runs cold, then
 // runs again calibrated and reports both model errors. The committed

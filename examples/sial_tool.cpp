@@ -3,13 +3,13 @@
 //   sial_tool compile  <file.sial>          parse + check + disassemble
 //   sial_tool dryrun   <file.sial> [opts]   master's memory analysis
 //   sial_tool run      <file.sial> [opts]   execute on the SIP
-//   sial_tool plan     <file.sial> [opts]   print the autotuner's plan and
-//                                           predicted time, without running
+//   sial_tool plan     <file.sial> [opts]   print the autotuner's plan,
+//                                           predicted time and cost table,
+//                                           without running
 //   sial_tool model    <file.sial> [opts]   project cluster-scale
 //                                           performance (paper sec. VIII)
 //
 // Options: -w N (workers), -s N (io servers), -g N (segment size),
-//          -t N (compute threads per worker; 0 = serial interpreter),
 //          -O0 / -O1 / -O2 (bytecode optimization level; default -O2),
 //          --dump-bytecode[=opt|raw] (annotated listing of the optimized
 //          bytecode, or the raw compiler output),
@@ -172,6 +172,13 @@ int main(int argc, char** argv) {
                   "%d candidates swept, %s calibration\n",
                   choice.predicted_seconds, choice.baseline_seconds,
                   choice.candidates, choice.calibrated ? "host" : "cold");
+      std::printf("cost table (%s transport):\n", config.transport.c_str());
+      for (std::size_t c = 0; c < sia::sim::kCostClassCount; ++c) {
+        std::printf("  %-12s %10.3g s fixed %10.3g s per unit\n",
+                    sia::sim::kCostClassNames[c],
+                    choice.costs.classes[c].fixed_s,
+                    choice.costs.classes[c].per_unit_s);
+      }
       if (!choice.pinned.empty()) {
         std::printf("pinned by user:");
         for (const std::string& knob : choice.pinned) {

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Full verification: the tier-1 suite, the ThreadSanitizer subset, and
-# the chaos/process matrix, in that order (fastest signal first).
+# Full verification: the tier-1 suite, a loaded repeat of it, the
+# ThreadSanitizer subset, and the chaos/process matrix, in that order
+# (fastest signal first).
 #
 #   scripts/verify.sh [build-dir]     default build dir: ./build
 #
@@ -21,6 +22,22 @@ cmake --build "$build" -j "$(nproc)"
 cd "$build"
 echo "== tier-1 =="
 ctest --output-on-failure
+echo "== loaded repeat =="
+# Two concurrent passes, each repeating every test until it fails (at
+# most five runs), load the host the way parallel CI jobs do: races on
+# shared temp paths or timing show up here, not in one quiet pass.
+ctest -j4 --repeat until-fail:5 --output-on-failure >loaded-a.log 2>&1 &
+pass_a=$!
+ctest -j4 --repeat until-fail:5 --output-on-failure >loaded-b.log 2>&1 &
+pass_b=$!
+loaded=0
+wait "$pass_a" || loaded=1
+wait "$pass_b" || loaded=1
+if [ "$loaded" -ne 0 ]; then
+  tail -n 40 loaded-a.log loaded-b.log
+  echo "verify: loaded repeat failed"
+  exit 1
+fi
 echo "== tsan subset =="
 ctest --output-on-failure -L tsan
 echo "== chaos matrix =="

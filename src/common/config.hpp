@@ -172,19 +172,18 @@ struct SipConfig {
 
   // ---- Launch-time autotuning (the planner) ----
 
-  // Sweep the tunable knobs above (prefetch_depth, chunk_divisor/
-  // min_chunk, segment size, put coalescing, server knobs) through the
-  // DES performance model at launch and apply the winning plan before
-  // resolution. A tuned knob
-  // (its `fields` entry names a planner dimension) that differs from a
-  // default-constructed SipConfig is pinned and never overridden. The
+  // Sweep the segment size through the priced DES performance model at
+  // launch, size the server knobs from the dry run, and apply the plan
+  // before resolution. A tuned knob (its `fields` entry names a planner
+  // dimension) that differs from a default-constructed SipConfig is
+  // pinned and never overridden. The
   // SIA_AUTOTUNE environment variable ("0"/"1") wins over this field
   // either way.
   bool autotune = false;
 
-  // Per-host calibration constants file (measured GEMM rate, fabric
-  // latency/bandwidth, model bias) persisted after each planned run so
-  // the model self-corrects. Empty: SIA_CALIBRATION env, else
+  // Per-host calibration file (the planner's per-transport cost tables)
+  // refitted after each planned run so the model self-corrects. Empty:
+  // SIA_CALIBRATION env, else
   // ~/.cache/sia/calibration.
   std::string calibration_file;
 
@@ -316,20 +315,16 @@ struct SipConfig {
     visit("server_cache_bytes", Knob{.tuned = "server_cache_bytes"},
           s.server_cache_bytes...);
     visit("opt_level", Knob{.min = 0, .max = 2}, s.opt_level...);
-    visit("prefetch_depth", Knob{.min = 0, .tuned = "prefetch_depth"},
-          s.prefetch_depth...);
+    visit("prefetch_depth", Knob{.min = 0}, s.prefetch_depth...);
     visit("server_disk_threads",
           Knob{.min = 0, .tuned = "server_disk_threads"},
           s.server_disk_threads...);
     visit("server_cold_io", Knob{}, s.server_cold_io...);
     visit("sparse_threshold", Knob{.min = 0}, s.sparse_threshold...);
-    visit("coalesce_puts", Knob{.tuned = "coalesce_puts"},
-          s.coalesce_puts...);
+    visit("coalesce_puts", Knob{}, s.coalesce_puts...);
     visit("batch_gets", Knob{}, s.batch_gets...);
-    visit("chunk_divisor", Knob{.min = 1, .tuned = "chunk_divisor"},
-          s.chunk_divisor...);
-    visit("min_chunk", Knob{.min = 1, .tuned = "min_chunk"},
-          s.min_chunk...);
+    visit("chunk_divisor", Knob{.min = 1}, s.chunk_divisor...);
+    visit("min_chunk", Knob{.min = 1}, s.min_chunk...);
     visit("work_stealing", Knob{}, s.work_stealing...);
     visit("autotune", Knob{}, s.autotune...);
     visit("calibration_file", Knob{}, s.calibration_file...);

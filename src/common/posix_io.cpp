@@ -1,9 +1,13 @@
 #include "common/posix_io.hpp"
 
+#include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <cstdint>
+#include <cstdio>
 #include <mutex>
 
 namespace sia {
@@ -65,6 +69,23 @@ ssize_t pwrite_full(int fd, const void* buf, std::size_t count,
 
 int fdatasync_eintr(int fd) {
   return static_cast<int>(retry_eintr([&] { return ::fdatasync(fd); }));
+}
+
+bool replace_file(const std::string& path,
+                  const std::function<bool(int fd)>& write) {
+  static std::atomic<std::uint64_t> counter{0};
+  const std::string temp = path + ".tmp." + std::to_string(::getpid()) +
+                           "." + std::to_string(counter++);
+  const int fd = retry_eintr([&] {
+    return ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                  0644);
+  });
+  if (fd < 0) return false;
+  const bool written = write(fd) && fdatasync_eintr(fd) == 0;
+  close_quiet(fd);
+  if (written && std::rename(temp.c_str(), path.c_str()) == 0) return true;
+  ::unlink(temp.c_str());
+  return false;
 }
 
 void close_quiet(int fd) {

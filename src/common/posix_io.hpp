@@ -14,6 +14,8 @@
 //     or a real error (partial transfer + EINTR both retried);
 //   * pread_full/pwrite_full — the positional variants DiskStore uses;
 //   * fdatasync_eintr      — fdatasync with the same retry;
+//   * replace_file         — crash-safe whole-file replace (temp file,
+//     fdatasync, rename) for persistent state;
 //   * ignore_sigpipe()     — process-wide SIGPIPE suppression so a write
 //     to a reset socket fails with EPIPE instead of killing the rank.
 //
@@ -27,6 +29,8 @@
 
 #include <cerrno>
 #include <cstddef>
+#include <functional>
+#include <string>
 
 namespace sia {
 
@@ -54,6 +58,14 @@ ssize_t pwrite_full(int fd, const void* buf, std::size_t count,
 
 // fdatasync with EINTR retry; returns 0 or -1 with errno set.
 int fdatasync_eintr(int fd);
+
+// Replaces the file at `path` crash-safely: `write` fills a private temp
+// file beside it (returning false on failure), which is fdatasync'ed and
+// renamed over `path`. A reader, or a restart after a crash at any point,
+// sees the old file or the new one, never a torn one. Returns false, and
+// leaves no temp file behind, if any step fails.
+bool replace_file(const std::string& path,
+                  const std::function<bool(int fd)>& write);
 
 // close with EINTR handled (POSIX leaves the fd state unspecified after
 // EINTR; retrying a close risks closing a recycled descriptor, so this

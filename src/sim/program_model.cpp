@@ -44,8 +44,7 @@ double common_elements(const sial::ResolvedProgram& program,
 // Per-iteration cost accumulator.
 struct Cost {
   double flops = 0.0;
-  double execute_flops = 0.0;  // subset of flops from superinstructions
-  double peak_block_bytes = 0.0;
+  Load load{};
   double fetches = 0.0;
   double fetch_bytes = 0.0;
   double puts = 0.0;
@@ -53,9 +52,10 @@ struct Cost {
 
   void add(const Cost& other, double weight) {
     flops += weight * other.flops;
-    execute_flops += weight * other.execute_flops;
-    // The largest block touched does not scale with trip counts.
-    peak_block_bytes = std::max(peak_block_bytes, other.peak_block_bytes);
+    for (std::size_t c = 0; c < kCostClassCount; ++c) {
+      load[c].count += weight * other.load[c].count;
+      load[c].units += weight * other.load[c].units;
+    }
     fetches += weight * other.fetches;
     fetch_bytes += weight * other.fetch_bytes;
     puts += weight * other.puts;
@@ -65,8 +65,8 @@ struct Cost {
 
 class Analyzer {
  public:
-  Analyzer(const sial::ResolvedProgram& program, const ModelOptions& options)
-      : program_(program), options_(options) {}
+  explicit Analyzer(const sial::ResolvedProgram& program)
+      : program_(program) {}
 
   WorkloadModel run() {
     WorkloadModel model;
@@ -78,8 +78,7 @@ class Analyzer {
       out.name = phase.name;
       out.tasks = std::max<std::int64_t>(1, phase.tasks);
       out.flops_per_task = phase.body.flops;
-      out.execute_flops_per_task = phase.body.execute_flops;
-      out.peak_block_bytes = phase.body.peak_block_bytes;
+      out.load_per_task = phase.body.load;
       out.fetches_per_task =
           static_cast<std::int64_t>(phase.body.fetches + 0.5);
       out.bytes_per_fetch =
@@ -93,13 +92,12 @@ class Analyzer {
       out.sweeps = std::max(1, static_cast<int>(phase.sweeps + 0.5));
       model.phases.push_back(out);
     }
+    model.sequential_load = serial_.load;
     if (serial_.flops > 0.0 || serial_.fetches > 0.0) {
       PhaseModel out;
       out.name = "sequential";
       out.tasks = 1;
       out.flops_per_task = serial_.flops;
-      out.execute_flops_per_task = serial_.execute_flops;
-      out.peak_block_bytes = serial_.peak_block_bytes;
       out.fetches_per_task =
           static_cast<std::int64_t>(serial_.fetches + 0.5);
       out.bytes_per_fetch =
@@ -242,73 +240,22 @@ class Analyzer {
   }
 
   void account(const Instruction& instr, double multiplier, bool in_pardo) {
-    const auto block_bytes = [&](const sial::BlockOperand& operand) {
-      return 8.0 * operand_elements(program_, operand);
-    };
+    const std::optional<InstructionLoad> load =
+        instruction_load(program_, instr);
+    if (!load) return;
     Cost cost;
-    switch (instr.op) {
-      case Opcode::kBlockBinary: {
-        const double dst = operand_elements(program_, instr.blocks[0]);
-        if (static_cast<sial::BinOp>(instr.a1) == sial::BinOp::kMul) {
-          cost.flops = 2.0 * dst *
-                       common_elements(program_, instr.blocks[1],
-                                       instr.blocks[2]);
-        } else {
-          cost.flops = 2.0 * dst;
-        }
-        cost.peak_block_bytes =
-            std::max({block_bytes(instr.blocks[0]),
-                      block_bytes(instr.blocks[1]),
-                      block_bytes(instr.blocks[2])});
-        break;
-      }
-      case Opcode::kBlockCopy:
-      case Opcode::kBlockScaledCopy:
-      case Opcode::kBlockScalarOp:
-        cost.flops = operand_elements(program_, instr.blocks[0]);
-        cost.peak_block_bytes = block_bytes(instr.blocks[0]);
-        break;
-      case Opcode::kBlockDot:
-        cost.flops = 2.0 * operand_elements(program_, instr.blocks[0]);
-        cost.peak_block_bytes = block_bytes(instr.blocks[0]);
-        break;
-      case Opcode::kExecute: {
-        for (const sial::ExecOperand& arg : instr.eargs) {
-          if (arg.kind == sial::ExecOperand::Kind::kBlock) {
-            cost.flops += options_.execute_flops_per_element *
-                          operand_elements(program_, arg.block);
-            cost.execute_flops = cost.flops;
-            cost.peak_block_bytes = block_bytes(arg.block);
-            break;  // first block argument sets the scale
-          }
-        }
-        break;
-      }
-      case Opcode::kGet:
-      case Opcode::kRequest:
-      case Opcode::kPrefetch: {
-        cost.fetches = 1.0;
-        cost.fetch_bytes =
-            static_cast<double>(
-                program_.array(instr.blocks[0].array_id)
-                    .max_block_elements) *
-            8.0;
-        cost.peak_block_bytes = cost.fetch_bytes;
-        break;
-      }
-      case Opcode::kPut:
-      case Opcode::kPrepare: {
+    cost.load[static_cast<std::size_t>(load->cls)] = {1.0, load->units};
+    if (load->cls == CostClass::kTransfer) {
+      if (instr.op == Opcode::kPut || instr.op == Opcode::kPrepare) {
         cost.puts = 1.0;
-        cost.put_bytes =
-            static_cast<double>(
-                program_.array(instr.blocks[0].array_id)
-                    .max_block_elements) *
-            8.0;
-        cost.peak_block_bytes = cost.put_bytes;
-        break;
+        cost.put_bytes = load->units;
+      } else {
+        cost.fetches = 1.0;
+        cost.fetch_bytes = load->units;
       }
-      default:
-        return;
+    } else if (load->cls != CostClass::kSync) {
+      // Contraction units are flops; the others do about one per element.
+      cost.flops = load->units;
     }
     if (in_pardo && current_ >= 0) {
       phases_[static_cast<std::size_t>(current_)].body.add(cost,
@@ -319,7 +266,6 @@ class Analyzer {
   }
 
   const sial::ResolvedProgram& program_;
-  const ModelOptions& options_;
   std::vector<Phase> phases_;
   int current_ = -1;
   Cost serial_;
@@ -327,9 +273,58 @@ class Analyzer {
 
 }  // namespace
 
-WorkloadModel model_program(const sial::ResolvedProgram& program,
-                            const ModelOptions& options) {
-  Analyzer analyzer(program, options);
+std::optional<InstructionLoad> instruction_load(
+    const sial::ResolvedProgram& program, const sial::Instruction& instr) {
+  switch (instr.op) {
+    case Opcode::kBlockBinary: {
+      const double dst = operand_elements(program, instr.blocks[0]);
+      if (static_cast<sial::BinOp>(instr.a1) == sial::BinOp::kMul) {
+        return InstructionLoad{
+            CostClass::kContract,
+            2.0 * dst *
+                common_elements(program, instr.blocks[1], instr.blocks[2])};
+      }
+      return InstructionLoad{CostClass::kElementwise, dst};
+    }
+    case Opcode::kBlockCopy:
+    case Opcode::kBlockScaledCopy:
+    case Opcode::kBlockScalarOp:
+    case Opcode::kBlockDot:
+      return InstructionLoad{CostClass::kElementwise,
+                             operand_elements(program, instr.blocks[0])};
+    case Opcode::kExecute:
+      for (const sial::ExecOperand& arg : instr.eargs) {
+        if (arg.kind == sial::ExecOperand::Kind::kBlock) {
+          return InstructionLoad{CostClass::kExecute,
+                                 operand_elements(program, arg.block)};
+        }
+      }
+      return InstructionLoad{CostClass::kExecute, 0.0};
+    case Opcode::kGet:
+    case Opcode::kRequest:
+    case Opcode::kPrefetch:
+    case Opcode::kPut:
+    case Opcode::kPrepare: {
+      const sial::ResolvedArray& array =
+          program.array(instr.blocks[0].array_id);
+      return InstructionLoad{
+          CostClass::kTransfer,
+          8.0 * static_cast<double>(array.max_block_elements)};
+    }
+    case Opcode::kPardoStart:
+    case Opcode::kPardoEnd:
+      return InstructionLoad{CostClass::kChunk, 0.0};
+    case Opcode::kSipBarrier:
+    case Opcode::kServerBarrier:
+    case Opcode::kCollective:
+      return InstructionLoad{CostClass::kSync, 0.0};
+    default:
+      return std::nullopt;
+  }
+}
+
+WorkloadModel model_program(const sial::ResolvedProgram& program) {
+  Analyzer analyzer(program);
   return analyzer.run();
 }
 

@@ -8,6 +8,7 @@
 // block-wise with a given segment size.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -16,18 +17,37 @@
 
 namespace sia::sim {
 
+// The opcode classes the planner's cost table prices. An instruction
+// costs a fixed time plus a time per unit of its size; each class names
+// its unit below. Control flow and scalar instructions are not priced.
+enum class CostClass : int {
+  kContract = 0,  // block contraction; unit: flop
+  kExecute,       // superinstruction; unit: element of its first block
+  kElementwise,   // element-wise op, copy, dot; unit: element
+  kChunk,         // pardo chunk request (grant round trip); fixed, per
+                  // request of the guided schedule
+  kSync,          // barrier, collective; fixed
+  kTransfer,      // get, put, request, prepare, prefetch; unit: byte
+};
+inline constexpr std::size_t kCostClassCount = 6;
+inline constexpr std::array<const char*, kCostClassCount> kCostClassNames = {
+    "contract", "execute", "elementwise", "chunk", "sync", "transfer"};
+
+// Instructions executed and units processed, per cost class.
+struct ClassLoad {
+  double count = 0.0;
+  double units = 0.0;
+};
+using Load = std::array<ClassLoad, kCostClassCount>;
+
 // One pardo phase of a computation.
 struct PhaseModel {
   std::string name;
   std::int64_t tasks = 0;        // filtered pardo iterations
   double flops_per_task = 0.0;
-  // Subset of flops_per_task from `execute`d superinstructions (integral
-  // generators): per-element work whose rate does not follow the GEMM
-  // efficiency curve. Zero in the hand-built workloads.
-  double execute_flops_per_task = 0.0;
-  // Largest single block an iteration touches, in bytes — the planner's
-  // cache-spill signal for superinstruction output blocks.
-  double peak_block_bytes = 0.0;
+  // Per-class instruction load of one iteration (model_program fills it;
+  // the hand-built workloads leave it empty).
+  Load load_per_task{};
   std::int64_t fetches_per_task = 0;  // remote block fetches per iteration
   double bytes_per_fetch = 0.0;
   std::int64_t puts_per_task = 0;
@@ -38,6 +58,9 @@ struct PhaseModel {
 struct WorkloadModel {
   std::string name;
   std::vector<PhaseModel> phases;
+  // Per-class load of the sequential (non-pardo) code, which every worker
+  // runs; the "sequential" phase carries only its flops and fetches.
+  Load sequential_load{};
 
   // Memory footprints for the feasibility models (bytes).
   double sia_resident_total = 0.0;  // distributed arrays (shared across P)

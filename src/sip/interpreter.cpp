@@ -939,6 +939,8 @@ void Interpreter::exec_checkpoint(const Instruction& instr, bool restore) {
   if (!restore) {
     checkpoint::write_part(shared_.scratch_dir, key, worker_index_,
                            program_, array_id, dist_->home_blocks());
+    // Every part is durable before the manifest names them.
+    exec_barrier(/*server=*/false);
     if (worker_index_ == 0) {
       checkpoint::Manifest manifest;
       manifest.array_name = array.name;
@@ -958,7 +960,7 @@ void Interpreter::exec_checkpoint(const Instruction& instr, bool restore) {
     dist_->create_array(array_id);
     for (int part = 0; part < manifest.parts; ++part) {
       checkpoint::read_part(
-          shared_.scratch_dir, key, part,
+          shared_.scratch_dir, key, manifest, part,
           [&](std::int64_t linear, const std::vector<double>& payload) {
             const BlockId id = BlockId::from_linear(array_id, linear,
                                                     array.num_segments);

@@ -82,21 +82,6 @@ bool autotune_enabled(const SipConfig& config) {
   return config.autotune;
 }
 
-// Mean served block size, for turning the servers' block-count disk
-// counters into an observed-bandwidth estimate.
-double avg_served_block_bytes(const sial::ResolvedProgram& resolved) {
-  std::size_t elements = 0;
-  std::int64_t blocks = 0;
-  for (const sial::ResolvedArray& array : resolved.arrays()) {
-    if (array.kind != sial::ArrayKind::kServed) continue;
-    elements += array.total_elements;
-    blocks += array.total_blocks;
-  }
-  if (blocks <= 0) return 0.0;
-  return static_cast<double>(elements) * sizeof(double) /
-         static_cast<double>(blocks);
-}
-
 }  // namespace
 
 RunResult Sip::run(const sial::CompiledProgram& program) {
@@ -121,25 +106,18 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
   sial::CompiledProgram optimized =
       sial::opt::optimize(program, config_.opt_level).program;
 
-  // Launch-time autotuning: sweep the knobs through the DES model and
-  // apply the winning plan to config_ *before* resolution, so segment
-  // size takes effect and spawn mode ships the tuned values in its
-  // bundle (the bundle carries autotune too, but children never plan).
+  // Launch-time autotuning: sweep the segment size through the priced
+  // DES model and apply the winning plan to config_ *before* resolution,
+  // so segment size takes effect and spawn mode ships the tuned values in
+  // its bundle (the bundle carries autotune too, but children never plan).
   ProfileReport::Plan plan_record;
   Calibration calibration;
   std::string cal_path;
-  double measured_gflops = 0.0;
   if (autotune_enabled(config_) && !config_.dry_run_only) {
     cal_path = calibration_path(config_);
     calibration = Calibration::load(cal_path);
-    measured_gflops = measure_gemm_gflops();
-    Calibration plan_cal = calibration;
-    plan_cal.gemm_gflops =
-        calibration.runs > 0
-            ? 0.5 * calibration.gemm_gflops + 0.5 * measured_gflops
-            : measured_gflops;
     const PlanChoice choice =
-        plan_launch(optimized, config_, plan_cal, HostModel{});
+        plan_launch(optimized, config_, calibration, HostModel{});
     config_ = choice.config;
     plan_record.planned = true;
     plan_record.calibrated = choice.calibrated;
@@ -167,22 +145,14 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
   }
 
   // Closes the autotuning loop after execution: records predicted vs
-  // actual in the profile and folds the run's observed rates back into
-  // the calibration file that seeds the next plan.
-  const double block_bytes = avg_served_block_bytes(resolved);
+  // actual in the profile and refits the transport's cost table from the
+  // run's per-pc profile into the calibration file that seeds the next
+  // plan.
   auto finish_plan = [&](RunResult& r, double actual_seconds) {
     if (!plan_record.planned) return;
     plan_record.actual_seconds = actual_seconds;
     r.profile.plan = plan_record;
-    const double bytes_moved =
-        static_cast<double>(r.traffic.payload_doubles_sent) * sizeof(double);
-    const double disk_bytes =
-        static_cast<double>(r.profile.served.server_disk_reads +
-                            r.profile.served.server_disk_writes) *
-        block_bytes;
-    update_calibration(&calibration, plan_record.predicted_seconds,
-                       actual_seconds, measured_gflops, bytes_moved,
-                       r.traffic.messages_sent, disk_bytes);
+    update_calibration(&calibration, config_.transport, r.profile, resolved);
     calibration.save(cal_path);  // best effort; a read-only HOME is fine
   };
 
@@ -312,14 +282,9 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
 }
 
 PlanChoice Sip::plan(const sial::CompiledProgram& program) const {
-  Calibration calibration = Calibration::load(calibration_path(config_));
-  const double measured = measure_gemm_gflops();
-  calibration.gemm_gflops =
-      calibration.runs > 0
-          ? 0.5 * calibration.gemm_gflops + 0.5 * measured
-          : measured;
   return plan_launch(sial::opt::optimize(program, config_.opt_level).program,
-                     config_, calibration, HostModel{});
+                     config_, Calibration::load(calibration_path(config_)),
+                     HostModel{});
 }
 
 }  // namespace sia::sip

@@ -1,29 +1,26 @@
 #include "sip/planner.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <map>
-#include <memory>
+#include <set>
 #include <sstream>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "blas/gemm.hpp"
-#include "common/timer.hpp"
+#include "common/posix_io.hpp"
 #include "sial/program.hpp"
 #include "sim/des.hpp"
 #include "sim/machine.hpp"
 #include "sim/program_model.hpp"
 #include "sip/master.hpp"
+#include "sip/profiler.hpp"
+#include "sip/scheduler.hpp"
 
 namespace sia::sip {
 
@@ -32,84 +29,55 @@ namespace sia::sip {
 
 namespace {
 
-constexpr const char* kCalibrationMagic = "sia_calibration v1";
+constexpr const char* kCalibrationMagic = "sia_calibration v2";
 
 }  // namespace
 
-std::string Calibration::serialize() const {
-  std::ostringstream out;
-  out.precision(17);
-  out << kCalibrationMagic << "\n";
-  out << "gemm_gflops " << gemm_gflops << "\n";
-  out << "latency_s " << latency_s << "\n";
-  out << "link_bw " << link_bw << "\n";
-  out << "disk_bw " << disk_bw << "\n";
-  out << "master_service_s " << master_service_s << "\n";
-  out << "kernel_knee " << kernel_knee << "\n";
-  out << "execute_gflops " << execute_gflops << "\n";
-  out << "time_scale " << time_scale << "\n";
-  out << "runs " << runs << "\n";
-  out << "last_error_percent " << last_error_percent << "\n";
-  return out.str();
-}
-
-Calibration Calibration::parse(const std::string& text, bool* ok) {
-  *ok = false;
-  Calibration cal;
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != kCalibrationMagic) return Calibration{};
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string key;
-    double value = 0.0;
-    if (!(fields >> key >> value) || !std::isfinite(value)) {
-      return Calibration{};
-    }
-    if (key == "gemm_gflops") {
-      cal.gemm_gflops = value;
-    } else if (key == "latency_s") {
-      cal.latency_s = value;
-    } else if (key == "link_bw") {
-      cal.link_bw = value;
-    } else if (key == "disk_bw") {
-      cal.disk_bw = value;
-    } else if (key == "master_service_s") {
-      cal.master_service_s = value;
-    } else if (key == "kernel_knee") {
-      cal.kernel_knee = value;
-    } else if (key == "execute_gflops") {
-      cal.execute_gflops = value;
-    } else if (key == "time_scale") {
-      cal.time_scale = value;
-    } else if (key == "runs") {
-      cal.runs = static_cast<int>(value);
-    } else if (key == "last_error_percent") {
-      cal.last_error_percent = value;
-    }
-    // Unknown keys: ignored (newer writers may add constants).
-  }
-  // Sanity bounds: a file full of zeros or negatives would divide the
-  // model by nonsense; treat it as corrupt.
-  if (cal.gemm_gflops <= 0.0 || cal.latency_s <= 0.0 || cal.link_bw <= 0.0 ||
-      cal.disk_bw <= 0.0 || cal.master_service_s <= 0.0 ||
-      cal.kernel_knee <= 0.0 || cal.execute_gflops <= 0.0 ||
-      cal.time_scale <= 0.0 || cal.runs < 0) {
-    return Calibration{};
-  }
-  *ok = true;
-  return cal;
+CostTable Calibration::table(const std::string& transport) const {
+  const auto it = tables.find(transport);
+  return it != tables.end() ? it->second : CostTable{};
 }
 
 Calibration Calibration::load(const std::string& path) {
   std::ifstream in(path);
-  if (!in) return Calibration{};
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  bool ok = false;
-  Calibration cal = parse(buffer.str(), &ok);
-  return ok ? cal : Calibration{};
+  std::string line;
+  if (!std::getline(in, line) || line != kCalibrationMagic) {
+    return Calibration{};
+  }
+  Calibration cal;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    std::istringstream fields(line);
+    std::string key;
+    fields >> key;
+    if (key == "cost") {
+      std::string transport, name;
+      ClassCost cost;
+      // A file full of zeros or negatives would price work as free or
+      // negative; treat it as corrupt.
+      if (!(fields >> transport >> name >> cost.fixed_s >> cost.per_unit_s) ||
+          !std::isfinite(cost.fixed_s) || !std::isfinite(cost.per_unit_s) ||
+          cost.fixed_s <= 0.0 || cost.per_unit_s < 0.0) {
+        return Calibration{};
+      }
+      const auto& names = sim::kCostClassNames;
+      const auto it = std::find(names.begin(), names.end(), name);
+      if (it != names.end()) {
+        cal.tables[transport].classes[static_cast<std::size_t>(
+            it - names.begin())] = cost;
+      }
+      continue;
+    }
+    double value = 0.0;
+    if (!(fields >> value) || !std::isfinite(value)) return Calibration{};
+    if (key == "runs") {
+      cal.runs = static_cast<int>(value);
+    } else if (key == "last_error_percent") {
+      cal.last_error_percent = value;
+    }
+    // Unknown keys: ignored (newer writers may add state).
+  }
+  return cal.runs < 0 ? Calibration{} : cal;
 }
 
 bool Calibration::save(const std::string& path) const {
@@ -118,18 +86,22 @@ bool Calibration::save(const std::string& path) const {
   if (p.has_parent_path()) {
     std::filesystem::create_directories(p.parent_path(), ec);
   }
-  // Write a private temp file beside the target and rename it into
-  // place, so a concurrent load sees the old or the new file, never a
-  // truncated one.
-  static std::atomic<std::uint64_t> counter{0};
-  const std::string temp = path + ".tmp." + std::to_string(::getpid()) +
-                           "." + std::to_string(counter++);
-  std::ofstream out(temp, std::ios::trunc);
-  out << serialize();
-  out.close();
-  if (out && std::rename(temp.c_str(), path.c_str()) == 0) return true;
-  std::filesystem::remove(temp, ec);
-  return false;
+  std::ostringstream out;
+  out.precision(17);
+  out << kCalibrationMagic << "\nruns " << runs << "\nlast_error_percent "
+      << last_error_percent << "\n";
+  for (const auto& [transport, table] : tables) {
+    for (std::size_t c = 0; c < sim::kCostClassCount; ++c) {
+      out << "cost " << transport << " " << sim::kCostClassNames[c] << " "
+          << table.classes[c].fixed_s << " " << table.classes[c].per_unit_s
+          << "\n";
+    }
+  }
+  const std::string text = out.str();
+  return replace_file(path, [&text](int fd) {
+    return write_full(fd, text.data(), text.size()) ==
+           static_cast<ssize_t>(text.size());
+  });
 }
 
 std::string calibration_path(const SipConfig& config) {
@@ -146,37 +118,6 @@ std::string calibration_path(const SipConfig& config) {
 }
 
 // ---------------------------------------------------------------------
-// GEMM microbenchmark.
-
-double measure_gemm_gflops() {
-  // One block-sized multiply, repeated until a few milliseconds of work
-  // accumulate. 64^3 sits in the regime real contractions run in.
-  constexpr std::size_t kDim = 64;
-  constexpr double kFlopsPerCall = 2.0 * kDim * kDim * kDim;
-  std::vector<double> a(kDim * kDim), b(kDim * kDim), c(kDim * kDim, 0.0);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = 0.5 + static_cast<double>(i % 17) * 0.03125;
-    b[i] = 0.25 + static_cast<double>(i % 13) * 0.0625;
-  }
-  // Warm up (kernel dispatch, caches), then time.
-  for (int rep = 0; rep < 2; ++rep) {
-    blas::dgemm_packed(kDim, kDim, kDim, 1.0, a.data(), b.data(), 0.0,
-                       c.data());
-  }
-  const double t0 = wall_seconds();
-  int calls = 0;
-  double elapsed = 0.0;
-  do {
-    blas::dgemm_packed(kDim, kDim, kDim, 1.0, a.data(), b.data(), 0.0,
-                       c.data());
-    ++calls;
-    elapsed = wall_seconds() - t0;
-  } while (elapsed < 3e-3 && calls < 256);
-  if (elapsed <= 0.0) return Calibration{}.gemm_gflops;
-  return kFlopsPerCall * static_cast<double>(calls) / elapsed * 1e-9;
-}
-
-// ---------------------------------------------------------------------
 // The prediction model.
 
 int HostModel::resolved_cores() const {
@@ -185,97 +126,76 @@ int HostModel::resolved_cores() const {
   return std::max(1, hw);
 }
 
+double CostTable::price(const sim::Load& load) const {
+  double seconds = 0.0;
+  for (std::size_t c = 0; c < sim::kCostClassCount; ++c) {
+    seconds += load[c].count * classes[c].fixed_s +
+               load[c].units * classes[c].per_unit_s;
+  }
+  return seconds;
+}
+
 namespace {
 
-// GEMM efficiency as a function of segment size: small blocks cannot
-// amortize packing and micro-kernel startup. Normalized to the segment
-// the microbenchmark measures at (64), so gemm_gflops stays the rate at
-// that size.
-double segment_efficiency(int segment, double knee) {
-  const auto eff = [&](double s) { return s / (s + knee); };
-  return eff(static_cast<double>(std::max(segment, 1))) / eff(64.0);
+// The workload priced for the DES: each iteration's instructions at the
+// table's prices, plus its share of the pardo's chunk requests (one per
+// chunk of the guided schedule, whose sizes do not depend on timing, and
+// each worker's last, empty one). The prices already hold the messaging
+// and data waits the instructions absorbed.
+sim::WorkloadModel priced_workload(const sim::WorkloadModel& workload,
+                                   const SipConfig& candidate,
+                                   const CostTable& costs) {
+  const double request_s =
+      costs.classes[static_cast<std::size_t>(sim::CostClass::kChunk)].fixed_s;
+  sim::WorkloadModel priced;
+  for (const sim::PhaseModel& phase : workload.phases) {
+    GuidedSchedule schedule(phase.tasks, candidate.workers,
+                            candidate.chunk_divisor, candidate.min_chunk);
+    std::int64_t requests = candidate.workers;
+    while (!schedule.exhausted()) {
+      schedule.next_chunk();
+      ++requests;
+    }
+    sim::PhaseModel out;
+    out.tasks = phase.tasks;
+    out.sweeps = phase.sweeps;
+    out.flops_per_task =
+        costs.price(phase.load_per_task) +
+        request_s * static_cast<double>(requests) /
+            static_cast<double>(phase.tasks);
+    priced.phases.push_back(out);
+  }
+  return priced;
+}
+
+// Wall seconds the DES schedules `priced` in, on a machine that runs one
+// "flop" per second and sends messages for free.
+double scheduled_seconds(const sim::WorkloadModel& priced,
+                         const SipConfig& candidate, double fixed_s) {
+  sim::MachineModel machine;
+  machine.flops_per_core = 1.0;
+  machine.latency_s = 0.0;
+  machine.master_service_s = 0.0;
+  sim::SimOptions options;
+  options.chunk_divisor = candidate.chunk_divisor;
+  options.min_chunk = candidate.min_chunk;
+  options.fixed_overhead_s = fixed_s;
+  return sim::simulate_workload(machine, priced, candidate.workers, options)
+      .seconds;
 }
 
 }  // namespace
 
 double predict_seconds(const sim::WorkloadModel& workload,
-                       const SipConfig& candidate, const Calibration& cal,
-                       const HostModel& host) {
-  const int cores = host.resolved_cores();
-  const int workers = candidate.workers;
-
-  // Per-worker compute rate. Each worker is one sequential interpreter;
-  // the workers time-slice the host's cores, and oversubscribed workers
-  // pay context switching.
-  const double core_share =
-      std::min(1.0, cores / static_cast<double>(workers));
-  const double oversubscribed = workers > cores ? 0.85 : 1.0;
-  const double worker_rate =
-      cal.gemm_gflops * 1e9 *
-      segment_efficiency(candidate.default_segment, cal.kernel_knee) *
-      core_share * oversubscribed;
-
-  sim::MachineModel machine;
-  machine.name = "host";
-  machine.flops_per_core = std::max(worker_rate, 1e6);
-  machine.latency_s = cal.latency_s;
-  machine.link_bw = cal.link_bw;
-  machine.master_service_s = cal.master_service_s;
-  machine.memory_per_core = static_cast<double>(candidate.worker_memory_bytes);
-  machine.disk_bw = cal.disk_bw * std::max(1, candidate.server_disk_threads);
-  machine.bisection_cores = 1e9;  // a host fabric has no bisection knee
-  if (candidate.socket_transport()) {
-    // Framed socket hops: syscall latency, single-copy framing.
-    machine.latency_s *= 8.0;
-    machine.link_bw *= 0.5;
-  }
-
-  sim::SimOptions options;
-  options.overlap = candidate.prefetch_depth > 0;
-  options.chunk_divisor = candidate.chunk_divisor;
-  options.min_chunk = candidate.min_chunk;
-  // Launch overhead at host scale: thread/process spin-up and the dry
-  // run, far from the paper's 0.5 s cluster allocation cost.
-  options.fixed_overhead_s =
-      0.002 + 0.001 * candidate.total_ranks() +
-      (candidate.spawn_processes() ? 0.05 * candidate.total_ranks() : 0.0);
-  // Prefetching past the cache's look-ahead window re-fetches evicted
-  // blocks instead of hiding latency.
-  options.refetch_factor =
-      candidate.prefetch_depth > 4
-          ? 0.03 * (candidate.prefetch_depth - 4)
-          : 0.0;
-
-  // Write combining halves the put message stream on accumulate-heavy
-  // loops (the payload still flows once per merged block).
-  sim::WorkloadModel modeled = workload;
-  if (candidate.coalesce_puts) {
-    for (sim::PhaseModel& phase : modeled.phases) {
-      phase.puts_per_task = (phase.puts_per_task + 1) / 2;
-    }
-  }
-
-  // Superinstruction (integral-generator) flops run at a per-element
-  // rate that does not follow the GEMM efficiency curve, and halve once
-  // a block spills the per-core cache — which is why huge segments lose
-  // on integral-heavy programs even though their GEMMs run faster. The
-  // DES keeps a single machine rate, so convert those flops into
-  // GEMM-equivalent flops at this candidate's segment efficiency.
-  constexpr double kExecuteCacheBytes = 256.0 * 1024.0;
-  const double gemm_rate =
-      cal.gemm_gflops * 1e9 *
-      segment_efficiency(candidate.default_segment, cal.kernel_knee);
-  for (sim::PhaseModel& phase : modeled.phases) {
-    if (phase.execute_flops_per_task <= 0.0) continue;
-    double execute_rate = cal.execute_gflops * 1e9;
-    if (phase.peak_block_bytes > kExecuteCacheBytes) execute_rate *= 0.5;
-    phase.flops_per_task +=
-        phase.execute_flops_per_task * (gemm_rate / execute_rate - 1.0);
-  }
-
-  const sim::WorkloadResult result =
-      sim::simulate_workload(machine, modeled, workers, options);
-  return result.seconds * cal.time_scale;
+                       const SipConfig& candidate, const CostTable& costs) {
+  // Added once: the sequential code every worker runs, and thread (or
+  // process) spin-up and join, which no instruction sees: about 0.1 ms
+  // per thread rank and 2.5 ms per spawned rank on the reference host.
+  return scheduled_seconds(
+      priced_workload(workload, candidate, costs), candidate,
+      costs.price(workload.sequential_load) +
+          candidate.total_ranks() *
+              (candidate.spawn_processes() ? 2.5e-3 : 1e-4));
 }
 
 // ---------------------------------------------------------------------
@@ -287,22 +207,14 @@ constexpr double kInfeasible = std::numeric_limits<double>::infinity();
 // Candidates whose workload would explode the DES event count are skipped
 // so planning stays in the milliseconds the loop is budgeted for.
 constexpr std::int64_t kMaxModelTasks = 2'000'000;
-
-struct SegmentContext {
-  std::unique_ptr<sial::ResolvedProgram> resolved;
-  sim::WorkloadModel workload;
-  // Feasibility pieces from the dry run, with the cache term split out so
-  // other prefetch depths can be re-checked without re-resolving.
-  std::size_t fixed_bytes = 0;       // static + temp + local + dist share
-  std::size_t cache_unit_bytes = 0;  // cache demand per unit (1 + depth)
-  bool valid = false;
-};
-
-bool feasible_at(const SegmentContext& ctx, const SipConfig& cfg) {
-  const std::size_t cache =
-      ctx.cache_unit_bytes * (1 + static_cast<std::size_t>(cfg.prefetch_depth));
-  return ctx.fixed_bytes + cache <= cfg.worker_memory_bytes;
-}
+// The linear per-class prices miss effects that grow with block size:
+// blocks past the per-core caches fill slower per element as more workers
+// run at once, and with one or two tasks per worker one slow task sets
+// the wall time. On the Fock grid they leave the cold model 20-50% low at
+// segments 16 and 32 against under 20% at 4 and 8, so a predicted gain
+// below this fraction is model error, not a reason to move off the
+// user's segment.
+constexpr double kSwitchMargin = 0.25;
 
 std::int64_t workload_tasks(const sim::WorkloadModel& workload) {
   std::int64_t tasks = 0;
@@ -332,6 +244,7 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
   const SipConfig defaults;
   PlanChoice choice;
   choice.calibrated = cal.runs > 0;
+  choice.costs = cal.table(base.transport);
 
   // A knob is pinned exactly when the user moved it off its default.
   const auto pinned = [&choice](std::string_view dimension) {
@@ -346,129 +259,47 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
       },
       base, defaults);
 
-  // Resolution and workload modeling are per segment; everything else
-  // reuses the cached context.
-  std::map<int, SegmentContext> contexts;
-  auto context_for = [&](int segment) -> const SegmentContext& {
-    auto it = contexts.find(segment);
-    if (it != contexts.end()) return it->second;
-    SegmentContext ctx;
-    try {
-      SipConfig cfg = base;
-      cfg.default_segment = segment;
-      ctx.resolved = std::make_unique<sial::ResolvedProgram>(optimized, cfg);
-      const DryRunReport dry = dry_run(*ctx.resolved);
-      ctx.fixed_bytes = dry.static_bytes + dry.temp_peak_bytes +
-                        dry.local_bytes + dry.dist_share_bytes;
-      ctx.cache_unit_bytes =
-          dry.cache_demand_bytes /
-          (1 + static_cast<std::size_t>(base.prefetch_depth));
-      ctx.workload = sim::model_program(*ctx.resolved);
-      ctx.valid = workload_tasks(ctx.workload) <= kMaxModelTasks;
-    } catch (const std::exception&) {
-      ctx.valid = false;  // e.g. a segment the index ranges reject
-    }
-    return contexts.emplace(segment, std::move(ctx)).first->second;
-  };
-
-  int evals = 0;
-  auto eval = [&](const SipConfig& cfg) -> double {
-    const SegmentContext& ctx = context_for(cfg.default_segment);
-    if (!ctx.valid || !feasible_at(ctx, cfg)) return kInfeasible;
-    ++evals;
-    return predict_seconds(ctx.workload, cfg, cal, host);
-  };
-
-  // The baseline: the user's configuration. Seeding the search with it
-  // guarantees the chosen plan is never predicted slower than the
-  // untuned run.
-  SipConfig best = base;
-  double best_seconds = eval(best);
-  choice.baseline_seconds = best_seconds;
-
-  std::vector<int> segments;
-  if (pinned("segment")) {
-    segments = {base.default_segment};
-  } else {
-    segments = {base.default_segment, 2,  4,  6,  8,  12, 16,
-                24,                   32, 48, 64, 96, 128};
-    std::sort(segments.begin(), segments.end());
-    segments.erase(std::unique(segments.begin(), segments.end()),
-                   segments.end());
+  // The user's segment goes first: it is the baseline, and another
+  // segment replaces it only when predicted kSwitchMargin faster, so the
+  // chosen plan is never predicted slower than the untuned run.
+  std::vector<int> segments = {base.default_segment};
+  if (!pinned("segment")) {
+    segments.insert(segments.end(), {2, 4, 6, 8, 12, 16, 24, 32, 48, 64,
+                                     96, 128});
   }
-
+  SipConfig best = base;
+  double best_seconds = kInfeasible;
+  double best_score = kInfeasible;
+  std::size_t best_served_bytes = 0;
+  std::set<int> seen;
   for (const int segment : segments) {
-    if (!context_for(segment).valid) continue;
+    if (!seen.insert(segment).second) continue;
     SipConfig cfg = base;
     cfg.default_segment = segment;
-    double seconds = eval(cfg);
-    // Coordinate descent from the user's configuration, two passes so
-    // knobs that interact (prefetch and chunking) settle. Strict
-    // improvement only: ties keep the earlier value, so the sweep is
-    // deterministic and defaults win ties.
-    for (int pass = 0; pass < 2; ++pass) {
-      auto try_value = [&](auto field, auto value) {
-        SipConfig trial = cfg;
-        trial.*field = value;
-        const double t = eval(trial);
-        if (t < seconds) {
-          seconds = t;
-          cfg = trial;
-        }
-      };
-      if (!pinned("prefetch_depth")) {
-        for (const int d : {0, 1, 2, 4, 8}) {
-          try_value(&SipConfig::prefetch_depth, d);
-        }
-      }
-      if (!pinned("chunk_divisor")) {
-        for (const int d : {1, 2, 4, 8}) {
-          try_value(&SipConfig::chunk_divisor, d);
-        }
-      }
-      if (!pinned("min_chunk")) {
-        for (const long m : {1L, 2L, 4L, 8L}) {
-          try_value(&SipConfig::min_chunk, m);
-        }
-      }
-      if (!pinned("coalesce_puts")) {
-        for (const bool c : {true, false}) {
-          try_value(&SipConfig::coalesce_puts, c);
-        }
-      }
-    }
-    if (seconds < best_seconds) {
-      best_seconds = seconds;
-      best = cfg;
-    }
-  }
-
-  // Server knobs: the DES model does not resolve disk contention, so
-  // these are set by sizing heuristics from the dry run instead of the
-  // sweep. Only touched when unpinned and the program has served traffic.
-  const SegmentContext& chosen_ctx = context_for(best.default_segment);
-  if (chosen_ctx.valid && base.io_servers > 0) {
-    std::size_t served_total = 0;
+    double seconds = kInfeasible;
+    std::size_t served_bytes = 0;
     try {
-      for (const sial::ResolvedArray& array : chosen_ctx.resolved->arrays()) {
-        if (array.kind == sial::ArrayKind::kServed) {
-          served_total += array.total_elements * sizeof(double);
-        }
+      const sial::ResolvedProgram resolved(optimized, cfg);
+      const DryRunReport dry = dry_run(resolved);
+      const sim::WorkloadModel workload = sim::model_program(resolved);
+      if (dry.feasible && workload_tasks(workload) <= kMaxModelTasks) {
+        ++choice.candidates;
+        seconds = predict_seconds(workload, cfg, choice.costs);
+        served_bytes = dry.served_total_bytes;
       }
     } catch (const std::exception&) {
+      // e.g. a segment the index ranges reject
     }
-    if (served_total > 0) {
-      if (!pinned("server_disk_threads")) {
-        best.server_disk_threads =
-            std::clamp(host.resolved_cores() / 2, 1, 4);
-      }
-      if (!pinned("server_cache_bytes")) {
-        const std::size_t per_server =
-            served_total / static_cast<std::size_t>(base.io_servers);
-        best.server_cache_bytes =
-            std::clamp(per_server, defaults.server_cache_bytes,
-                       std::size_t{256} << 20);
-      }
+    double score = seconds;
+    if (segment == base.default_segment) {
+      choice.baseline_seconds = seconds;
+      score *= 1.0 - kSwitchMargin;
+    }
+    if (score < best_score) {
+      best_score = score;
+      best_seconds = seconds;
+      best = cfg;
+      best_served_bytes = served_bytes;
     }
   }
 
@@ -476,16 +307,28 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
   // config back untouched and let the launch report the real error.
   if (!std::isfinite(best_seconds)) {
     choice.config = base;
-    choice.predicted_seconds = 0.0;
     choice.baseline_seconds = 0.0;
-    choice.candidates = evals;
     choice.summary = "no feasible candidate; keeping user configuration";
     return choice;
   }
 
+  // Server knobs: the model does not resolve disk contention, so these
+  // are set by sizing heuristics from the dry run. Only touched when
+  // unpinned and the program has served traffic.
+  if (base.io_servers > 0 && best_served_bytes > 0) {
+    if (!pinned("server_disk_threads")) {
+      best.server_disk_threads = std::clamp(host.resolved_cores() / 2, 1, 4);
+    }
+    if (!pinned("server_cache_bytes")) {
+      const std::size_t per_server =
+          best_served_bytes / static_cast<std::size_t>(base.io_servers);
+      best.server_cache_bytes = std::clamp(
+          per_server, defaults.server_cache_bytes, std::size_t{256} << 20);
+    }
+  }
+
   choice.config = best;
   choice.predicted_seconds = best_seconds;
-  choice.candidates = evals;
   choice.summary = knob_summary(best);
   return choice;
 }
@@ -493,45 +336,144 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
 // ---------------------------------------------------------------------
 // Post-run learning.
 
-void update_calibration(Calibration* cal, double predicted_seconds,
-                        double actual_seconds, double measured_gflops,
-                        double bytes_moved, std::int64_t messages,
-                        double disk_bytes) {
-  if (measured_gflops > 0.0) {
-    cal->gemm_gflops = cal->runs > 0
-                           ? 0.5 * cal->gemm_gflops + 0.5 * measured_gflops
-                           : measured_gflops;
+namespace {
+
+// A fitted coefficient stays within this factor of its cold default: one
+// run can move the table anywhere a real host plausibly lies, but a
+// garbage profile (a stalled host, a clock jump) cannot price work as
+// free or as taking forever.
+constexpr double kFitClamp = 100.0;
+// A class's sizes must span this ratio before its split is refitted.
+constexpr double kSplitSpan = 2.0;
+
+// The (upper) median; the inputs are never empty.
+double median(std::vector<double> values) {
+  const auto mid =
+      values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
+  std::nth_element(values.begin(), mid, values.end());
+  return *mid;
+}
+
+}  // namespace
+
+CostTable fit_costs(const std::vector<CostSample>& samples,
+                    const CostTable& prior) {
+  CostTable fitted = prior;
+  for (std::size_t c = 0; c < sim::kCostClassCount; ++c) {
+    std::vector<CostSample> mine;
+    double seconds = 0.0, hi = 0.0;
+    double lo = std::numeric_limits<double>::infinity();
+    for (const CostSample& sample : samples) {
+      if (static_cast<std::size_t>(sample.cls) != c || sample.count <= 0.0) {
+        continue;
+      }
+      mine.push_back(sample);
+      seconds += sample.seconds;
+      lo = std::min(lo, sample.units);
+      hi = std::max(hi, sample.units);
+    }
+    if (mine.empty() || seconds <= 0.0) continue;
+    const ClassCost& old = prior.classes[c];
+    ClassCost cost = old;
+    if (old.per_unit_s > 0.0 && lo > 0.0 && hi >= kSplitSpan * lo) {
+      // Theil-Sen through the per-execution means: the median pairwise
+      // slope, then the median intercept. One instruction that waited on
+      // a peer cannot bend the line.
+      std::vector<double> slopes, intercepts;
+      for (std::size_t i = 0; i < mine.size(); ++i) {
+        for (std::size_t j = i + 1; j < mine.size(); ++j) {
+          const CostSample& a = mine[i];
+          const CostSample& b = mine[j];
+          if (a.units == b.units) continue;
+          slopes.push_back((b.seconds / b.count - a.seconds / a.count) /
+                           (b.units - a.units));
+        }
+      }
+      const double slope = std::max(0.0, median(std::move(slopes)));
+      for (const CostSample& s : mine) {
+        intercepts.push_back(s.seconds / s.count - slope * s.units);
+      }
+      const double fixed = std::max(0.0, median(std::move(intercepts)));
+      if (fixed > 0.0 || slope > 0.0) cost = {fixed, slope};
+    }
+    // Scale the split so the class's modeled total is what it measured.
+    double modeled = 0.0;
+    for (const CostSample& s : mine) {
+      modeled += s.count * (cost.fixed_s + cost.per_unit_s * s.units);
+    }
+    if (modeled <= 0.0) continue;
+    const double scale = seconds / modeled;
+    const auto clamped = [](double value, double cold) {
+      return std::clamp(value, cold / kFitClamp, cold * kFitClamp);
+    };
+    const ClassCost cold = CostTable{}.classes[c];
+    fitted.classes[c] = {clamped(cost.fixed_s * scale, cold.fixed_s),
+                         clamped(cost.per_unit_s * scale, cold.per_unit_s)};
   }
-  if (predicted_seconds > 0.0 && actual_seconds > 0.0) {
-    // Damped multiplicative correction: time_scale converges toward the
-    // observed actual/predicted ratio, so the second (calibrated) run's
-    // prediction error is strictly smaller than the first's.
-    const double ratio =
-        std::clamp(actual_seconds / predicted_seconds, 0.2, 5.0);
-    cal->time_scale =
-        std::clamp(cal->time_scale * std::pow(ratio, 0.6), 0.05, 20.0);
-    cal->last_error_percent =
-        100.0 * (predicted_seconds - actual_seconds) / actual_seconds;
-  }
-  if (actual_seconds > 0.0) {
-    // Observed throughput refines the bandwidth terms as lower bounds: a
-    // run that moved bytes faster than the model's bandwidth proves the
-    // fabric is at least that fast. Latency refines downward the same
-    // way when the run was message-dense.
-    if (bytes_moved > (1 << 20)) {
-      cal->link_bw = std::max(cal->link_bw, bytes_moved / actual_seconds);
-    }
-    if (disk_bytes > (1 << 20)) {
-      cal->disk_bw = std::max(cal->disk_bw, disk_bytes / actual_seconds);
-    }
-    if (messages > 1000) {
-      const double per_message =
-          actual_seconds / static_cast<double>(messages);
-      cal->latency_s =
-          std::max(1e-8, std::min(cal->latency_s, per_message));
-    }
+  return fitted;
+}
+
+void update_calibration(Calibration* cal, const std::string& transport,
+                        const ProfileReport& profile,
+                        const sial::ResolvedProgram& program) {
+  if (profile.plan.predicted_seconds > 0.0 &&
+      profile.plan.actual_seconds > 0.0) {
+    cal->last_error_percent = profile.plan.error_percent();
   }
   ++cal->runs;
+
+  std::vector<CostSample> samples;
+  double sync_seconds = 0.0;
+  // Pardo starts and iteration ends wait on chunk grants. Each worker
+  // makes one request per chunk served plus a last, empty one per pardo
+  // start, so that is the chunk class's count.
+  CostSample chunks{sim::CostClass::kChunk,
+                    static_cast<double>(profile.scheduling.chunks_served)};
+  for (const ProfileReport::LineCost& line : profile.lines) {
+    const sial::Instruction& instr =
+        program.code().code[static_cast<std::size_t>(line.pc)];
+    const std::optional<sim::InstructionLoad> load =
+        sim::instruction_load(program, instr);
+    if (!load || line.count <= 0) continue;
+    if (load->cls == sim::CostClass::kChunk) {
+      chunks.seconds += line.seconds;
+      if (instr.op == sial::Opcode::kPardoStart) chunks.count += line.count;
+      continue;
+    }
+    samples.push_back({load->cls, static_cast<double>(line.count),
+                       line.seconds, load->units});
+    if (load->cls == sim::CostClass::kSync) sync_seconds += line.seconds;
+  }
+  if (samples.empty()) return;  // an unprofiled run leaves the table as is
+  samples.push_back(chunks);
+  // Barrier and collective waits are the other workers' imbalance, which
+  // the simulator derives from the schedule; the sync class keeps only
+  // its own overhead.
+  if (sync_seconds > 0.0) {
+    const double own = std::max(
+        0.05, 1.0 - (profile.barrier_wait + profile.collective_wait) /
+                        sync_seconds);
+    for (CostSample& sample : samples) {
+      if (sample.cls == sim::CostClass::kSync) sample.seconds *= own;
+    }
+  }
+  CostTable fitted = fit_costs(samples, cal->table(transport));
+  // Workers that run out of iterations idle in their last chunk request
+  // until the pardo's tail finishes. That idle belongs to the schedule,
+  // which the DES replays, so take the idle the fitted prices imply out
+  // of the chunk sample and refit it.
+  const SipConfig& config = program.config();
+  const sim::WorkloadModel priced =
+      priced_workload(sim::model_program(program), config, fitted);
+  double idle = config.workers * scheduled_seconds(priced, config, 0.0);
+  for (const sim::PhaseModel& phase : priced.phases) {
+    idle -= static_cast<double>(phase.tasks * phase.sweeps) *
+            phase.flops_per_task;
+  }
+  CostSample& chunk_sample = samples.back();  // pushed last, above
+  chunk_sample.seconds =
+      std::max(0.05 * chunk_sample.seconds, chunk_sample.seconds - idle);
+  cal->tables[transport] = fit_costs(samples, fitted);
 }
 
 }  // namespace sia::sip

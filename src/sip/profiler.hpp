@@ -137,6 +137,7 @@ struct ProfileReport {
     std::string opcode;
     std::int64_t count = 0;
     double seconds = 0.0;
+    int pc = 0;  // the instruction (the planner's fit keys on it)
   };
   struct PardoCost {
     int pardo_id = 0;

@@ -140,7 +140,7 @@ void merge_reports(const std::vector<RankReport>& reports,
     }
     const sial::Instruction& instr = code.code[static_cast<std::size_t>(pc)];
     profile.lines.push_back(
-        {instr.line, opcode_name(instr.op), cost.count, cost.seconds});
+        {instr.line, opcode_name(instr.op), cost.count, cost.seconds, pc});
     profile.total_busy += cost.seconds;
   }
   // Instruction time includes the waits inside it; busy is compute only.

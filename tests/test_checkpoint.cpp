@@ -3,13 +3,32 @@
 // counts.
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <filesystem>
+#include <memory>
+#include <unordered_map>
+
+#include "sial/compiler.hpp"
+#include "sial/program.hpp"
 #include "sip/checkpoint.hpp"
 #include "sip/launch.hpp"
 
 namespace sia::sip {
 namespace {
+
+// A directory path no other process (a concurrent ctest run on the same
+// host) and no other test in this process uses.
+std::string scratch_path(const char* name) {
+  static std::atomic<int> counter{0};
+  return (std::filesystem::temp_directory_path() /
+          (std::string(name) + "_" + std::to_string(::getpid()) + "_" +
+           std::to_string(counter++)))
+      .string();
+}
 
 SipConfig ck_config(int workers, const std::string& scratch = "") {
   SipConfig config;
@@ -66,8 +85,7 @@ TEST(CheckpointTest, RoundTripWithinOneSip) {
 
 TEST(CheckpointTest, RestoreUnderDifferentWorkerCount) {
   // The paper's restart facility: write with 4 workers, restart with 2.
-  const std::string scratch =
-      (std::filesystem::temp_directory_path() / "sia_ck_test").string();
+  const std::string scratch = scratch_path("sia_ck_test");
   std::filesystem::remove_all(scratch);
   {
     Sip sip(ck_config(4, scratch));
@@ -116,9 +134,7 @@ endsial
 TEST(CheckpointTest, RestoreUnderDifferentSegmentSizeFails) {
   // The checkpoint is written in block units; restoring under a
   // different segment grid must fail loudly, not corrupt data.
-  const std::string scratch =
-      (std::filesystem::temp_directory_path() / "sia_ck_seg_test")
-          .string();
+  const std::string scratch = scratch_path("sia_ck_seg_test");
   std::filesystem::remove_all(scratch);
   {
     Sip sip(ck_config(2, scratch));
@@ -129,6 +145,52 @@ TEST(CheckpointTest, RestoreUnderDifferentSegmentSizeFails) {
     config.default_segment = 9;  // one block per dimension instead of 3
     Sip sip(config);
     EXPECT_THROW(sip.run_source(kRestoreAndVerify), RuntimeError);
+  }
+  std::filesystem::remove_all(scratch);
+}
+
+TEST(CheckpointTest, WriterKilledBeforeManifestKeepsPreviousCheckpoint) {
+  // A checkpoint writer that dies after its parts reach disk and before
+  // the manifest names them must leave the previous checkpoint whole.
+  const std::string scratch = scratch_path("sia_ck_crash");
+  std::filesystem::remove_all(scratch);
+  {
+    Sip sip(ck_config(2, scratch));
+    sip.run_source(kFillAndCheckpoint);
+  }
+  // The dying writer's parts: every block of d, filled with junk.
+  const sial::ResolvedProgram program(sial::compile_sial(kFillAndCheckpoint),
+                                      ck_config(2, scratch));
+  const auto& arrays = program.arrays();
+  const auto d = std::find_if(arrays.begin(), arrays.end(),
+                              [](const auto& a) { return a.name == "d"; });
+  ASSERT_NE(d, arrays.end());
+  const int array_id = static_cast<int>(d - arrays.begin());
+  std::unordered_map<BlockId, BlockPtr, BlockIdHash> junk;
+  for (std::int64_t linear = 0; linear < d->total_blocks; ++linear) {
+    const BlockId id =
+        BlockId::from_linear(array_id, linear, d->num_segments);
+    auto block = std::make_shared<Block>(program.grid_block_shape(
+        *d, {id.segments.data(), static_cast<std::size_t>(id.rank)}));
+    std::fill(block->data().begin(), block->data().end(), -7.0);
+    junk.emplace(id, std::move(block));
+  }
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    for (int part = 0; part < 2; ++part) {
+      checkpoint::write_part(scratch, "state", part, program, array_id,
+                             junk);
+    }
+    ::_exit(0);  // dies before write_manifest
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  {
+    Sip sip(ck_config(2, scratch));
+    const RunResult result = sip.run_source(kRestoreAndVerify);
+    EXPECT_NEAR(result.scalar("total"), 0.0, 1e-18);
   }
   std::filesystem::remove_all(scratch);
 }
@@ -170,9 +232,7 @@ TEST(CheckpointFormatTest, SanitizeKey) {
 }
 
 TEST(CheckpointFormatTest, ManifestRoundTrip) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "sia_manifest_test")
-          .string();
+  const std::string dir = scratch_path("sia_manifest_test");
   std::filesystem::create_directories(dir);
   checkpoint::Manifest manifest;
   manifest.array_name = "amps";
@@ -187,9 +247,7 @@ TEST(CheckpointFormatTest, ManifestRoundTrip) {
 }
 
 TEST(CheckpointFormatTest, MissingManifestThrows) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "sia_manifest_missing")
-          .string();
+  const std::string dir = scratch_path("sia_manifest_missing");
   std::filesystem::create_directories(dir);
   EXPECT_THROW(checkpoint::read_manifest(dir, "absent"), RuntimeError);
   std::filesystem::remove_all(dir);

@@ -256,11 +256,15 @@ endsial
   untuned.default_segment = SipConfig{}.default_segment;
   EXPECT_EQ(pinned(untuned), Knobs{});
 
+  // Knobs the planner does not tune pin nothing; a segment override
+  // pins the segment dimension.
   SipConfig mixed = base;
   mixed.segment_overrides["moindex"] = 4;
   mixed.coalesce_puts = false;
   mixed.min_chunk = 4;
-  EXPECT_EQ(pinned(mixed), (Knobs{"coalesce_puts", "min_chunk", "segment"}));
+  mixed.prefetch_depth = 0;
+  mixed.chunk_divisor = 3;
+  EXPECT_EQ(pinned(mixed), Knobs{"segment"});
 
   // Each tuned field alone pins exactly its dimension, and the plan
   // hands it back unchanged.

@@ -1,13 +1,14 @@
 // Launch-time planner and guided-schedule work stealing.
 //
-// Covers the closed autotuning loop (deterministic DES sweep, pinned
-// knobs, serial-baseline floor, calibration persistence and learning)
+// Covers the closed autotuning loop (deterministic segment sweep, pinned
+// knobs, serial-baseline floor, the cost table's persistence and fit)
 // and the runtime half: stealing the tail of a straggler's chunk must
 // leave every result bit-identical, including under chaos fault plans.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -15,12 +16,15 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/config.hpp"
 #include "sial/compiler.hpp"
 #include "sial/opt/optimizer.hpp"
+#include "sial/program.hpp"
 #include "sip/launch.hpp"
 #include "sip/planner.hpp"
+#include "sip/profiler.hpp"
 
 namespace sia::sip {
 namespace {
@@ -106,8 +110,6 @@ TEST(PlannerTest, SweepIsDeterministic) {
   EXPECT_EQ(first.candidates, second.candidates);
   EXPECT_DOUBLE_EQ(first.predicted_seconds, second.predicted_seconds);
   EXPECT_EQ(first.config.default_segment, second.config.default_segment);
-  EXPECT_EQ(first.config.chunk_divisor, second.config.chunk_divisor);
-  EXPECT_EQ(first.config.prefetch_depth, second.config.prefetch_depth);
   EXPECT_GT(first.candidates, 1);
 }
 
@@ -124,47 +126,103 @@ TEST(PlannerTest, NeverPredictedSlowerThanSerial) {
   }
 }
 
-TEST(PlannerTest, PinnedKnobsAreNeverOverridden) {
+TEST(PlannerTest, SweepsOnlySegmentSize) {
+  // Segment is the one swept dimension: one candidate per segment size,
+  // and the untuned knobs come back exactly as the user set them.
   SipConfig base = sweep_config();
-  base.chunk_divisor = 3;      // differs from default 2 -> pinned
-  base.prefetch_depth = 7;     // differs from default 2 -> pinned
-  base.default_segment = 6;    // differs from the default -> pinned
+  base.chunk_divisor = 3;
+  base.prefetch_depth = 7;
+  base.coalesce_puts = false;
+  base.min_chunk = 2;
   const PlanChoice choice =
       plan_launch(optimized_sweep(base), base, Calibration{}, HostModel{4});
+  EXPECT_LE(choice.candidates, 13);
+  EXPECT_TRUE(choice.pinned.empty());
   EXPECT_EQ(choice.config.chunk_divisor, 3);
   EXPECT_EQ(choice.config.prefetch_depth, 7);
-  EXPECT_EQ(choice.config.default_segment, 6);
-  const auto pinned_has = [&](const char* name) {
-    for (const std::string& knob : choice.pinned) {
-      if (knob == name) return true;
+  EXPECT_FALSE(choice.config.coalesce_puts);
+  EXPECT_EQ(choice.config.min_chunk, 2);
+  EXPECT_EQ(choice.summary.rfind("segment=", 0), 0u) << choice.summary;
+  std::vector<std::string> dimensions;
+  SipConfig::fields([&](const char*, const Knob& knob, const auto&) {
+    if (knob.tuned != nullptr &&
+        std::find(dimensions.begin(), dimensions.end(), knob.tuned) ==
+            dimensions.end()) {
+      dimensions.emplace_back(knob.tuned);
     }
-    return false;
-  };
-  EXPECT_TRUE(pinned_has("chunk_divisor"));
-  EXPECT_TRUE(pinned_has("prefetch_depth"));
-  EXPECT_TRUE(pinned_has("segment"));
+  }, base);
+  EXPECT_EQ(dimensions, (std::vector<std::string>{
+                            "segment", "server_cache_bytes",
+                            "server_disk_threads"}));
+}
+
+TEST(PlannerTest, PinnedSegmentIsNeverOverridden) {
+  SipConfig base = sweep_config();
+  base.default_segment = 6;  // differs from the default -> pinned
+  const PlanChoice choice =
+      plan_launch(optimized_sweep(base), base, Calibration{}, HostModel{4});
+  EXPECT_EQ(choice.config.default_segment, 6);
+  EXPECT_EQ(choice.pinned, std::vector<std::string>{"segment"});
+  EXPECT_EQ(choice.candidates, 1);
+}
+
+TEST(PlannerTest, PricesWithTheTransportsTable) {
+  // Each transport keeps its own fitted table; others plan cold.
+  Calibration cal;
+  CostTable slow;
+  for (ClassCost& cost : slow.classes) cost.fixed_s *= 4.0;
+  cal.tables["loopback"] = slow;
+  cal.runs = 1;
+  SipConfig base = sweep_config();
+  const PlanChoice thread =
+      plan_launch(optimized_sweep(base), base, cal, HostModel{4});
+  base.transport = "loopback";
+  const PlanChoice loopback =
+      plan_launch(optimized_sweep(base), base, cal, HostModel{4});
+  for (std::size_t c = 0; c < sim::kCostClassCount; ++c) {
+    EXPECT_DOUBLE_EQ(thread.costs.classes[c].fixed_s,
+                     CostTable{}.classes[c].fixed_s);
+    EXPECT_DOUBLE_EQ(loopback.costs.classes[c].fixed_s,
+                     slow.classes[c].fixed_s);
+  }
+  EXPECT_TRUE(loopback.calibrated);
 }
 
 // ---------------------------------------------------------------------
-// Calibration persistence and learning.
+// The cost table: prices, persistence and the fit.
+
+TEST(PlannerTest, TablePricesFixedPlusPerUnit) {
+  CostTable table;
+  sim::Load load{};
+  load[static_cast<std::size_t>(sim::CostClass::kExecute)] = {3.0, 1000.0};
+  load[static_cast<std::size_t>(sim::CostClass::kSync)] = {2.0, 0.0};
+  const ClassCost& execute =
+      table.classes[static_cast<std::size_t>(sim::CostClass::kExecute)];
+  const ClassCost& sync =
+      table.classes[static_cast<std::size_t>(sim::CostClass::kSync)];
+  EXPECT_DOUBLE_EQ(table.price(load), 3.0 * execute.fixed_s +
+                                          1000.0 * execute.per_unit_s +
+                                          2.0 * sync.fixed_s);
+}
 
 TEST(PlannerTest, CalibrationRoundTripsThroughDisk) {
   Calibration cal;
-  cal.gemm_gflops = 17.25;
-  cal.latency_s = 3.5e-6;
-  cal.link_bw = 7.5e9;
-  cal.disk_bw = 123e6;
-  cal.time_scale = 0.625;
+  CostTable spawn;
+  spawn.classes[0] = {3.5e-6, 1.25e-9};
+  spawn.classes[4] = {7.5e-4, 0.0};
+  cal.tables["spawn"] = spawn;
   cal.runs = 3;
   cal.last_error_percent = -12.5;
   const std::string path = temp_calibration_path("sia_cal_roundtrip");
   ASSERT_TRUE(cal.save(path));
   const Calibration back = Calibration::load(path);
-  EXPECT_DOUBLE_EQ(back.gemm_gflops, cal.gemm_gflops);
-  EXPECT_DOUBLE_EQ(back.latency_s, cal.latency_s);
-  EXPECT_DOUBLE_EQ(back.link_bw, cal.link_bw);
-  EXPECT_DOUBLE_EQ(back.disk_bw, cal.disk_bw);
-  EXPECT_DOUBLE_EQ(back.time_scale, cal.time_scale);
+  ASSERT_EQ(back.tables.size(), 1u);
+  for (std::size_t c = 0; c < sim::kCostClassCount; ++c) {
+    EXPECT_DOUBLE_EQ(back.table("spawn").classes[c].fixed_s,
+                     spawn.classes[c].fixed_s);
+    EXPECT_DOUBLE_EQ(back.table("spawn").classes[c].per_unit_s,
+                     spawn.classes[c].per_unit_s);
+  }
   EXPECT_EQ(back.runs, cal.runs);
   EXPECT_DOUBLE_EQ(back.last_error_percent, cal.last_error_percent);
   std::filesystem::remove(path);
@@ -187,7 +245,7 @@ TEST(PlannerTest, ConcurrentLoadNeverSeesATornSave) {
   });
   for (int i = 0; i < 300; ++i) {
     cal.runs = 1 + i;
-    cal.gemm_gflops = 10.0 + i;
+    cal.tables["thread"].classes[0].fixed_s = 1e-6 * (1 + i);
     EXPECT_TRUE(cal.save(path));
   }
   done = true;
@@ -199,55 +257,133 @@ TEST(PlannerTest, ConcurrentLoadNeverSeesATornSave) {
 
 TEST(PlannerTest, CorruptCalibrationFallsBackToDefaults) {
   const std::string path = temp_calibration_path("sia_cal_corrupt");
-  {
+  const auto write = [&path](const char* text) {
     std::ofstream out(path, std::ios::trunc);
-    out << "sia_calibration v1\ngemm_gflops banana\n";
-  }
-  const Calibration defaults;
-  Calibration cal = Calibration::load(path);
-  EXPECT_DOUBLE_EQ(cal.gemm_gflops, defaults.gemm_gflops);
-  EXPECT_EQ(cal.runs, 0);
-  // Wrong magic, negative constants, and a missing file all fall back.
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "not a calibration file\n";
-  }
-  cal = Calibration::load(path);
-  EXPECT_EQ(cal.runs, 0);
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "sia_calibration v1\ngemm_gflops -4\n";
-  }
-  cal = Calibration::load(path);
-  EXPECT_DOUBLE_EQ(cal.gemm_gflops, defaults.gemm_gflops);
+    out << text;
+  };
+  const auto is_cold = [](const Calibration& cal) {
+    return cal.runs == 0 && cal.tables.empty();
+  };
+  write("sia_calibration v2\nruns 4\ncost thread execute banana 1\n");
+  EXPECT_TRUE(is_cold(Calibration::load(path)));
+  // Wrong magic, negative costs, and a missing file all fall back.
+  write("not a calibration file\n");
+  EXPECT_TRUE(is_cold(Calibration::load(path)));
+  write("sia_calibration v2\nruns 4\ncost thread execute -4 1e-9\n");
+  EXPECT_TRUE(is_cold(Calibration::load(path)));
   std::filesystem::remove(path);
-  cal = Calibration::load(path);
-  EXPECT_DOUBLE_EQ(cal.gemm_gflops, defaults.gemm_gflops);
+  EXPECT_TRUE(is_cold(Calibration::load(path)));
+  // A well-formed file does load.
+  write("sia_calibration v2\nruns 4\ncost thread execute 2e-6 1e-9\n");
+  EXPECT_EQ(Calibration::load(path).runs, 4);
+  std::filesystem::remove(path);
 }
 
-TEST(PlannerTest, CalibrationUpdateShrinksModelError) {
-  // With a stable actual time, the damped time_scale correction must
-  // strictly shrink the prediction error run over run.
-  Calibration cal;
-  const double actual = 1.0;
-  double predicted = 5.0;  // model 5x optimistic... err, pessimistic
-  double previous_error = std::abs(predicted - actual);
-  for (int run = 0; run < 4; ++run) {
-    update_calibration(&cal, predicted, actual, 10.0, 0.0, 0, 0.0);
-    // The next plan's raw model output is unchanged; only the bias
-    // term moves, so the next prediction is raw * time_scale.
-    predicted = 5.0 * cal.time_scale;
-    const double error = std::abs(predicted - actual);
-    EXPECT_LT(error, previous_error) << "run " << run;
-    previous_error = error;
+TEST(PlannerTest, VersionOneCalibrationFallsBackToColdTable) {
+  // A version-1 file (GEMM rate, model bias) carries no cost table; it
+  // must not seed a plan.
+  const std::string path = temp_calibration_path("sia_cal_v1");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "sia_calibration v1\ngemm_gflops 17.25\nruns 9\n";
   }
-  EXPECT_EQ(cal.runs, 4);
+  const Calibration cal = Calibration::load(path);
+  EXPECT_EQ(cal.runs, 0);
+  EXPECT_TRUE(cal.tables.empty());
+  EXPECT_DOUBLE_EQ(cal.table("thread").classes[0].fixed_s,
+                   CostTable{}.classes[0].fixed_s);
+  std::filesystem::remove(path);
 }
 
-TEST(PlannerTest, MeasuredGemmRateIsPositive) {
-  const double gflops = measure_gemm_gflops();
-  EXPECT_GT(gflops, 0.0);
-  EXPECT_LT(gflops, 10000.0);  // sanity: < 10 TFLOP/s on one core
+// Samples a class would produce if it cost exactly `truth`.
+std::vector<CostSample> exact_samples(sim::CostClass cls,
+                                      const ClassCost& truth,
+                                      const std::vector<double>& units) {
+  std::vector<CostSample> samples;
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    const double count = 10.0 * static_cast<double>(i + 1);
+    samples.push_back({cls, count,
+                       count * (truth.fixed_s + truth.per_unit_s * units[i]),
+                       units[i]});
+  }
+  return samples;
+}
+
+TEST(PlannerTest, FitRecoversTheCostsThatProducedTheSamples) {
+  const CostTable cold;
+  const ClassCost truth{2e-6, 3e-9};
+  const std::vector<CostSample> samples = exact_samples(
+      sim::CostClass::kExecute, truth, {64.0, 256.0, 4096.0, 65536.0});
+  const ClassCost fitted =
+      fit_costs(samples, cold)
+          .classes[static_cast<std::size_t>(sim::CostClass::kExecute)];
+  EXPECT_NEAR(fitted.fixed_s, truth.fixed_s, 1e-3 * truth.fixed_s);
+  EXPECT_NEAR(fitted.per_unit_s, truth.per_unit_s, 1e-3 * truth.per_unit_s);
+}
+
+TEST(PlannerTest, FitIgnoresAnOutlierInstruction) {
+  // One instruction that ran 5x slow (a block that waited on a peer) does
+  // not bend the line: the split stays the one the other sizes agree on.
+  const CostTable cold;
+  const ClassCost truth{1e-6, 2e-9};
+  std::vector<CostSample> samples = exact_samples(
+      sim::CostClass::kElementwise, truth, {16.0, 64.0, 256.0, 1024.0, 4096.0});
+  samples[2].seconds *= 5.0;
+  const ClassCost fitted =
+      fit_costs(samples, cold)
+          .classes[static_cast<std::size_t>(sim::CostClass::kElementwise)];
+  EXPECT_NEAR(fitted.per_unit_s / fitted.fixed_s,
+              truth.per_unit_s / truth.fixed_s,
+              0.05 * truth.per_unit_s / truth.fixed_s);
+}
+
+TEST(PlannerTest, FitKeepsThePriorSplitForOneSize) {
+  // One size cannot separate fixed from per-unit cost: the prior's split
+  // stands, scaled so the class total is what the run measured.
+  const CostTable cold;
+  const std::size_t c = static_cast<std::size_t>(sim::CostClass::kContract);
+  const ClassCost& prior = cold.classes[c];
+  const double units = 8192.0;
+  const double per_execution = 2.0 * (prior.fixed_s + prior.per_unit_s * units);
+  const CostTable fitted = fit_costs(
+      {{sim::CostClass::kContract, 100.0, 100.0 * per_execution, units}},
+      cold);
+  EXPECT_DOUBLE_EQ(fitted.classes[c].fixed_s, 2.0 * prior.fixed_s);
+  EXPECT_DOUBLE_EQ(fitted.classes[c].per_unit_s, 2.0 * prior.per_unit_s);
+  // Classes the run did not execute keep their prior costs.
+  const std::size_t sync = static_cast<std::size_t>(sim::CostClass::kSync);
+  EXPECT_DOUBLE_EQ(fitted.classes[sync].fixed_s, cold.classes[sync].fixed_s);
+}
+
+TEST(PlannerTest, FitIsBoundedAroundTheColdTable) {
+  // One run may move a coefficient 20x (a program whose contractions run
+  // far faster than the cold table's), but a garbage profile (a stalled
+  // host) stops at 100x the cold default.
+  const CostTable cold;
+  const std::size_t c = static_cast<std::size_t>(sim::CostClass::kChunk);
+  const double fixed = cold.classes[c].fixed_s;
+  const auto fit_at = [&](double factor) {
+    return fit_costs({{sim::CostClass::kChunk, 10.0, 10.0 * factor * fixed,
+                       0.0}},
+                     cold)
+        .classes[c];
+  };
+  EXPECT_DOUBLE_EQ(fit_at(1.0 / 20.0).fixed_s, fixed / 20.0);
+  EXPECT_DOUBLE_EQ(fit_at(1e4).fixed_s, 100.0 * fixed);
+  EXPECT_DOUBLE_EQ(fit_at(1e4).per_unit_s, 0.0);
+}
+
+TEST(PlannerTest, UnprofiledRunLeavesTheTableUnchanged) {
+  const SipConfig config = sweep_config();
+  const sial::ResolvedProgram resolved(optimized_sweep(config), config);
+  Calibration cal;
+  ProfileReport profile;  // profiling off: no per-pc costs
+  profile.plan.predicted_seconds = 2.0;
+  profile.plan.actual_seconds = 1.0;
+  update_calibration(&cal, "thread", profile, resolved);
+  EXPECT_EQ(cal.runs, 1);
+  EXPECT_DOUBLE_EQ(cal.last_error_percent, 100.0);
+  EXPECT_TRUE(cal.tables.empty());
 }
 
 // ---------------------------------------------------------------------
@@ -268,6 +404,7 @@ TEST(PlannerTest, AutotunedRunRecordsPlanAndPersistsCalibration) {
   EXPECT_GT(result.profile.plan.actual_seconds, 0.0);
   const Calibration cal = Calibration::load(cal_path);
   EXPECT_EQ(cal.runs, 1);
+  EXPECT_EQ(cal.tables.count("thread"), 1u);  // fitted from the profile
 
   // Second run sees the calibration and reports itself calibrated.
   Sip second(config);
@@ -345,20 +482,22 @@ TEST(PlannerTest, AutotuneEnvOverridesConfigBothWays) {
 // ---------------------------------------------------------------------
 // Work stealing.
 
-// A deliberately skewed pardo: segments are [48, 1], so iteration (1,1)
-// carries a 48x48x48 contraction swept `reps` times while the other
-// three iterations are slivers. min_chunk with the fair-share clamp
-// hands worker 0 the two front (heavy-led) iterations in one chunk;
-// worker 1 races through its own chunk and must steal the tail of
-// worker 0's to balance. fill_coords writes integer elements and the
-// final checksum is computed by a sequential do loop every worker
-// executes in the same order, so the result is bitwise independent of
-// which worker ran which iteration.
+// A deliberately skewed pardo. i's segments are [48, 1] and j's are eight
+// of 48, so the pardo's 16 iterations run i-major: the first eight (i=1)
+// each carry a 48x48x48 contraction swept `reps` times, the last eight
+// (i=2) are 48x slimmer. The guided schedule (chunk_divisor 1) hands each
+// worker half the space in one chunk, so one worker holds all eight heavy
+// iterations and the other races through the light ones and asks for
+// more while the heavy holder still has about six unstarted: the steal
+// does not depend on when the request lands. fill_coords writes integer
+// elements and the final checksum is computed by a sequential do loop
+// every worker executes in the same order, so the result is bitwise
+// independent of which worker ran which iteration.
 std::string skew_source() {
   return R"SIAL(
 sial steal_skew
 aoindex i = 1, n
-aoindex j = 1, n
+aoindex j = 1, m
 aoindex k = 1, n
 index r = 1, reps
 distributed c(i,j)
@@ -401,10 +540,9 @@ SipConfig skew_config(bool work_stealing) {
   config.io_servers = 0;
   config.default_segment = 48;
   config.segment_overrides["index"] = 1;  // `do r` sweeps reps times
-  config.chunk_divisor = 1;
-  config.min_chunk = 4;  // clamped to the fair share: 2 per worker
+  config.chunk_divisor = 1;  // first chunks: half the space per worker
   config.work_stealing = work_stealing;
-  config.constants = {{"n", 49}, {"reps", 400}};
+  config.constants = {{"n", 49}, {"m", 384}, {"reps", 100}};
   return config;
 }
 
@@ -413,10 +551,9 @@ TEST(PlannerStealTest, StealingIsBitIdenticalOnSkewedPardo) {
   const RunResult baseline = no_steal.run_source(skew_source());
   EXPECT_EQ(baseline.profile.scheduling.steals_granted, 0);
 
-  // The steal itself is a race against the victim finishing its heavy
-  // iteration; the skew makes it all but certain, but on a loaded
-  // machine allow a few attempts. Bit-identity must hold on EVERY run,
-  // stolen or not.
+  // The skew leaves the victim several unstarted heavy iterations when
+  // the thief asks, so a steal does not hinge on timing; a second run
+  // checks it again. Bit-identity must hold on EVERY run, stolen or not.
   std::int64_t steals = 0;
   for (int attempt = 0; attempt < 5; ++attempt) {
     Sip sip(skew_config(true));

@@ -170,25 +170,72 @@ TEST(ProgramModelTest, MemoryFootprintsFilled) {
   EXPECT_GT(model.sia_fixed_per_core, 0.0);   // temp pools
 }
 
-TEST(ProgramModelTest, ExecuteCostUsesKnob) {
+TEST(ProgramModelTest, ClassLoadsCountEachInstruction) {
+  // Per iteration: 2 do-k trips, each an integral fill, a contraction and
+  // a get; then one put. (Chunk requests are the schedule's to count.)
   const auto program = resolve(R"(
 sial p
 moindex i = 1, nocc
-temp t(i)
-pardo i
-  execute compute_integrals t(i)
-endpardo i
+moindex j = 1, nocc
+moindex k = 1, nocc
+distributed d(k,j)
+distributed c(i,j)
+temp t(i,k)
+temp p(i,j)
+pardo i, j
+  do k
+    execute compute_integrals t(i,k)
+    get d(k,j)
+    p(i,j) = t(i,k) * d(k,j)
+  enddo k
+  put c(i,j) = p(i,j)
+endpardo i, j
 endsial
 )");
-  ModelOptions cheap;
-  cheap.execute_flops_per_element = 10.0;
-  ModelOptions costly;
-  costly.execute_flops_per_element = 1000.0;
-  const double low =
-      model_program(program, cheap).phases[0].flops_per_task;
-  const double high =
-      model_program(program, costly).phases[0].flops_per_task;
-  EXPECT_DOUBLE_EQ(high, 100.0 * low);
+  const WorkloadModel model = model_program(program);
+  ASSERT_EQ(model.phases.size(), 1u);
+  const Load& load = model.phases[0].load_per_task;
+  const auto at = [&load](CostClass cls) {
+    return load[static_cast<std::size_t>(cls)];
+  };
+  EXPECT_DOUBLE_EQ(at(CostClass::kExecute).count, 2.0);
+  EXPECT_DOUBLE_EQ(at(CostClass::kExecute).units, 2.0 * 16.0);  // 4x4
+  EXPECT_DOUBLE_EQ(at(CostClass::kContract).count, 2.0);
+  EXPECT_DOUBLE_EQ(at(CostClass::kContract).units,
+                   2.0 * (2.0 * 16.0 * 4.0));  // flops
+  EXPECT_DOUBLE_EQ(at(CostClass::kTransfer).count, 3.0);
+  EXPECT_DOUBLE_EQ(at(CostClass::kTransfer).units, 3.0 * 16.0 * 8.0);
+  EXPECT_DOUBLE_EQ(at(CostClass::kChunk).count, 0.0);
+  EXPECT_DOUBLE_EQ(at(CostClass::kSync).count, 0.0);
+  // The fit reads the same units per pc that the model sums.
+  double execute_units = 0.0;
+  for (const sial::Instruction& instr : program.code().code) {
+    const auto one = instruction_load(program, instr);
+    if (one && one->cls == CostClass::kExecute) execute_units += one->units;
+  }
+  EXPECT_DOUBLE_EQ(execute_units, 16.0);
+}
+
+TEST(ProgramModelTest, BarriersAreSequentialLoad) {
+  const auto program = resolve(R"(
+sial p
+moindex i = 1, nocc
+distributed d(i)
+temp t(i)
+scalar s
+pardo i
+  t(i) = 1.0
+  put d(i) = t(i)
+endpardo i
+sip_barrier
+collective s += s
+endsial
+)");
+  const WorkloadModel model = model_program(program);
+  ASSERT_EQ(model.phases.size(), 1u);
+  EXPECT_DOUBLE_EQ(
+      model.sequential_load[static_cast<std::size_t>(CostClass::kSync)].count,
+      2.0);
 }
 
 }  // namespace
