@@ -5,7 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-
+#include <string>
 #include <vector>
 
 #include "blas/gemm.hpp"
@@ -29,9 +29,23 @@ Block random_block(std::vector<int> extents, std::uint64_t seed) {
   return block;
 }
 
+// Runs a benchmark body on one GEMM micro-kernel ("avx2", "avx512") and
+// restores CPU dispatch afterwards; the label names the kernel that ran.
+// A kernel this CPU lacks is reported as an error row, not measured.
+template <typename Body>
+void with_kernel(benchmark::State& state, const char* kernel, Body body) {
+  if (!blas::select_gemm_kernel(kernel)) {
+    state.SkipWithError("micro-kernel not supported on this CPU");
+    return;
+  }
+  state.SetLabel(std::string(blas::gemm_kernel_name()));
+  body();
+  blas::select_gemm_kernel("auto");
+}
+
 // Rank-4 block contraction over two shared indices (the CCSD workhorse:
 // 2*seg^6 flops), as a function of segment size.
-void BM_BlockContraction(benchmark::State& state) {
+void BM_BlockContraction(benchmark::State& state, const char* kernel) {
   const int seg = static_cast<int>(state.range(0));
   Block a = random_block({seg, seg, seg, seg}, 1);
   Block b = random_block({seg, seg, seg, seg}, 2);
@@ -39,42 +53,67 @@ void BM_BlockContraction(benchmark::State& state) {
   const std::vector<int> c_ids = {0, 1, 4, 5};
   const std::vector<int> a_ids = {0, 1, 2, 3};
   const std::vector<int> b_ids = {2, 3, 4, 5};
-  for (auto _ : state) {
-    sip::block_contract(c, c_ids, a, a_ids, b, b_ids, false);
-    benchmark::DoNotOptimize(c.data().data());
-  }
+  with_kernel(state, kernel, [&] {
+    for (auto _ : state) {
+      sip::block_contract(c, c_ids, a, a_ids, b, b_ids, false);
+      benchmark::DoNotOptimize(c.data().data());
+      benchmark::ClobberMemory();
+    }
+  });
   const double flops = 2.0 * std::pow(static_cast<double>(seg), 6.0);
   state.counters["GFLOP/s"] = benchmark::Counter(
       flops * static_cast<double>(state.iterations()) * 1e-9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_BlockContraction)
-    ->Arg(4)
-    ->Arg(8)
-    ->Arg(12)
-    ->Arg(16)
-    ->Arg(20)
-    ->Arg(24)
-    ->Arg(32);
+BENCHMARK_CAPTURE(BM_BlockContraction, avx2, "avx2")
+    ->Arg(4)->Arg(8)->Arg(12)->Arg(16)->Arg(20)->Arg(24)->Arg(32);
+BENCHMARK_CAPTURE(BM_BlockContraction, avx512, "avx512")
+    ->Arg(4)->Arg(8)->Arg(12)->Arg(16)->Arg(20)->Arg(24)->Arg(32);
+
+// The Fock build's Coulomb contraction J(mu,nu) = v(mu,nu,la,si) *
+// D(la,si): a matrix-vector product (n == 1) of 2*seg^4 flops.
+void BM_FockContraction(benchmark::State& state) {
+  const int seg = static_cast<int>(state.range(0));
+  Block v = random_block({seg, seg, seg, seg}, 1);
+  Block d = random_block({seg, seg}, 2);
+  Block j{BlockShape(std::vector<int>{seg, seg})};
+  const std::vector<int> j_ids = {0, 1};
+  const std::vector<int> v_ids = {0, 1, 2, 3};
+  const std::vector<int> d_ids = {2, 3};
+  for (auto _ : state) {
+    sip::block_contract(j, j_ids, v, v_ids, d, d_ids, false);
+    benchmark::DoNotOptimize(j.data().data());
+    benchmark::ClobberMemory();
+  }
+  const double flops = 2.0 * std::pow(static_cast<double>(seg), 4.0);
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      flops * static_cast<double>(state.iterations()) * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_FockContraction)->Arg(8)->Arg(16);
 
 // The DGEMM kernel directly.
-void BM_Dgemm(benchmark::State& state) {
+void BM_Dgemm(benchmark::State& state, const char* kernel) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   std::vector<double> a(n * n), b(n * n), c(n * n);
   for (std::size_t i = 0; i < n * n; ++i) {
     a[i] = unit_double(i);
     b[i] = unit_double(i + 7);
   }
-  for (auto _ : state) {
-    blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, 0.0, c.data(), n);
-    benchmark::DoNotOptimize(c.data());
-  }
+  with_kernel(state, kernel, [&] {
+    for (auto _ : state) {
+      blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, 0.0, c.data(), n);
+      benchmark::DoNotOptimize(c.data());
+      benchmark::ClobberMemory();
+    }
+  });
   state.counters["GFLOP/s"] = benchmark::Counter(
       2.0 * static_cast<double>(n) * n * n *
           static_cast<double>(state.iterations()) * 1e-9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Dgemm)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK_CAPTURE(BM_Dgemm, avx2, "avx2")->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK_CAPTURE(BM_Dgemm, avx512, "avx512")->Arg(64)->Arg(128)->Arg(256);
 
 // Rank-4 permutation (operand preparation for contractions).
 void BM_Permute4(benchmark::State& state) {

@@ -315,25 +315,40 @@ TEST(BatchGetsTest, BatchingDoesNotIncreaseBlockWait) {
 // Request look-ahead (served arrays): exec_request reuses the same
 // prefetch_candidates walk as exec_get, so blocks stream toward the
 // worker while the current iteration is still computing.
+//
+// The sweep reads two served arrays so that at least some look-ahead
+// hits are certain, not a race against the server thread. Every block
+// sits in the server's cache after the barrier, so the server answers
+// each request in arrival order, and one server-to-worker stream keeps
+// that order. In the first k iteration the worker sends: demand S(a,1),
+// look-ahead S(a,2..5), demand R(a,1), look-ahead R(a,2..5). Waiting for
+// R(a,1) therefore adopts the S(a,2..5) replies first, and iterations
+// 2..5 find those blocks cached without a demand request.
 
 constexpr const char* kServedSweep = R"(
 moindex a = 1, n
 moindex k = 1, n
 served S(a,k)
+served R(a,k)
 temp t(a,k)
 temp u(a,k)
+temp w(a,k)
 scalar lsum
 scalar total
 pardo a, k
   execute fill_coords t(a,k)
   prepare S(a,k) = t(a,k)
+  prepare R(a,k) = t(a,k)
 endpardo a, k
 server_barrier
 pardo a
   do k
     request S(a,k)
+    request R(a,k)
     u(a,k) = S(a,k)
+    w(a,k) = R(a,k)
     lsum += u(a,k) * u(a,k)
+    lsum += w(a,k) * w(a,k)
   enddo k
 endpardo a
 total = 0.0
