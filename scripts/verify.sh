@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full verification: the tier-1 suite, a loaded repeat of it, the
-# ThreadSanitizer subset, and the chaos/process matrix, in that order
-# (fastest signal first).
+# ThreadSanitizer subset, the chaos/process matrix, and the runtime
+# suites again over the loopback socket fabric, in that order (fastest
+# signal first).
 #
 #   scripts/verify.sh [build-dir]     default build dir: ./build
 #
@@ -42,6 +43,12 @@ echo "== tsan subset =="
 ctest --output-on-failure -L tsan
 echo "== chaos matrix =="
 ctest --output-on-failure -L chaos
+echo "== loopback transport =="
+# The same suites with every thread-transport launch moved onto the
+# socket fabric (frames over real socketpairs, same rank threads).
+SIA_TRANSPORT=loopback ctest --output-on-failure -L chaos
+SIA_TRANSPORT=loopback ctest --output-on-failure -R \
+  '^test_(sip_basic|sip_dist|sip_served|io_server|checkpoint|rank_report|sparse|prefetch|sip_errors|opt)$'
 echo "== planner bench =="
 # End-to-end autotune check: plans, runs, calibrates, and exits nonzero
 # if a tuned run's checksum drifts from the hand-configured cells. The

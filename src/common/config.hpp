@@ -208,10 +208,6 @@ struct SipConfig {
   // its memory report without executing anything.
   bool dry_run_only = false;
 
-  // Collect and keep per-instruction / per-pardo timing (cheap; on by
-  // default as in the paper).
-  bool profiling = true;
-
   // ---- Fault tolerance (PR 4) ----
 
   // Fault-injection plan; empty (inactive) by default. When active the
@@ -236,10 +232,6 @@ struct SipConfig {
   static constexpr int kAutoHeartbeatMs = 100;
   // Consecutive missed pings before a rank is declared dead.
   int heartbeat_misses = 5;
-
-  // When a dead rank is an I/O server, respawn it and rebuild its state
-  // from the durable DiskStore files instead of aborting the run.
-  bool server_recovery = true;
 
   // ---- Transport (PR 9) ----
 
@@ -332,14 +324,12 @@ struct SipConfig {
     visit("constants", Knob{}, s.constants...);
     visit("computed_served", Knob{}, s.computed_served...);
     visit("dry_run_only", Knob{}, s.dry_run_only...);
-    visit("profiling", Knob{}, s.profiling...);
     visit("fault_plan", Knob{}, s.fault_plan...);
     visit("reliable_protocol", Knob{}, s.reliable_protocol...);
     visit("retry_timeout_ms", Knob{.min = 1}, s.retry_timeout_ms...);
     visit("retry_max", Knob{.min = 1}, s.retry_max...);
     visit("heartbeat_ms", Knob{}, s.heartbeat_ms...);
     visit("heartbeat_misses", Knob{.min = 1}, s.heartbeat_misses...);
-    visit("server_recovery", Knob{}, s.server_recovery...);
     visit("transport", Knob{}, s.transport...);
     visit("socket_address", Knob{}, s.socket_address...);
     visit("spawn_helper", Knob{}, s.spawn_helper...);

@@ -30,7 +30,7 @@ enum Mode { kModeAssign = 0, kModeAcc = 1, kModeSub = 2, kModeScale = 3 };
 Interpreter::Interpreter(SipShared& shared, int worker_index)
     : shared_(shared), worker_index_(worker_index),
       my_rank_(shared.worker_rank(worker_index)),
-      program_(*shared.program), profiler_(shared.config.profiling) {
+      program_(*shared.program) {
   pool_ = std::make_unique<BlockPool>(shared_.pool_plan,
                                       /*allow_heap_fallback=*/true);
   data_ = std::make_unique<DataManager>(program_, *pool_);

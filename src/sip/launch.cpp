@@ -1,19 +1,20 @@
 #include "sip/launch.hpp"
 
+#include <cerrno>
+#include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <optional>
+#include <set>
 #include <thread>
 
-#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
+#include "msg/tags.hpp"
 #include "sial/compiler.hpp"
 #include "sial/opt/optimizer.hpp"
-#include "msg/socket_fabric.hpp"
-#include "sip/interpreter.hpp"
 #include "sip/io_server.hpp"
-#include "sip/rank_report.hpp"
-#include "sip/shared.hpp"
 #include "sip/spawn.hpp"
 #include "sip/superinstr.hpp"
 
@@ -82,6 +83,155 @@ bool autotune_enabled(const SipConfig& config) {
   return config.autotune;
 }
 
+// Waits for every child's end-of-run kResultReport and appends it to
+// `reports`. The master has returned, so nothing else reads rank 0's
+// mailbox, and the hub still accepts the children's one-shot
+// connections. Returns the first error: a child's kAbort text, or a
+// malformed or duplicate report.
+std::string collect_child_reports(msg::Fabric& fabric, int ranks,
+                                  std::vector<RankReport>& reports) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(15);
+  std::set<int> reported;
+  while (static_cast<int>(reported.size()) < ranks - 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    bool got = false;
+    while (auto m = fabric.try_recv_tag(0, msg::kResultReport)) {
+      got = true;
+      try {
+        RankReport report = RankReport::decode(*m);
+        if (report.rank != m->src || !reported.insert(m->src).second) {
+          throw Error("unexpected result report");
+        }
+        reports.push_back(std::move(report));
+      } catch (const Error& error) {
+        return "spawn: rank " + std::to_string(m->src) + ": " + error.what();
+      }
+    }
+    if (auto m = fabric.try_recv_tag(0, msg::kAbort)) return abort_text(*m);
+    if (!got) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return "";
+}
+
+// The launch driver, for every transport: builds the shared state and
+// the fabric, starts ranks 1..N as threads or child processes, runs the
+// master on this thread, and merges every rank's report into `result`.
+void drive(const sial::ResolvedProgram& resolved, SipConfig config,
+           const std::string& scratch_dir, const std::string& source,
+           RunResult& result) {
+  const bool processes = config.spawn_processes();
+  if (processes) {
+    if (source.empty()) {
+      throw Error(
+          "transport=spawn requires run_source(): spawned ranks recompile "
+          "the SIAL source, which run(CompiledProgram) does not carry");
+    }
+    // Real processes die for real even without injected faults. Keep the
+    // heartbeat watchdog on so a lost child becomes a diagnosed abort
+    // instead of a hang (a thread cannot vanish without taking the
+    // process with it, so thread ranks leave it off in fault-free runs).
+    if (config.heartbeat_ms == 0 && !config.fault_tolerance_enabled()) {
+      config.heartbeat_ms = SipConfig::kAutoHeartbeatMs;
+    }
+  }
+  const int total = config.total_ranks();
+  LaunchProcess launch(resolved, config, scratch_dir,
+                       result.dry_run.pool_plan, 0);
+  SipShared& shared = launch.shared;
+  const LaunchFabric& fabric = launch.fabric;
+  IoServer::clear_ack_journals(shared);
+
+  // Thread ranks hand their reports back in memory, by rank; only this
+  // thread (the master's) starts and joins them.
+  std::vector<std::thread> threads(static_cast<std::size_t>(total));
+  std::vector<RankReport> thread_reports(static_cast<std::size_t>(total));
+  std::optional<ChildRanks> children;
+  if (processes) {
+    children.emplace(shared, source, fabric.socket->listen_address());
+  }
+  const auto start = [&](int rank, int incarnation) {
+    if (children) return children->start(rank, incarnation);
+    const std::size_t r = static_cast<std::size_t>(rank);
+    threads[r] = std::thread([&shared, &report = thread_reports[r], rank] {
+      report = run_rank(shared, rank);
+    });
+    return true;
+  };
+
+  // Reports of server incarnations retired by a respawn, then every
+  // rank's final one.
+  std::vector<RankReport> reports;
+  if (config.fault_tolerance_enabled()) {
+    // Called from the master's watchdog, on this thread. The fresh server
+    // rebuilds from the durable files and the ack journal; clients'
+    // retransmits refill the rest.
+    shared.respawn_server = [&](int rank) {
+      if (!shared.is_server(rank)) return false;
+      if (children) {
+        // Drop the dead process's stale connection so the respawned
+        // one's hello is not shadowed.
+        fabric.socket->disconnect(rank);
+      } else {
+        // The dead incarnation abandoned its stores and returned. Its
+        // counters merge as one more report; its census is not a
+        // counter, since the successor rebuilds and reports the same
+        // blocks.
+        const std::size_t r = static_cast<std::size_t>(rank);
+        threads[r].join();
+        reports.push_back(std::move(thread_reports[r]));
+        reports.back().resident.clear();
+      }
+      fabric.fabric->revive(rank);
+      return start(rank, 1);
+    };
+  }
+  Master master(shared);
+  for (int r = 1; r < total; ++r) {
+    if (!start(r, 0)) {
+      throw Error("spawn: fork failed for rank " + std::to_string(r) + ": " +
+                  std::strerror(errno));
+    }
+  }
+  if (children && !fabric.socket->wait_for_peers(config.connect_timeout_ms)) {
+    std::string missing;
+    for (int r = 1; r < total; ++r) {
+      if (!fabric.socket->peer_connected(r)) {
+        missing += (missing.empty() ? "" : ", ") + std::to_string(r);
+      }
+    }
+    fabric.fabric->stop();
+    throw RuntimeError("spawn: ranks {" + missing + "} never connected to " +
+                       fabric.socket->listen_address() + " within " +
+                       std::to_string(config.connect_timeout_ms) + " ms");
+  }
+
+  master.run();  // this thread is rank 0
+
+  std::string error;
+  if (children) {
+    // On abort the children's reports are moot: the error already
+    // arrived through the live fabric.
+    error = shared.error();
+    if (error.empty()) {
+      error = collect_child_reports(*fabric.fabric, total, reports);
+    }
+    fabric.fabric->stop();
+    children->reap();
+  } else {
+    for (int r = 1; r < total; ++r) {
+      const std::size_t slot = static_cast<std::size_t>(r);
+      threads[slot].join();
+      reports.push_back(std::move(thread_reports[slot]));
+    }
+    error = shared.error();
+  }
+  if (!error.empty()) throw RuntimeError(error);
+  reports.push_back(make_rank_report(shared, 0, &master, nullptr, nullptr,
+                                     /*process_counters=*/true));
+  merge_reports(reports, resolved, result);
+}
+
 }  // namespace
 
 RunResult Sip::run(const sial::CompiledProgram& program) {
@@ -144,140 +294,18 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
         result.dry_run.workers_needed);
   }
 
-  // Closes the autotuning loop after execution: records predicted vs
-  // actual in the profile and refits the transport's cost table from the
-  // run's per-pc profile into the calibration file that seeds the next
-  // plan.
-  auto finish_plan = [&](RunResult& r, double actual_seconds) {
-    if (!plan_record.planned) return;
-    plan_record.actual_seconds = actual_seconds;
-    r.profile.plan = plan_record;
-    update_calibration(&calibration, config_.transport, r.profile, resolved);
-    calibration.save(cal_path);  // best effort; a read-only HOME is fine
-  };
-
-  // Spawn mode: every worker and I/O-server rank is its own OS process
-  // wired to this process's socket hub. The children recompile the SIAL
-  // source, so only run_source() launches can spawn.
-  if (config_.spawn_processes()) {
-    if (pending_source_.empty()) {
-      throw Error(
-          "transport=spawn requires run_source(): spawned ranks recompile "
-          "the SIAL source, which run(CompiledProgram) does not carry");
-    }
-    const double spawn_start = wall_seconds();
-    RunResult spawned = run_spawned(config_, scratch_dir_, pending_source_,
-                                    resolved, std::move(result));
-    finish_plan(spawned, wall_seconds() - spawn_start);
-    return spawned;
-  }
-
   const double exec_start = wall_seconds();
-
-  const bool fault_tolerant = config_.fault_tolerance_enabled();
-  // Transport: plain in-process mailboxes, or the loopback socket fabric
-  // that frames every cross-rank message over a real socketpair (the
-  // transport-parity mode socket tests and benches use). Fault plans
-  // decorate either with the chaos layer.
-  std::unique_ptr<msg::Fabric> fabric;
-  if (config_.socket_transport()) {
-    msg::SocketOptions sopts;
-    sopts.role = msg::SocketOptions::Role::kLoopback;
-    sopts.connect_timeout_ms = config_.connect_timeout_ms;
-    fabric =
-        std::make_unique<msg::SocketFabric>(config_.total_ranks(), sopts);
-  } else {
-    fabric = std::make_unique<msg::Fabric>(config_.total_ranks());
+  drive(resolved, config_, scratch_dir_, pending_source_, result);
+  if (plan_record.planned) {
+    // Closes the autotuning loop: records predicted vs actual in the
+    // profile and refits the transport's cost table from the run's
+    // per-pc profile into the calibration file that seeds the next plan.
+    plan_record.actual_seconds = wall_seconds() - exec_start;
+    result.profile.plan = plan_record;
+    update_calibration(&calibration, config_.transport, result.profile,
+                       resolved);
+    calibration.save(cal_path);  // best effort; a read-only HOME is fine
   }
-  if (config_.fault_plan.active()) {
-    fabric = std::make_unique<msg::ChaosFabric>(std::move(fabric),
-                                                config_.fault_plan);
-  }
-
-  SipShared shared(resolved, config_, scratch_dir_, result.dry_run.pool_plan);
-  shared.fabric = fabric.get();
-  IoServer::clear_ack_journals(shared);
-
-  Master master(shared);
-  std::vector<std::unique_ptr<Interpreter>> workers;
-  workers.reserve(static_cast<std::size_t>(config_.workers));
-  for (int w = 0; w < config_.workers; ++w) {
-    workers.push_back(std::make_unique<Interpreter>(shared, w));
-  }
-  std::vector<std::unique_ptr<IoServer>> servers;
-  servers.reserve(static_cast<std::size_t>(config_.io_servers));
-  for (int s = 0; s < config_.io_servers; ++s) {
-    servers.push_back(
-        std::make_unique<IoServer>(shared, 1 + config_.workers + s));
-  }
-
-  std::vector<std::thread> threads;
-  // Reports of server incarnations retired by a respawn; like `threads`,
-  // only the master thread touches it until the join.
-  std::vector<RankReport> reports;
-  // The respawn closure indexes `threads` by rank from the master's
-  // heartbeat thread. Size the vector once and fill it by rank with the
-  // master started last, so every write happens-before the master thread
-  // exists; after launch only the master mutates it, and the join loop
-  // reads the other slots only after the master (joined first) exits.
-  threads.resize(static_cast<std::size_t>(config_.total_ranks()));
-  if (fault_tolerant && config_.server_recovery) {
-    shared.respawn_server = [&](int rank) -> bool {
-      const int s = rank - 1 - config_.workers;
-      if (s < 0 || s >= static_cast<int>(servers.size())) return false;
-      const std::size_t t = static_cast<std::size_t>(rank);
-      if (t >= threads.size()) return false;
-      if (threads[t].joinable()) threads[t].join();
-      // The dead incarnation's counters merge as one more report. Its
-      // census is not a counter: the successor rebuilds the same blocks
-      // from the durable files and reports them.
-      reports.push_back(make_rank_report(shared, rank, nullptr, nullptr,
-                                         servers[s].get(), false));
-      reports.back().resident.clear();
-      // The dead incarnation abandoned its stores, so destroying it cannot
-      // clobber the durable files. The fresh server rebuilds from those
-      // files and the ack journal; clients' retransmits refill the rest.
-      servers[s].reset();
-      servers[s] = std::make_unique<IoServer>(shared, rank);
-      fabric->revive(rank);
-      threads[t] = std::thread([srv = servers[s].get()] { srv->run(); });
-      return true;
-    };
-  }
-  for (int w = 0; w < config_.workers; ++w) {
-    Interpreter* interp = workers[static_cast<std::size_t>(w)].get();
-    threads[static_cast<std::size_t>(1 + w)] =
-        std::thread([interp] { interp->run(); });
-  }
-  for (int s = 0; s < config_.io_servers; ++s) {
-    IoServer* srv = servers[static_cast<std::size_t>(s)].get();
-    threads[static_cast<std::size_t>(1 + config_.workers + s)] =
-        std::thread([srv] { srv->run(); });
-  }
-  threads[0] = std::thread([&master] { master.run(); });
-  for (std::thread& thread : threads) thread.join();
-  const double exec_seconds = wall_seconds() - exec_start;
-
-  {
-    std::lock_guard<std::mutex> lock(shared.error_mutex);
-    if (!shared.first_error.empty()) {
-      throw RuntimeError(shared.first_error);
-    }
-  }
-
-  reports.push_back(make_rank_report(shared, 0, &master, nullptr, nullptr,
-                                     /*process_counters=*/true));
-  for (const auto& worker : workers) {
-    reports.push_back(make_rank_report(shared, 1 + worker->worker_index(),
-                                       nullptr, worker.get(), nullptr, false));
-  }
-  for (int s = 0; s < config_.io_servers; ++s) {
-    reports.push_back(make_rank_report(shared, config_.first_server_rank() + s,
-                                       nullptr, nullptr, servers[s].get(),
-                                       false));
-  }
-  merge_reports(reports, resolved, result);
-  finish_plan(result, exec_seconds);
   return result;
 }
 

@@ -448,8 +448,7 @@ const char* wait_kind_name(int status) {
 }  // namespace
 
 void Master::handle_dead_rank(int rank) {
-  if (shared_.is_server(rank) && shared_.config.server_recovery &&
-      shared_.respawn_server) {
+  if (shared_.is_server(rank) && shared_.respawn_server) {
     SIA_INFO(shared_.master_rank())
         << "I/O server rank " << rank << " unresponsive after "
         << heartbeat_miss_streak_[static_cast<std::size_t>(rank)]
@@ -523,11 +522,7 @@ void Master::heartbeat_tick() {
 }
 
 void Master::broadcast_abort() {
-  std::string what;
-  {
-    std::lock_guard<std::mutex> lock(shared_.error_mutex);
-    what = shared_.first_error;
-  }
+  std::string what = shared_.error();
   if (what.empty()) what = "aborted";
   for (int r = 1; r < shared_.fabric->ranks(); ++r) {
     shared_.fabric->deliver(shared_.master_rank(), r,
@@ -538,7 +533,7 @@ void Master::broadcast_abort() {
 void Master::run() {
   const int heartbeat_ms = shared_.config.effective_heartbeat_ms();
   // The watchdog runs whenever a heartbeat period is in effect — under
-  // fault tolerance (auto) and in spawn mode, where run_spawned forces a
+  // fault tolerance (auto) and in spawn mode, where the launch forces a
   // period because real processes can die without injected faults.
   const bool watchdog = heartbeat_ms > 0;
   auto next_beat = std::chrono::steady_clock::now() +

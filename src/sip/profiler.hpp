@@ -36,11 +36,8 @@ inline constexpr std::size_t kWaitKindCount = 5;
 
 class Profiler {
  public:
-  explicit Profiler(bool enabled) : enabled_(enabled) {}
-
   void record_instruction(int pc, int line, const char* opcode,
                           double seconds) {
-    if (!enabled_) return;
     Entry& entry = instructions_[pc];
     entry.line = line;
     entry.opcode = opcode;
@@ -51,19 +48,16 @@ class Profiler {
   // Wait time: spent blocked (servicing messages) on something that had
   // not yet arrived, bucketed by what was awaited.
   void record_wait(int pardo_id, double seconds, WaitKind kind) {
-    if (!enabled_) return;
     total_wait_ += seconds;
     wait_by_kind_[static_cast<std::size_t>(kind)] += seconds;
     if (pardo_id >= 0) pardo_[pardo_id].wait += seconds;
   }
 
   void record_pardo_iteration(int pardo_id) {
-    if (!enabled_) return;
     pardo_[pardo_id].iterations += 1;
   }
 
   void record_pardo_elapsed(int pardo_id, double seconds) {
-    if (!enabled_) return;
     pardo_[pardo_id].elapsed += seconds;
   }
 
@@ -122,7 +116,6 @@ class Profiler {
   }
 
  private:
-  bool enabled_;
   std::map<int, Entry> instructions_;   // keyed by pc
   std::map<int, PardoEntry> pardo_;     // keyed by pardo table id
   double total_wait_ = 0.0;

@@ -40,7 +40,7 @@ struct RankReport {
   int rank = 0;
   std::vector<double> scalars;  // worker 0 only: the canonical copy
 
-  Profiler profile{true};
+  Profiler profile;
   // One fabric, disk-fault injector and kernel counter per OS process, so
   // one report per process carries them: the master's in thread and
   // loopback launches, every rank's in spawn mode.

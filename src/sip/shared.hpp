@@ -69,10 +69,11 @@ struct SipShared {
   // so `disk=eio@op:N` names one global operation.
   std::unique_ptr<msg::DiskFaultInjector> disk_injector;
 
-  // Installed by the launch when server recovery is enabled: joins the
-  // dead server rank's thread, rebuilds the IoServer from its durable
-  // files, revives the rank, and spawns a fresh thread. Called from the
-  // master's watchdog. Returns false if the rank cannot be recovered.
+  // Installed by the launch whenever fault tolerance is on: retires the
+  // dead server rank's thread or process, revives the rank, and starts it
+  // again the way it started the first time; the fresh IoServer rebuilds
+  // from its durable files. Called from the master's watchdog. Returns
+  // false if the rank cannot be recovered.
   std::function<bool(int rank)> respawn_server;
 
   // What each rank is blocked on, for the watchdog's diagnosed abort:
@@ -108,6 +109,12 @@ struct SipShared {
     }
     abort_flag.store(true, std::memory_order_release);
     fabric->stop();
+  }
+
+  // The first error raised, or empty.
+  std::string error() {
+    std::lock_guard<std::mutex> lock(error_mutex);
+    return first_error;
   }
 
   void check_abort() const {

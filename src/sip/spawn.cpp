@@ -7,7 +7,6 @@
 #include <csignal>
 #include <cstring>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string_view>
 #include <thread>
@@ -19,15 +18,12 @@
 #include "common/posix_io.hpp"
 #include "msg/chaos.hpp"
 #include "msg/frame.hpp"
-#include "msg/socket_fabric.hpp"
 #include "msg/tags.hpp"
 #include "sial/compiler.hpp"
 #include "sial/opt/optimizer.hpp"
 #include "sip/interpreter.hpp"
 #include "sip/io_server.hpp"
 #include "sip/master.hpp"
-#include "sip/rank_report.hpp"
-#include "sip/shared.hpp"
 #include "sip/superinstr.hpp"
 
 namespace sia::sip {
@@ -55,58 +51,6 @@ void send_one_shot(const std::string& connect,
     if (write_full(fd, frame.data(), frame.size()) < 0) break;
   }
   close_quiet(fd);
-}
-
-pid_t spawn_rank(const std::string& helper, int rank,
-                 const std::string& bundle_path, int incarnation) {
-  std::vector<std::string> args = {helper,
-                                   "--sia-child",
-                                   "--rank",
-                                   std::to_string(rank),
-                                   "--bundle",
-                                   bundle_path,
-                                   "--incarnation",
-                                   std::to_string(incarnation)};
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& arg : args) argv.push_back(arg.data());
-  argv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ::execv(argv[0], argv.data());
-    ::_exit(127);  // exec failed; the watchdog will diagnose the silence
-  }
-  return pid;
-}
-
-// Reaps every live child: polite waitpid polling under a deadline, then
-// SIGKILL for stragglers (an aborted child may be blocked on a fabric
-// that no longer answers).
-void reap_children(std::vector<pid_t>& pids) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  for (;;) {
-    bool pending = false;
-    for (pid_t& pid : pids) {
-      if (pid <= 0) continue;
-      int status = 0;
-      const pid_t r = retry_eintr([&] { return ::waitpid(pid, &status, WNOHANG); });
-      if (r == pid || (r < 0 && errno == ECHILD)) {
-        pid = -1;
-      } else {
-        pending = true;
-      }
-    }
-    if (!pending || std::chrono::steady_clock::now() >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  for (pid_t& pid : pids) {
-    if (pid <= 0) continue;
-    ::kill(pid, SIGKILL);
-    int status = 0;
-    retry_eintr([&] { return ::waitpid(pid, &status, 0); });
-    pid = -1;
-  }
 }
 
 }  // namespace
@@ -183,6 +127,70 @@ bool is_spawn_child(int argc, char** argv) {
   return false;
 }
 
+LaunchFabric make_fabric(SipShared& shared, int rank) {
+  const SipConfig& config = shared.config;
+  LaunchFabric out;
+  if (config.socket_transport()) {
+    msg::SocketOptions sopts;
+    sopts.connect_timeout_ms = config.connect_timeout_ms;
+    sopts.on_fatal = [&shared](const std::string& what) {
+      if (shared.fabric != nullptr) shared.raise_abort(what);
+    };
+    if (rank > 0) {
+      sopts.role = msg::SocketOptions::Role::kSpoke;
+      sopts.address = config.socket_address;
+      sopts.local_rank = rank;
+    } else if (config.spawn_processes()) {
+      sopts.role = msg::SocketOptions::Role::kHub;
+      sopts.address = config.socket_address;
+      if (sopts.address.empty()) {
+        const std::string path = shared.scratch_dir + "/hub.sock";
+        // sun_path is ~108 bytes; fall back to loopback TCP for deep
+        // scratch paths rather than failing the bind.
+        sopts.address =
+            path.size() < 90 ? "unix:" + path : "tcp:127.0.0.1:0";
+      }
+    } else {
+      sopts.role = msg::SocketOptions::Role::kLoopback;
+    }
+    auto socket =
+        std::make_unique<msg::SocketFabric>(config.total_ranks(), sopts);
+    out.socket = socket.get();
+    out.fabric = std::move(socket);
+  } else {
+    out.fabric = std::make_unique<msg::Fabric>(config.total_ranks());
+  }
+  if (config.fault_plan.active()) {
+    auto chaos = std::make_unique<msg::ChaosFabric>(std::move(out.fabric),
+                                                    config.fault_plan);
+    if (rank > 0) {
+      // A chaos kill in a real process is a real death: SIGKILL, no
+      // destructors, no goodbye — the master's watchdog must find out
+      // the hard way, exactly as with a crashed MPI rank.
+      chaos->set_kill_hook([rank](int dying) {
+        if (dying == rank) std::raise(SIGKILL);
+      });
+    }
+    out.fabric = std::move(chaos);
+  }
+  shared.fabric = out.fabric.get();
+  return out;
+}
+
+RankReport run_rank(SipShared& shared, int rank) {
+  const bool process_counters = shared.config.spawn_processes();
+  if (shared.is_worker(rank)) {
+    Interpreter worker(shared, rank - 1);
+    worker.run();
+    return make_rank_report(shared, rank, nullptr, &worker, nullptr,
+                            process_counters);
+  }
+  IoServer server(shared, rank);
+  server.run();
+  return make_rank_report(shared, rank, nullptr, nullptr, &server,
+                          process_counters);
+}
+
 int run_spawn_child(int argc, char** argv) {
   int rank = -1;
   int incarnation = 0;
@@ -228,62 +236,18 @@ int run_spawn_child(int argc, char** argv) {
     const sial::CompiledProgram program = sial::compile_sial(bundle.source);
     const sial::ResolvedProgram resolved(
         sial::opt::optimize(program, config.opt_level).program, config);
-    const DryRunReport dry = dry_run(resolved);
+    LaunchProcess launch(resolved, config, config.scratch_dir,
+                         dry_run(resolved).pool_plan, rank);
+    const RankReport report = run_rank(launch.shared, rank);
 
-    SipShared shared(resolved, config, config.scratch_dir, dry.pool_plan);
-    msg::SocketOptions sopts;
-    sopts.role = msg::SocketOptions::Role::kSpoke;
-    sopts.address = connect;
-    sopts.local_rank = rank;
-    sopts.connect_timeout_ms = config.connect_timeout_ms;
-    sopts.on_fatal = [&shared](const std::string& what) {
-      if (shared.fabric != nullptr) shared.raise_abort(what);
-    };
-    std::unique_ptr<msg::Fabric> fabric =
-        std::make_unique<msg::SocketFabric>(config.total_ranks(), sopts);
-    if (config.fault_plan.active()) {
-      auto wrapped = std::make_unique<msg::ChaosFabric>(std::move(fabric),
-                                                        config.fault_plan);
-      // A chaos kill in a real process is a real death: SIGKILL, no
-      // destructors, no goodbye — the master's watchdog must find out
-      // the hard way, exactly as with a crashed MPI rank.
-      wrapped->set_kill_hook([rank](int dying) {
-        if (dying == rank) std::raise(SIGKILL);
-      });
-      fabric = std::move(wrapped);
-    }
-    shared.fabric = fabric.get();
-
-    const bool is_worker = shared.is_worker(rank);
-    std::unique_ptr<Interpreter> worker;
-    std::unique_ptr<IoServer> server;
-    if (is_worker) {
-      worker = std::make_unique<Interpreter>(shared, rank - 1);
-      worker->run();
-    } else {
-      server = std::make_unique<IoServer>(shared, rank);
-      server->run();
-    }
-
-    std::string first_error;
-    {
-      std::lock_guard<std::mutex> lock(shared.error_mutex);
-      first_error = shared.first_error;
-    }
-
-    // Each process owns its fabric, so every child's report carries its
-    // own whole-process counters.
-    msg::Message report =
-        make_rank_report(shared, rank, nullptr, worker.get(), server.get(),
-                         /*process_counters=*/true)
-            .encode();
+    const std::string first_error = launch.shared.error();
     std::vector<msg::Message> outgoing;
     if (!first_error.empty()) {
       msg::Message abort = make_abort_message(first_error);
       abort.src = rank;
       outgoing.push_back(std::move(abort));
     }
-    outgoing.push_back(std::move(report));
+    outgoing.push_back(report.encode());
     send_one_shot(connect, outgoing);
     return first_error.empty() ? 0 : 1;
   } catch (const std::exception& error) {
@@ -298,146 +262,76 @@ int run_spawn_child(int argc, char** argv) {
   }
 }
 
-RunResult run_spawned(const SipConfig& config_in,
-                      const std::string& scratch_dir,
-                      const std::string& source,
-                      const sial::ResolvedProgram& resolved,
-                      RunResult result) {
-  SipConfig config = config_in;
-  // Real processes die for real even without injected faults. Keep the
-  // heartbeat watchdog on so a lost child becomes a diagnosed abort
-  // instead of a hang (thread mode leaves it off in fault-free runs:
-  // a thread cannot vanish without taking the process with it).
-  if (config.heartbeat_ms == 0 && !config.fault_tolerance_enabled()) {
-    config.heartbeat_ms = SipConfig::kAutoHeartbeatMs;
-  }
-  const int total = config.total_ranks();
+ChildRanks::ChildRanks(const SipShared& shared, const std::string& source,
+                       const std::string& hub_address)
+    : helper_(shared.config.spawn_helper.empty() ? "/proc/self/exe"
+                                                 : shared.config.spawn_helper),
+      bundle_path_(shared.scratch_dir + "/spawn.bundle"),
+      pids_(static_cast<std::size_t>(shared.config.total_ranks()), -1) {
+  Bundle bundle{shared.config, source};
+  bundle.config.socket_address = hub_address;
+  bundle.config.scratch_dir = shared.scratch_dir;
+  std::ofstream out(bundle_path_, std::ios::binary | std::ios::trunc);
+  out << write_bundle(bundle);
+  if (!out) throw Error("spawn: cannot write bundle " + bundle_path_);
+}
 
-  std::string address = config.socket_address;
-  if (address.empty()) {
-    const std::string path = scratch_dir + "/hub.sock";
-    // sun_path is ~108 bytes; fall back to loopback TCP for deep
-    // scratch paths rather than failing the bind.
-    address = path.size() < 90 ? "unix:" + path : "tcp:127.0.0.1:0";
-  }
-  msg::SocketOptions hub_opts;
-  hub_opts.role = msg::SocketOptions::Role::kHub;
-  hub_opts.address = address;
-  hub_opts.connect_timeout_ms = config.connect_timeout_ms;
-  auto socket = std::make_unique<msg::SocketFabric>(total, hub_opts);
-  msg::SocketFabric* hub = socket.get();
-  std::unique_ptr<msg::Fabric> fabric = std::move(socket);
-  if (config.fault_plan.active()) {
-    fabric =
-        std::make_unique<msg::ChaosFabric>(std::move(fabric), config.fault_plan);
-  }
+ChildRanks::~ChildRanks() { reap(); }
 
-  SipShared shared(resolved, config, scratch_dir, result.dry_run.pool_plan);
-  shared.fabric = fabric.get();
-  IoServer::clear_ack_journals(shared);
-
-  const std::string bundle_path = scratch_dir + "/spawn.bundle";
-  {
-    Bundle bundle{config, source};
-    bundle.config.socket_address = hub->listen_address();
-    bundle.config.scratch_dir = scratch_dir;
-    std::ofstream out(bundle_path, std::ios::binary | std::ios::trunc);
-    out << write_bundle(bundle);
-    if (!out) throw Error("spawn: cannot write bundle " + bundle_path);
+bool ChildRanks::start(int rank, int incarnation) {
+  pid_t& slot = pids_[static_cast<std::size_t>(rank)];
+  if (slot > 0) {  // a dead incarnation: collect it if it has exited
+    int status = 0;
+    retry_eintr([&] { return ::waitpid(slot, &status, WNOHANG); });
   }
-  const std::string helper =
-      config.spawn_helper.empty() ? "/proc/self/exe" : config.spawn_helper;
-
-  std::vector<pid_t> child_pids(static_cast<std::size_t>(total), -1);
-  for (int r = 1; r < total; ++r) {
-    const pid_t pid = spawn_rank(helper, r, bundle_path, 0);
-    if (pid < 0) {
-      reap_children(child_pids);
-      throw Error("spawn: fork failed for rank " + std::to_string(r) + ": " +
-                  std::strerror(errno));
-    }
-    child_pids[static_cast<std::size_t>(r)] = pid;
+  std::vector<std::string> args = {helper_,
+                                   "--sia-child",
+                                   "--rank",
+                                   std::to_string(rank),
+                                   "--bundle",
+                                   bundle_path_,
+                                   "--incarnation",
+                                   std::to_string(incarnation)};
+  std::vector<char*> argv;
+  argv.reserve(args.size() + 1);
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::execv(argv[0], argv.data());
+    ::_exit(127);  // exec failed; the watchdog will diagnose the silence
   }
-  if (!hub->wait_for_peers(config.connect_timeout_ms)) {
-    std::string missing;
-    for (int r = 1; r < total; ++r) {
-      if (!hub->peer_connected(r)) {
-        missing += (missing.empty() ? "" : ", ") + std::to_string(r);
+  if (pid < 0) return false;
+  slot = pid;
+  return true;
+}
+
+void ChildRanks::reap() {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (;;) {
+    bool pending = false;
+    for (pid_t& pid : pids_) {
+      if (pid <= 0) continue;
+      int status = 0;
+      const pid_t r =
+          retry_eintr([&] { return ::waitpid(pid, &status, WNOHANG); });
+      if (r == pid || (r < 0 && errno == ECHILD)) {
+        pid = -1;
+      } else {
+        pending = true;
       }
     }
-    fabric->stop();
-    reap_children(child_pids);
-    throw RuntimeError("spawn: ranks {" + missing + "} never connected to " +
-                       hub->listen_address() + " within " +
-                       std::to_string(config.connect_timeout_ms) + " ms");
+    if (!pending || std::chrono::steady_clock::now() >= deadline) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-
-  Master master(shared);
-  if (config.fault_tolerance_enabled() && config.server_recovery) {
-    shared.respawn_server = [&](int rank) -> bool {
-      if (!shared.is_server(rank)) return false;
-      // Drop the dead process's stale connection so the respawned one's
-      // hello is not shadowed, clear the darkness, and re-exec.
-      hub->disconnect(rank);
-      fabric->revive(rank);
-      pid_t& slot = child_pids[static_cast<std::size_t>(rank)];
-      if (slot > 0) {
-        int status = 0;
-        retry_eintr([&] { return ::waitpid(slot, &status, WNOHANG); });
-      }
-      const pid_t pid = spawn_rank(helper, rank, bundle_path, 1);
-      if (pid < 0) return false;
-      slot = pid;
-      return true;
-    };
+  for (pid_t& pid : pids_) {
+    if (pid <= 0) continue;
+    ::kill(pid, SIGKILL);
+    int status = 0;
+    retry_eintr([&] { return ::waitpid(pid, &status, 0); });
+    pid = -1;
   }
-  master.run();  // this thread is rank 0
-
-  std::string first_error;
-  {
-    std::lock_guard<std::mutex> lock(shared.error_mutex);
-    first_error = shared.first_error;
-  }
-
-  // Success path: children send their kResultReport over one-shot
-  // connections after kShutdown; the hub is still accepting (stop()
-  // has not run). On abort the reports are moot — the error already
-  // arrived as a kAbort through the live fabric.
-  std::vector<RankReport> reports;
-  if (first_error.empty()) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(15);
-    std::set<int> reported;
-    while (static_cast<int>(reported.size()) < total - 1 &&
-           std::chrono::steady_clock::now() < deadline) {
-      bool got = false;
-      while (auto m = fabric->try_recv_tag(0, msg::kResultReport)) {
-        got = true;
-        try {
-          RankReport report = RankReport::decode(*m);
-          if (report.rank != m->src || !reported.insert(m->src).second) {
-            throw Error("unexpected result report");
-          }
-          reports.push_back(std::move(report));
-        } catch (const Error& error) {
-          first_error = "spawn: rank " + std::to_string(m->src) + ": " +
-                        error.what();
-        }
-      }
-      while (auto m = fabric->try_recv_tag(0, msg::kAbort)) {
-        if (first_error.empty()) first_error = abort_text(*m);
-      }
-      if (!first_error.empty()) break;
-      if (!got) std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  }
-  fabric->stop();
-  reap_children(child_pids);
-  if (!first_error.empty()) throw RuntimeError(first_error);
-  reports.push_back(make_rank_report(shared, 0, &master, nullptr, nullptr,
-                                     /*process_counters=*/true));
-  merge_reports(reports, resolved, result);
-  return result;
 }
 
 }  // namespace sia::sip

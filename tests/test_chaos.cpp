@@ -205,22 +205,30 @@ TEST(ChaosMatrixTest, IoStormSurvivesLossAndDuplication) {
 // I/O-server crash recovery: kill the (only) server at its Nth message.
 // The master's watchdog must respawn it, the respawned server rebuilds
 // from its durable files + ack journal, client retransmits repopulate the
-// rest, and the checksum comes out bit-identical.
+// rest, and the checksum comes out bit-identical. Both in-process fabrics
+// run it: the launch's one respawn closure restarts the server thread
+// over either (test_spawn covers process ranks).
+
+constexpr const char* kThreadTransports[] = {"thread", "loopback"};
 
 TEST(ChaosRecoveryTest, ServerKillRecoversBitIdentically) {
   const double baseline = storm_baseline();
-  const SipConfig config = storm_config();
-  const int server_rank = config.first_server_rank();  // rank 3
-  for (const int at_msg : {10, 25, 40, 60, 80}) {
-    const RunResult result = run_with_plan(
-        config, chem::io_storm_source(),
-        "kill_rank=" + std::to_string(server_rank) +
-            "@msg:" + std::to_string(at_msg) + ",seed=1");
-    EXPECT_EQ(result.scalar("snorm2"), baseline) << "kill at " << at_msg;
-    EXPECT_EQ(result.profile.robustness.server_recoveries, 1)
-        << "kill at " << at_msg;
-    EXPECT_GT(result.profile.robustness.faults_kill_swallowed, 0)
-        << "kill at " << at_msg;
+  for (const char* transport : kThreadTransports) {
+    SipConfig config = storm_config();
+    config.transport = transport;
+    const int server_rank = config.first_server_rank();  // rank 3
+    for (const int at_msg : {10, 25, 40, 60, 80}) {
+      const RunResult result = run_with_plan(
+          config, chem::io_storm_source(),
+          "kill_rank=" + std::to_string(server_rank) +
+              "@msg:" + std::to_string(at_msg) + ",seed=1");
+      EXPECT_EQ(result.scalar("snorm2"), baseline)
+          << transport << " kill at " << at_msg;
+      EXPECT_EQ(result.profile.robustness.server_recoveries, 1)
+          << transport << " kill at " << at_msg;
+      EXPECT_GT(result.profile.robustness.faults_kill_swallowed, 0)
+          << transport << " kill at " << at_msg;
+    }
   }
 }
 
@@ -230,23 +238,27 @@ TEST(ChaosRecoveryTest, ServerKillRecoversBitIdentically) {
 // generic "aborted" that lost the first error.
 
 TEST(ChaosAbortTest, WorkerKillAbortsWithDiagnosis) {
-  const auto start = std::chrono::steady_clock::now();
-  try {
-    run_with_plan(dist_config(), dist_storm_source(),
-                  "kill_rank=1@msg:10,seed=1");
-    FAIL() << "run with a dead worker completed";
-  } catch (const RuntimeError& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("worker rank 1 unresponsive"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("missed"), std::string::npos) << what;
+  for (const char* transport : kThreadTransports) {
+    SipConfig config = dist_config();
+    config.transport = transport;
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      run_with_plan(config, dist_storm_source(), "kill_rank=1@msg:10,seed=1");
+      ADD_FAILURE() << transport << ": run with a dead worker completed";
+    } catch (const RuntimeError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("worker rank 1 unresponsive"), std::string::npos)
+          << transport << ": " << what;
+      EXPECT_NE(what.find("missed"), std::string::npos)
+          << transport << ": " << what;
+    }
+    // All ranks exited within a few watchdog intervals (misses * 100 ms
+    // plus teardown slack), far under this bound.
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_LT(seconds, 20.0) << transport;
   }
-  // All ranks exited within a few watchdog intervals (misses * 100 ms
-  // plus teardown slack), far under this bound.
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  EXPECT_LT(seconds, 20.0);
 }
 
 TEST(ChaosAbortTest, DiskFaultAbortsWithDiagnosis) {

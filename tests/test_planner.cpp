@@ -377,7 +377,7 @@ TEST(PlannerTest, UnprofiledRunLeavesTheTableUnchanged) {
   const SipConfig config = sweep_config();
   const sial::ResolvedProgram resolved(optimized_sweep(config), config);
   Calibration cal;
-  ProfileReport profile;  // profiling off: no per-pc costs
+  ProfileReport profile;  // no per-pc costs
   profile.plan.predicted_seconds = 2.0;
   profile.plan.actual_seconds = 1.0;
   update_calibration(&cal, "thread", profile, resolved);
@@ -404,7 +404,9 @@ TEST(PlannerTest, AutotunedRunRecordsPlanAndPersistsCalibration) {
   EXPECT_GT(result.profile.plan.actual_seconds, 0.0);
   const Calibration cal = Calibration::load(cal_path);
   EXPECT_EQ(cal.runs, 1);
-  EXPECT_EQ(cal.tables.count("thread"), 1u);  // fitted from the profile
+  // Fitted from the profile, under the transport the run used (the
+  // SIA_TRANSPORT environment variable may have replaced "thread").
+  EXPECT_EQ(cal.tables.count(sip.config().transport), 1u);
 
   // Second run sees the calibration and reports itself calibrated.
   Sip second(config);

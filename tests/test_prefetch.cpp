@@ -274,7 +274,6 @@ RunResult run_batched(bool batch_gets) {
   config.constants = {{"n", 24}};
   config.prefetch_depth = 0;  // isolate batching from look-ahead
   config.batch_gets = batch_gets;
-  config.profiling = true;
   Sip sip(config);
   return sip.run_source(std::string("sial test\n") + kTwoReadsPerStatement +
                         "\nendsial\n");
@@ -363,7 +362,6 @@ RunResult run_served(int prefetch_depth) {
   config.server_disk_threads = 2;
   config.prefetch_depth = prefetch_depth;
   config.constants = {{"n", 24}};
-  config.profiling = true;
   Sip sip(config);
   return sip.run_source(std::string("sial test\n") + kServedSweep +
                         "\nendsial\n");

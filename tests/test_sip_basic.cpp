@@ -422,7 +422,6 @@ collective total += one
 
 TEST(SipBasicTest, ProfilerReportsPardoIterations) {
   SipConfig config = small_config(2);
-  config.profiling = true;
   const RunResult result = run(R"(
 moindex i = 1, m
 scalar lsum
