@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "blas/gemm.hpp"
@@ -29,18 +30,35 @@ Block random_block(std::vector<int> extents, std::uint64_t seed) {
   return block;
 }
 
-// Runs a benchmark body on one GEMM micro-kernel ("avx2", "avx512") and
+// Runs a benchmark body on one kernel of a runtime dispatch table (a GEMM
+// micro-kernel or a fill kernel: "portable", "avx2", "avx512") and
 // restores CPU dispatch afterwards; the label names the kernel that ran.
 // A kernel this CPU lacks is reported as an error row, not measured.
 template <typename Body>
-void with_kernel(benchmark::State& state, const char* kernel, Body body) {
-  if (!blas::select_gemm_kernel(kernel)) {
-    state.SkipWithError("micro-kernel not supported on this CPU");
+void with_kernel(benchmark::State& state, bool (*select)(std::string_view),
+                 std::string_view (*active)(), const char* kernel,
+                 Body body) {
+  if (!select(kernel)) {
+    state.SkipWithError("kernel not supported on this CPU");
     return;
   }
-  state.SetLabel(std::string(blas::gemm_kernel_name()));
+  state.SetLabel(std::string(active()));
   body();
-  blas::select_gemm_kernel("auto");
+  select("auto");
+}
+
+template <typename Body>
+void with_gemm_kernel(benchmark::State& state, const char* kernel,
+                      Body body) {
+  with_kernel(state, blas::select_gemm_kernel, blas::gemm_kernel_name, kernel,
+              body);
+}
+
+template <typename Body>
+void with_fill_kernel(benchmark::State& state, const char* kernel,
+                      Body body) {
+  with_kernel(state, chem::select_fill_kernel, chem::fill_kernel_name, kernel,
+              body);
 }
 
 // Rank-4 block contraction over two shared indices (the CCSD workhorse:
@@ -53,7 +71,7 @@ void BM_BlockContraction(benchmark::State& state, const char* kernel) {
   const std::vector<int> c_ids = {0, 1, 4, 5};
   const std::vector<int> a_ids = {0, 1, 2, 3};
   const std::vector<int> b_ids = {2, 3, 4, 5};
-  with_kernel(state, kernel, [&] {
+  with_gemm_kernel(state, kernel, [&] {
     for (auto _ : state) {
       sip::block_contract(c, c_ids, a, a_ids, b, b_ids, false);
       benchmark::DoNotOptimize(c.data().data());
@@ -100,7 +118,7 @@ void BM_Dgemm(benchmark::State& state, const char* kernel) {
     a[i] = unit_double(i);
     b[i] = unit_double(i + 7);
   }
-  with_kernel(state, kernel, [&] {
+  with_gemm_kernel(state, kernel, [&] {
     for (auto _ : state) {
       blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, 0.0, c.data(), n);
       benchmark::DoNotOptimize(c.data());
@@ -148,6 +166,47 @@ void BM_IntegralBlock(benchmark::State& state) {
                           static_cast<std::int64_t>(block.size()));
 }
 BENCHMARK(BM_IntegralBlock)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
+
+// The same fill on one fill kernel: the portable loop or AVX-512 rows.
+void BM_IntegralFill(benchmark::State& state, const char* kernel) {
+  const int seg = static_cast<int>(state.range(0));
+  const std::vector<int> extents = {seg, seg, seg, seg};
+  const std::vector<long> first = {1, 1, 1, 1};
+  Block block{BlockShape(extents)};
+  with_fill_kernel(state, kernel, [&] {
+    for (auto _ : state) {
+      chem::fill_integral_block(block.data(), extents, first);
+      benchmark::DoNotOptimize(block.data().data());
+      benchmark::ClobberMemory();
+    }
+  });
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(block.size()));
+}
+BENCHMARK_CAPTURE(BM_IntegralFill, portable, "portable")->Arg(8)->Arg(16);
+BENCHMARK_CAPTURE(BM_IntegralFill, avx512, "avx512")->Arg(8)->Arg(16);
+
+// cc_update's body, T = R / denominator, on one fill kernel. The block
+// straddles nocc so both signs of orbital energy occur.
+void BM_CcUpdate(benchmark::State& state, const char* kernel) {
+  const int seg = static_cast<int>(state.range(0));
+  const std::vector<int> extents = {seg, seg, seg, seg};
+  const std::vector<long> first = {1, 1, 1, 1};
+  const long nocc = seg / 2;
+  const Block r = random_block(extents, 3);
+  Block t{BlockShape(extents)};
+  with_fill_kernel(state, kernel, [&] {
+    for (auto _ : state) {
+      chem::divide_by_denominators(t.data(), r.data(), extents, first, nocc);
+      benchmark::DoNotOptimize(t.data().data());
+      benchmark::ClobberMemory();
+    }
+  });
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(t.size()));
+}
+BENCHMARK_CAPTURE(BM_CcUpdate, portable, "portable")->Arg(16);
+BENCHMARK_CAPTURE(BM_CcUpdate, avx512, "avx512")->Arg(16);
 
 // Preallocated pool slots vs heap fallback (the paper's block stacks).
 void BM_PoolAllocate(benchmark::State& state) {

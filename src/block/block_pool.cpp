@@ -1,12 +1,24 @@
 #include "block/block_pool.hpp"
 
+#include <sys/mman.h>
+
 #include <atomic>
+#include <new>
 
 #include "common/error.hpp"
 
 namespace sia {
 
 namespace detail {
+
+// Transparent huge page size on x86-64 and arm64 (4 KiB base pages).
+constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+// Frees an arena from aligned operator new[] with the same alignment.
+struct ArenaDelete {
+  std::align_val_t align{};
+  void operator()(double* arena) const { ::operator delete[](arena, align); }
+};
 
 // Shared slot storage. Referenced by the owning BlockPool and by every
 // outstanding PoolBuffer, so buffers stay valid after the BlockPool
@@ -27,8 +39,20 @@ class PoolCore {
       SIA_CHECK(capacity > 0, "BlockPool: zero-capacity size class");
       total += capacity * slots;
     }
-    // Default-initialised, not zeroed (see block_pool.hpp).
-    arena_ = std::make_unique_for_overwrite<double[]>(total);
+    // Uninitialised, not zeroed (see block_pool.hpp). An arena that can
+    // hold a huge page starts on a 2 MiB boundary and is marked
+    // MADV_HUGEPAGE; a failed madvise (THP off, or a kernel without it)
+    // leaves ordinary pages. A smaller arena can never be backed by a huge
+    // page, so it gets the default alignment and no madvise.
+    const std::size_t bytes = total * sizeof(double);
+    const bool huge = bytes >= kHugePageBytes;
+    const std::align_val_t align{huge ? kHugePageBytes
+                                      : __STDCPP_DEFAULT_NEW_ALIGNMENT__};
+    arena_ = {static_cast<double*>(::operator new[](bytes, align)),
+              ArenaDelete{align}};
+#ifdef MADV_HUGEPAGE
+    if (huge) ::madvise(arena_.get(), bytes, MADV_HUGEPAGE);
+#endif
     arena_doubles_ = total;
     std::size_t offset = 0;
     for (const auto& [capacity, slots] : size_classes) {  // map: ascending
@@ -122,7 +146,7 @@ class PoolCore {
     }
   }
 
-  std::unique_ptr<double[]> arena_;
+  std::unique_ptr<double[], ArenaDelete> arena_;
   std::size_t arena_doubles_ = 0;
   // unique_ptr: SizeClass holds a mutex, so it must not move.
   std::vector<std::unique_ptr<SizeClass>> classes_;  // capacity ascending

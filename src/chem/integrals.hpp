@@ -20,17 +20,25 @@
 // identical replicated data.
 //
 // Integral blocks are filled separably (fill_integral_block): the two
-// exponentials depend only on (p,q) and on (r,s), and the denominator only
-// on the integer (p+q)-(r+s), so each block builds three small tables and
-// its inner loop is one multiply and one divide per element. The tables
-// hold exactly the subexpressions synthetic_integral computes, and the
-// inner loop combines them in the same order, so every element is
+// exponentials depend only on p-q and on r-s, and the denominator only on
+// the integer (p+q)-(r+s), so each block builds three small per-distance
+// tables and its inner loop is one multiply and one divide per element.
+// The tables hold exactly the subexpressions synthetic_integral computes,
+// and the inner loop combines them in the same order, so every element is
 // bit-identical to the per-element reference. cc_update does the same
 // with per-axis tables of signed orbital energies, summed in coordinate
-// order as denominator_from_coords does.
+// order as denominator_from_coords does, and compute_core_h and
+// compute_density read their exponential from a table by p-q.
+//
+// The inner rows of the integral fill and of cc_update run at AVX-512
+// width (eight lanes of vmulpd/vaddpd/vdivpd) when the CPU has avx512f,
+// picked once at run time like the GEMM micro-kernel, and as a portable
+// loop otherwise. Both round every element exactly as the scalar
+// reference does, so the choice never changes a result bit.
 #pragma once
 
 #include <span>
+#include <string_view>
 
 namespace sia::chem {
 
@@ -48,6 +56,16 @@ double synthetic_integral(long p, long q, long r, long s);
 // element.
 void fill_integral_block(std::span<double> data, std::span<const int> extents,
                          std::span<const long> first);
+
+// Name of the fill kernel in use: "avx512" or "portable". It is selected
+// once, on first use, from runtime CPU features.
+std::string_view fill_kernel_name();
+
+// Forces the kernel behind fill_integral_block and divide_by_denominators:
+// "portable", "avx512", or "auto" (redo CPU detection). Returns false, and
+// leaves the selection unchanged, if this build or CPU lacks it. Intended
+// for tests and benchmarks; not thread-safe against concurrent fills.
+bool select_fill_kernel(std::string_view name);
 
 // Synthetic one-electron (core) Hamiltonian element.
 double synthetic_core_h(long p, long q);

@@ -154,17 +154,17 @@ TEST(ReferenceTest, ContractionChecksumDeterministic) {
             ref_contraction_rnorm2(6, 3, 8.0));
 }
 
-// A random rank-4 region: extents 1..20 per axis, first element at 1-based
-// offsets up to 300, cut out of a larger containing block the way a
-// subindex or slice operand selects its effective region.
-sial::BlockSelector random_region(std::mt19937& rng) {
+// A random region of rank 4 (or `rank`): extents 1..20 per axis, first
+// element at 1-based offsets up to 300, cut out of a larger containing
+// block the way a subindex or slice operand selects its effective region.
+sial::BlockSelector random_region(std::mt19937& rng, int rank = 4) {
   std::uniform_int_distribution<int> extent(1, 20);
   std::uniform_int_distribution<int> origin(0, 5);
   std::uniform_int_distribution<long> first(1, 300);
   sial::BlockSelector sel;
-  sel.rank = 4;
+  sel.rank = rank;
   sel.sliced = true;
-  for (std::size_t d = 0; d < 4; ++d) {
+  for (std::size_t d = 0; d < static_cast<std::size_t>(rank); ++d) {
     sel.extents[d] = extent(rng);
     sel.slice_origin[d] = origin(rng);
     sel.block_extents[d] = sel.slice_origin[d] + sel.extents[d] + origin(rng);
@@ -222,61 +222,110 @@ std::vector<double> scalar_integrals(const sial::BlockSelector& sel) {
   return want;
 }
 
+// Runs `body` once per fill kernel this CPU has (the portable loop and
+// each SIMD width), then restores CPU dispatch.
+template <typename Body>
+void for_each_fill_kernel(Body body) {
+  for (const char* kernel : {"portable", "avx512"}) {
+    if (!select_fill_kernel(kernel)) continue;
+    SCOPED_TRACE(kernel);
+    ASSERT_EQ(fill_kernel_name(), kernel);
+    body();
+  }
+  ASSERT_TRUE(select_fill_kernel("auto"));
+}
+
 TEST(IntegralFillTest, BlockFillMatchesScalarBitForBit) {
   register_chem_superinstructions();
   const sip::ServerComputeFn* generator =
       sip::ServerComputeRegistry::global().lookup("integral_generator");
   ASSERT_NE(generator, nullptr);
-  std::mt19937 rng(20100601);
-  for (int trial = 0; trial < 40; ++trial) {
-    const sial::BlockSelector sel = random_region(rng);
-    const std::vector<double> want = scalar_integrals(sel);
-    const std::span<const long> first(sel.first_element.data(), 4);
+  for_each_fill_kernel([&] {
+    std::mt19937 rng(20100601);
+    for (int trial = 0; trial < 40; ++trial) {
+      const sial::BlockSelector sel = random_region(rng);
+      const std::vector<double> want = scalar_integrals(sel);
+      const std::span<const long> first(sel.first_element.data(), 4);
 
-    // compute_integrals on an effective-region operand.
-    std::vector<sip::ExecArgValue> args = {block_arg(sel)};
-    run_superinstruction("compute_integrals", args);
-    EXPECT_EQ(bit_mismatches(std::as_const(*args[0].block).data(), want), 0u)
-        << "compute_integrals, trial " << trial << " " << sel.shape().to_string();
+      // compute_integrals on an effective-region operand.
+      std::vector<sip::ExecArgValue> args = {block_arg(sel)};
+      run_superinstruction("compute_integrals", args);
+      EXPECT_EQ(bit_mismatches(std::as_const(*args[0].block).data(), want),
+                0u)
+          << "compute_integrals, trial " << trial << " "
+          << sel.shape().to_string();
 
-    // The I/O server's on-demand generator for computed served arrays.
-    Block served(sel.shape());
-    (*generator)(served, first);
-    EXPECT_EQ(bit_mismatches(std::as_const(served).data(), want), 0u)
-        << "integral_generator, trial " << trial;
-  }
+      // The I/O server's on-demand generator for computed served arrays.
+      Block served(sel.shape());
+      (*generator)(served, first);
+      EXPECT_EQ(bit_mismatches(std::as_const(served).data(), want), 0u)
+          << "integral_generator, trial " << trial;
+    }
+  });
 }
 
 TEST(CcUpdateTest, TableDenominatorMatchesPerElement) {
-  std::mt19937 rng(20100602);
-  std::uniform_real_distribution<double> value(-1.0, 1.0);
-  for (int trial = 0; trial < 40; ++trial) {
-    const sial::BlockSelector sel = random_region(rng);
-    // nocc inside the region's coordinate span, so both occupied (+eps)
-    // and virtual (-eps) terms occur.
-    const long nocc = std::uniform_int_distribution<long>(1, 320)(rng);
-    std::vector<sip::ExecArgValue> args = {block_arg(sel), block_arg(sel),
-                                           sip::ExecArgValue{}};
-    args[2].number = static_cast<double>(nocc);
-    for (double& r : args[1].block->data()) r = value(rng);
-    run_superinstruction("cc_update", args);
+  for_each_fill_kernel([] {
+    std::mt19937 rng(20100602);
+    std::uniform_real_distribution<double> value(-1.0, 1.0);
+    for (int trial = 0; trial < 40; ++trial) {
+      const sial::BlockSelector sel = random_region(rng);
+      // nocc inside the region's coordinate span, so both occupied (+eps)
+      // and virtual (-eps) terms occur.
+      const long nocc = std::uniform_int_distribution<long>(1, 320)(rng);
+      std::vector<sip::ExecArgValue> args = {block_arg(sel), block_arg(sel),
+                                             sip::ExecArgValue{}};
+      args[2].number = static_cast<double>(nocc);
+      for (double& r : args[1].block->data()) r = value(rng);
+      run_superinstruction("cc_update", args);
 
-    const Block& r = *args[1].block;
-    std::vector<double> want;
-    const auto& f = sel.first_element;
-    std::size_t n = 0;
-    for (long a = f[0]; a < f[0] + sel.extents[0]; ++a) {
-      for (long i = f[1]; i < f[1] + sel.extents[1]; ++i) {
-        for (long b = f[2]; b < f[2] + sel.extents[2]; ++b) {
-          for (long j = f[3]; j < f[3] + sel.extents[3]; ++j) {
-            const std::array<long, 4> c = {a, i, b, j};
-            want.push_back(r.data()[n++] / denominator_from_coords(c, nocc));
+      const Block& r = *args[1].block;
+      std::vector<double> want;
+      const auto& f = sel.first_element;
+      std::size_t n = 0;
+      for (long a = f[0]; a < f[0] + sel.extents[0]; ++a) {
+        for (long i = f[1]; i < f[1] + sel.extents[1]; ++i) {
+          for (long b = f[2]; b < f[2] + sel.extents[2]; ++b) {
+            for (long j = f[3]; j < f[3] + sel.extents[3]; ++j) {
+              const std::array<long, 4> c = {a, i, b, j};
+              want.push_back(r.data()[n++] /
+                             denominator_from_coords(c, nocc));
+            }
           }
         }
       }
+      EXPECT_EQ(bit_mismatches(std::as_const(*args[0].block).data(), want),
+                0u)
+          << "trial " << trial << " nocc " << nocc;
     }
-    EXPECT_EQ(bit_mismatches(std::as_const(*args[0].block).data(), want), 0u)
-        << "trial " << trial << " nocc " << nocc;
+  });
+}
+
+TEST(RankTwoFillTest, DensityAndCoreHMatchScalarBitForBit) {
+  std::mt19937 rng(20100603);
+  for (int trial = 0; trial < 40; ++trial) {
+    sial::BlockSelector sel = random_region(rng, 2);
+    // Half the trials on the diagonal, where core_h has its own term.
+    if (trial % 2 == 0) sel.first_element[1] = sel.first_element[0];
+    std::vector<double> density, core_h;
+    const auto& f = sel.first_element;
+    for (long p = f[0]; p < f[0] + sel.extents[0]; ++p) {
+      for (long q = f[1]; q < f[1] + sel.extents[1]; ++q) {
+        density.push_back(synthetic_density(p, q));
+        core_h.push_back(synthetic_core_h(p, q));
+      }
+    }
+    std::vector<sip::ExecArgValue> args = {block_arg(sel)};
+    run_superinstruction("compute_density", args);
+    EXPECT_EQ(bit_mismatches(std::as_const(*args[0].block).data(), density),
+              0u)
+        << "compute_density, trial " << trial << " "
+        << sel.shape().to_string();
+    args = {block_arg(sel)};
+    run_superinstruction("compute_core_h", args);
+    EXPECT_EQ(bit_mismatches(std::as_const(*args[0].block).data(), core_h),
+              0u)
+        << "compute_core_h, trial " << trial << " " << sel.shape().to_string();
   }
 }
 

@@ -4,6 +4,10 @@
 // "two implementations test each other" methodology (§VIII).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "blas/gemm.hpp"
 #include "chem/integrals.hpp"
 #include "chem/programs.hpp"
 #include "chem/reference.hpp"
@@ -48,6 +52,41 @@ TEST(IntegrationTest, FockBuildMatchesReference) {
   Sip sip(chem_config());
   const RunResult result = sip.run_source(chem::fock_build_source());
   EXPECT_NEAR(result.scalar("fnorm"), chem::ref_fock_norm(8), 1e-10);
+}
+
+// A double's exact bits, as C99 hex-float text ("%a").
+std::string hex_bits(double value) {
+  char text[64];
+  std::snprintf(text, sizeof text, "%a", value);
+  return text;
+}
+
+TEST(IntegrationTest, SingleWorkerScalarsArePinned) {
+  // With one worker the schedule is fixed, so these scalars reproduce bit
+  // for bit in every build: the default flags, -march=native (no silent
+  // FMA contraction), and either fill kernel. The pins hold for the SIMD
+  // GEMM kernels, which agree byte for byte; the portable kernel rounds
+  // its sums differently.
+  if (blas::gemm_kernel_name().starts_with("portable")) {
+    GTEST_SKIP() << "no SIMD GEMM kernel on this CPU";
+  }
+  SipConfig config = chem_config();
+  config.workers = 1;
+  config.io_servers = 0;
+  for (const char* kernel : {"portable", "avx512"}) {
+    if (!chem::select_fill_kernel(kernel)) continue;
+    SCOPED_TRACE(kernel);
+    config.default_segment = 16;
+    config.constants = {{"norb", 64}, {"nocc", 16}, {"maxiter", 1}};
+    const RunResult ccd = Sip(config).run_source(chem::ccd_energy_source());
+    EXPECT_EQ(hex_bits(ccd.scalar("energy")), "0x1.2324d1646bcap-2");
+    EXPECT_EQ(hex_bits(ccd.scalar("rnorm2")), "0x1.3f3fe856c08f4p-4");
+    config.default_segment = 8;
+    config.constants = {{"norb", 32}};
+    const RunResult fock = Sip(config).run_source(chem::fock_build_source());
+    EXPECT_EQ(hex_bits(fock.scalar("fnorm")), "0x1.45388225ea3eap+8");
+  }
+  ASSERT_TRUE(chem::select_fill_kernel("auto"));
 }
 
 TEST(IntegrationTest, ServedMp2MatchesReference) {
