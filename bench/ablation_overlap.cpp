@@ -14,7 +14,6 @@
 #include "chem/programs.hpp"
 #include "chem/system.hpp"
 #include "common/stats.hpp"
-#include "common/timer.hpp"
 #include "sim/des.hpp"
 #include "sim/machine.hpp"
 #include "sim/report.hpp"
@@ -67,68 +66,6 @@ int main() {
                 "energy %.10f\n",
                 depth, result.profile.wait_percent(),
                 result.scalar("energy"));
-  }
-
-  std::printf("\n--- comm-bound workload: zero-copy + put coalescing +\n"
-              "    batched gets on vs off (comm_storm, wall clock) ---\n");
-  for (const bool overlap : {true, false}) {
-    SipConfig config;
-    config.workers = 4;
-    config.io_servers = 0;
-    config.default_segment = 4;
-    config.constants = {{"norb", 96}};
-    config.coalesce_puts = overlap;
-    config.batch_gets = overlap;
-    double best = 0.0;
-    sip::RunResult result;
-    for (int rep = 0; rep < 3; ++rep) {
-      sip::Sip sip(config);
-      const double t0 = wall_seconds();
-      result = sip.run_source(chem::comm_storm_source());
-      const double dt = wall_seconds() - t0;
-      if (rep == 0 || dt < best) best = dt;
-    }
-    std::printf("overlap engine %-3s: %.3f s, %lld messages, %lld payload "
-                "doubles (%lld zero-copy), cnorm2 %.6e\n",
-                overlap ? "on" : "off", best,
-                static_cast<long long>(result.traffic.messages_sent),
-                static_cast<long long>(result.traffic.payload_doubles_sent),
-                static_cast<long long>(result.traffic.zero_copy_doubles),
-                result.scalar("cnorm2"));
-  }
-
-  std::printf("\n--- disk-bound workload: threaded disk service + request\n"
-              "    look-ahead + batched write-behind on vs off (io_storm,\n"
-              "    cold I/O, wall clock) ---\n");
-  for (const bool pipelined : {true, false}) {
-    SipConfig config;
-    config.workers = 4;
-    config.io_servers = 1;
-    config.default_segment = 96;
-    config.server_cache_bytes = 2u << 20;
-    config.server_cold_io = true;
-    config.server_disk_threads = pipelined ? 4 : 0;
-    config.prefetch_depth = pipelined ? 4 : 0;
-    config.constants = {{"norb", 768}, {"nsweeps", 3}, {"nshared", 768}};
-    double best = 0.0;
-    sip::RunResult result;
-    for (int rep = 0; rep < 3; ++rep) {
-      sip::Sip sip(config);
-      const double t0 = wall_seconds();
-      result = sip.run_source(chem::io_storm_source());
-      const double dt = wall_seconds() - t0;
-      if (rep == 0 || dt < best) best = dt;
-    }
-    const auto& s = result.profile.served;
-    std::printf("disk pipeline %-3s: %.3f s, %lld disk reads "
-                "(%lld coalesced), %lld look-ahead requests, "
-                "%lld write batches, snorm2 %.1f\n",
-                pipelined ? "on" : "off", best,
-                static_cast<long long>(s.server_disk_reads),
-                static_cast<long long>(s.reads_coalesced),
-                static_cast<long long>(s.server_lookahead_requests),
-                static_cast<long long>(s.write_batches),
-                result.scalar("snorm2"));
   }
   return 0;
 }

@@ -1,13 +1,13 @@
 // Machine-readable communication benchmark: the fabric-level counterpart
-// of BENCH_kernels.json. Runs the comm-bound workloads with the overlap
-// engine (zero-copy transfers, put-accumulate coalescing, batched gets)
-// on vs off and writes wall time plus fabric message/byte counts as JSON
-// so each PR can diff communication behavior against the committed
-// baseline (`cmake --build build --target bench_json`).
+// of BENCH_kernels.json. Runs the comm-bound workloads through the
+// overlap engine (zero-copy transfers, put-accumulate coalescing, batched
+// gets) and writes wall time plus fabric message/byte counts as JSON so
+// each PR can diff communication behavior against the committed baseline
+// (`cmake --build build --target bench_json`). The "engine" column names
+// the transport.
 //
 // Workloads:
-//   * comm_storm — gets + repeated put+= into the same blocks; the
-//     headline ablation (expects a wall-clock win with overlap on);
+//   * comm_storm — gets + repeated put+= into the same blocks;
 //   * mp2  — on-demand integrals, modest traffic;
 //   * ccd  — iterated doubles ladders, get-heavy.
 //
@@ -89,13 +89,11 @@ void emit(std::FILE* out, const char* name, const char* engine,
                last ? "" : ",");
 }
 
-SipConfig overlap_config(bool overlap) {
+SipConfig comm_config() {
   SipConfig config;
   config.workers = 4;
   config.io_servers = 0;
   config.default_segment = 4;
-  config.coalesce_puts = overlap;
-  config.batch_gets = overlap;
   return config;
 }
 
@@ -118,26 +116,16 @@ int main(int argc, char** argv) {
   constexpr int kReps = 3;
   std::fprintf(out, "{\n  \"benchmarks\": [\n");
 
-  // comm_storm: the overlap ablation. Same program both ways; the result
-  // scalar is identical, only the communication behavior changes.
   {
-    SipConfig on = overlap_config(true);
-    on.constants = {{"norb", 128}};
-    SipConfig off = overlap_config(false);
-    off.constants = {{"norb", 128}};
-    const Sample sample_on =
-        best_of(chem::comm_storm_source(), on, kReps);
-    const Sample sample_off =
-        best_of(chem::comm_storm_source(), off, kReps);
-    emit(out, "comm_storm_n128", "overlap", sample_on, false);
-    emit(out, "comm_storm_n128", "ablated", sample_off, false);
-    std::printf("comm_storm n=128: overlap %.3f s (%lld msgs), "
-                "ablated %.3f s (%lld msgs), speedup %.2fx\n",
-                sample_on.seconds,
-                static_cast<long long>(sample_on.traffic.messages_sent),
-                sample_off.seconds,
-                static_cast<long long>(sample_off.traffic.messages_sent),
-                sample_off.seconds / sample_on.seconds);
+    SipConfig config = comm_config();
+    config.constants = {{"norb", 128}};
+    const Sample sample = best_of(chem::comm_storm_source(), config, kReps);
+    emit(out, "comm_storm_n128", "thread", sample, false);
+    std::printf("comm_storm n=128: %.3f s (%lld msgs, %lld puts "
+                "coalesced)\n",
+                sample.seconds,
+                static_cast<long long>(sample.traffic.messages_sent),
+                static_cast<long long>(sample.puts_coalesced));
   }
 
   // Transport column: the same comm_storm over each fabric. thread is
@@ -149,7 +137,7 @@ int main(int argc, char** argv) {
     const char* transports[] = {"thread", "loopback", "spawn"};
     Sample samples[3];
     for (int i = 0; i < 3; ++i) {
-      SipConfig config = overlap_config(true);
+      SipConfig config = comm_config();
       config.transport = transports[i];
       config.constants = {{"norb", 64}};
       samples[i] = best_of(chem::comm_storm_source(), config, kReps);
@@ -168,15 +156,15 @@ int main(int argc, char** argv) {
 
   // mp2 / ccd: message and byte counts for the chemistry workloads.
   {
-    SipConfig config = overlap_config(true);
+    SipConfig config = comm_config();
     config.constants = {{"norb", 24}, {"nocc", 8}};
-    emit(out, "mp2_n24", "overlap",
+    emit(out, "mp2_n24", "thread",
          best_of(chem::mp2_energy_source(), config, kReps), false);
   }
   {
-    SipConfig config = overlap_config(true);
+    SipConfig config = comm_config();
     config.constants = {{"norb", 24}, {"nocc", 8}, {"maxiter", 3}};
-    emit(out, "ccd_n24_it3", "overlap",
+    emit(out, "ccd_n24_it3", "thread",
          best_of(chem::ccd_energy_source(), config, kReps), true);
   }
 

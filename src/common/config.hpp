@@ -119,12 +119,11 @@ struct SipConfig {
   // read-ahead jobs).
   int prefetch_depth = 2;
 
-  // Disk service threads per I/O server. Cache-miss reads (and on-demand
-  // block generation) become jobs on this pool so the server's message
-  // loop keeps answering cache hits and prepares while reads are in
-  // flight; duplicate in-flight requests for the same block coalesce into
-  // one disk read. 0 restores the fully synchronous single-threaded
-  // service path.
+  // Disk service threads per I/O server, and its write-behind lane
+  // count. Cache-miss reads (and on-demand block generation) become jobs
+  // on this pool so the server's message loop keeps answering cache hits
+  // and prepares while reads are in flight; duplicate in-flight requests
+  // for the same block coalesce into one disk read.
   int server_disk_threads = 2;
 
   // Keep served-array files out of the OS page cache: fdatasync once per
@@ -147,28 +146,10 @@ struct SipConfig {
   // contributions).
   double sparse_threshold = 0.0;
 
-  // Write-combine repeated `put ... +=` to the same block in a per-worker
-  // shadow table, flushing at pardo-iteration boundaries and barriers.
-  // Cuts put message count on accumulate-heavy inner loops.
-  bool coalesce_puts = true;
-
-  // Issue every distributed-array get and served-array request of an
-  // instruction before blocking on the first one, so replies overlap the
-  // remaining fetches (wait-any instead of fetch-then-wait per operand).
-  bool batch_gets = true;
-
   // Guided-scheduling knobs: first chunks are remaining/(chunk_divisor *
   // workers), never below min_chunk iterations.
   int chunk_divisor = 2;
   long min_chunk = 1;
-
-  // Guided-schedule work stealing: when the chunk schedule is exhausted
-  // and a worker still asks for work, the master splits the tail off the
-  // largest outstanding chunk (the victim clamps the split to its
-  // current position, so started iterations are never revoked) and hands it to
-  // the starved worker. Results stay bit-identical for assignment-
-  // independent pardos — iterations are independent by construction.
-  bool work_stealing = true;
 
   // ---- Launch-time autotuning (the planner) ----
 
@@ -309,15 +290,12 @@ struct SipConfig {
     visit("opt_level", Knob{.min = 0, .max = 2}, s.opt_level...);
     visit("prefetch_depth", Knob{.min = 0}, s.prefetch_depth...);
     visit("server_disk_threads",
-          Knob{.min = 0, .tuned = "server_disk_threads"},
+          Knob{.min = 1, .tuned = "server_disk_threads"},
           s.server_disk_threads...);
     visit("server_cold_io", Knob{}, s.server_cold_io...);
     visit("sparse_threshold", Knob{.min = 0}, s.sparse_threshold...);
-    visit("coalesce_puts", Knob{}, s.coalesce_puts...);
-    visit("batch_gets", Knob{}, s.batch_gets...);
     visit("chunk_divisor", Knob{.min = 1}, s.chunk_divisor...);
     visit("min_chunk", Knob{.min = 1}, s.min_chunk...);
-    visit("work_stealing", Knob{}, s.work_stealing...);
     visit("autotune", Knob{}, s.autotune...);
     visit("calibration_file", Knob{}, s.calibration_file...);
     visit("scratch_dir", Knob{}, s.scratch_dir...);

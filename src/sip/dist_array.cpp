@@ -16,10 +16,9 @@ constexpr std::size_t kCoalesceFlushThreshold = 128;
 
 DistArrayManager::DistArrayManager(SipShared& shared, int my_rank,
                                    BlockPool& pool,
-                                   std::size_t cache_capacity_doubles,
-                                   bool coalesce_puts)
+                                   std::size_t cache_capacity_doubles)
     : shared_(shared), my_rank_(my_rank), pool_(pool),
-      cache_(cache_capacity_doubles), coalesce_enabled_(coalesce_puts) {}
+      cache_(cache_capacity_doubles) {}
 
 BlockPtr DistArrayManager::make_block(const BlockShape& shape) {
   return std::make_shared<Block>(shape,
@@ -241,11 +240,6 @@ void DistArrayManager::put(const BlockId& id, BlockPtr data,
     // so the home-side conflict detector sees both writes.
     if (coalesce_.count(id) > 0) flush_coalesced_block(id);
     send_put_message(id, make_exclusive(std::move(data)), false, owner);
-    return;
-  }
-
-  if (!coalesce_enabled_) {
-    send_put_message(id, make_exclusive(std::move(data)), true, owner);
     return;
   }
 

@@ -10,10 +10,10 @@
 //     still available in the block cache from a recent use", §V-A);
 //   * the pending-request table for asynchronous gets, tagged with the
 //     issuing epoch so replies that cross a barrier are dropped;
-//   * the put-accumulate shadow table: with `coalesce_puts` on, repeated
-//     `put += ` to the same remote block merge locally and go out as one
-//     message at the next flush point (pardo iteration boundary, barrier,
-//     conflicting access, or table-size threshold).
+//   * the put-accumulate shadow table: repeated `put += ` to the same
+//     remote block merge locally and go out as one message at the next
+//     flush point (pardo iteration boundary, barrier, conflicting access,
+//     or table-size threshold).
 //
 // All communication is asynchronous and zero-copy: get replies carry a
 // shared reference to the home block (the getter caches the alias; the
@@ -76,8 +76,7 @@ class DistArrayManager {
   };
 
   DistArrayManager(SipShared& shared, int my_rank, BlockPool& pool,
-                   std::size_t cache_capacity_doubles,
-                   bool coalesce_puts = false);
+                   std::size_t cache_capacity_doubles);
 
   // ------------------------------------------------------------------
   // Program-visible operations.
@@ -210,7 +209,6 @@ class DistArrayManager {
   // Write-combining shadow table: exclusively owned accumulate payloads
   // not yet sent to their home worker.
   std::unordered_map<BlockId, BlockPtr, BlockIdHash> coalesce_;
-  bool coalesce_enabled_ = false;
   std::int64_t epoch_ = 0;
   std::size_t home_doubles_ = 0;
   Stats stats_;

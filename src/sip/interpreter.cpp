@@ -37,11 +37,9 @@ Interpreter::Interpreter(SipShared& shared, int worker_index)
   const std::size_t cache_doubles = std::max<std::size_t>(
       shared_.config.worker_memory_bytes / sizeof(double) / 4, 4096);
   dist_ = std::make_unique<DistArrayManager>(shared_, my_rank_, *pool_,
-                                             cache_doubles,
-                                             shared_.config.coalesce_puts);
+                                             cache_doubles);
   served_ = std::make_unique<ServedArrayClient>(shared_, my_rank_, *pool_,
-                                                cache_doubles,
-                                                shared_.config.coalesce_puts);
+                                                cache_doubles);
   if (shared_.config.fault_tolerance_enabled()) {
     channel_ = std::make_unique<msg::ReliableChannel>(
         shared_.fabric, my_rank_, shared_.config.retry_timeout_ms,
@@ -733,7 +731,6 @@ void Interpreter::exec_prefetch(const Instruction& instr) {
 
 void Interpreter::batch_issue_gets(const Instruction& instr,
                                    std::size_t first_block) {
-  if (!shared_.config.batch_gets) return;
   const auto issue = [&](const BlockOperand& operand) {
     const sial::ResolvedArray& array = program_.array(operand.array_id);
     if (array.kind == ArrayKind::kDistributed) {

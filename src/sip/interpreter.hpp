@@ -93,7 +93,6 @@ class Interpreter {
   // Issues the asynchronous fetch for every distributed/served block
   // operand of `instr` starting at `first_block` (plus execute args), so
   // all replies are in flight before the first blocking read (wait-any).
-  // Gated by config.batch_gets.
   void batch_issue_gets(const sial::Instruction& instr,
                         std::size_t first_block);
   void exec_put(const sial::Instruction& instr);

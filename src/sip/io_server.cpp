@@ -223,10 +223,9 @@ std::int64_t DiskStore::present_count() const {
 // ---------------------------------------------------------------------
 // WriteBehind.
 
-WriteBehind::WriteBehind(int lanes, bool batched, ErrorHandler on_error,
+WriteBehind::WriteBehind(int lanes, ErrorHandler on_error,
                          RetireHandler on_retire)
-    : max_batch_(batched ? kMaxWriteBatch : 1),
-      on_error_(std::move(on_error)),
+    : on_error_(std::move(on_error)),
       on_retire_(std::move(on_retire)) {
   const int count = std::max(1, lanes);
   threads_.reserve(static_cast<std::size_t>(count));
@@ -359,7 +358,7 @@ void WriteBehind::run() {
     int array_id = -1;
     std::vector<Item> batch;
     for (auto it = queue_.begin();
-         it != queue_.end() && batch.size() < max_batch_;) {
+         it != queue_.end() && batch.size() < kMaxWriteBatch;) {
       const bool busy =
           std::find(in_flight_keys_.begin(), in_flight_keys_.end(),
                     it->key) != in_flight_keys_.end();
@@ -561,21 +560,18 @@ IoServer::IoServer(SipShared& shared, int my_rank)
                                      linear, block,
                                      take_pending_acks(id.array_id, linear));
              }),
-      write_behind_(std::max(1, shared.config.server_disk_threads),
-                    /*batched=*/shared.config.server_disk_threads > 0,
+      write_behind_(shared.config.server_disk_threads,
                     [this](const std::string& error) {
                       shared_.raise_abort("write-behind disk failure: " +
                                           error);
                     },
                     [this](const WriteBehind::AckList& acks) {
                       ack_durable(acks);
-                    }) {
+                    }),
+      disk_pool_(
+          std::make_unique<DiskPool>(shared.config.server_disk_threads)) {
   ft_ = shared.config.fault_tolerance_enabled();
   if (ft_) load_ack_journal();
-  if (shared.config.server_disk_threads > 0) {
-    disk_pool_ =
-        std::make_unique<DiskPool>(shared.config.server_disk_threads);
-  }
 }
 
 IoServer::~IoServer() {
@@ -1029,87 +1025,49 @@ void IoServer::handle_request(const msg::Message& message) {
     }
   }
 
-  if (disk_pool_) {
-    // Threaded path: coalesce onto an in-flight read or submit a new job.
-    // The message loop goes straight back to servicing traffic; the disk
-    // thread replies on completion.
-    {
-      std::lock_guard<std::mutex> lock(inflight_mutex_);
-      auto it = inflight_.find(id);
-      if (it != inflight_.end()) {
-        it->second.waiters.push_back(
-            Waiter{reply_rank, lookahead, message.seq});
-        ++stats_.reads_coalesced;
-        if (!lookahead && it->second.low_priority) {
-          // A demand request caught up with a queued read-ahead: bump it.
-          disk_pool_->promote({array_id, linear});
-          it->second.low_priority = false;
-        }
-        return;
+  // Coalesce onto an in-flight read or submit a new job. The message
+  // loop goes straight back to servicing traffic; the disk thread
+  // replies on completion.
+  {
+    std::lock_guard<std::mutex> lock(inflight_mutex_);
+    auto it = inflight_.find(id);
+    if (it != inflight_.end()) {
+      it->second.waiters.push_back(Waiter{reply_rank, lookahead, message.seq});
+      ++stats_.reads_coalesced;
+      if (!lookahead && it->second.low_priority) {
+        // A demand request caught up with a queued read-ahead: bump it.
+        disk_pool_->promote({array_id, linear});
+        it->second.low_priority = false;
       }
-      InflightRead read;
-      read.waiters.push_back(Waiter{reply_rank, lookahead, message.seq});
-      read.low_priority = lookahead;
-      inflight_.emplace(id, std::move(read));
-    }
-    // Resolve everything the job needs on this thread — store/generator
-    // tables and program metadata are not synchronized.
-    DiskStore* store = &store_for(array_id);
-    const ServerComputeFn* generate = generator_for(array_id);
-    const BlockShape shape = shape_of(id);
-    std::array<long, blas::kMaxRank> first{};
-    if (generate != nullptr) {
-      for (int d = 0; d < id.rank; ++d) {
-        const std::size_t ud = static_cast<std::size_t>(d);
-        const sial::ResolvedIndex& decl =
-            shared_.program->index(array.index_ids[ud]);
-        const int abs_seg = id.segments[ud] + array.seg_lo[ud] - 1;
-        first[ud] = decl.segment_start(abs_seg);
-      }
-    }
-    disk_pool_->submit(
-        {array_id, linear},
-        [this, id, store, linear, generate, shape, first,
-         name = array.name, version = version_of(id)] {
-          read_job(id, store, linear, generate, shape, first, name,
-                   version);
-        },
-        /*low_priority=*/lookahead);
-    return;
-  }
-
-  // Synchronous fallback (server_disk_threads == 0): the original
-  // single-threaded service path.
-  bool found = false;
-  BlockPtr block = load_block(id, &found);
-  if (!found) {
-    // Computed served array? Generate the block on demand instead of
-    // reading it from disk (paper §V-B).
-    if (const ServerComputeFn* generate = generator_for(array_id)) {
-      block = std::make_shared<Block>(shape_of(id));
-      std::array<long, blas::kMaxRank> first{};
-      for (int d = 0; d < id.rank; ++d) {
-        const std::size_t ud = static_cast<std::size_t>(d);
-        const sial::ResolvedIndex& decl = shared_.program->index(
-            array.index_ids[ud]);
-        const int abs_seg = id.segments[ud] + array.seg_lo[ud] - 1;
-        first[ud] = decl.segment_start(abs_seg);
-      }
-      (*generate)(*block,
-                  {first.data(), static_cast<std::size_t>(id.rank)});
-      ++stats_.computed;
-    } else if (lookahead) {
-      send_miss_reply(reply_rank, array_id, linear, message.seq);
       return;
-    } else {
-      throw RuntimeError("request of served block " + id.to_string() +
-                         " of '" + array.name +
-                         "' that has never been prepared");
+    }
+    InflightRead read;
+    read.waiters.push_back(Waiter{reply_rank, lookahead, message.seq});
+    read.low_priority = lookahead;
+    inflight_.emplace(id, std::move(read));
+  }
+  // Resolve everything the job needs on this thread — store/generator
+  // tables and program metadata are not synchronized.
+  DiskStore* store = &store_for(array_id);
+  const ServerComputeFn* generate = generator_for(array_id);
+  const BlockShape shape = shape_of(id);
+  std::array<long, blas::kMaxRank> first{};
+  if (generate != nullptr) {
+    for (int d = 0; d < id.rank; ++d) {
+      const std::size_t ud = static_cast<std::size_t>(d);
+      const sial::ResolvedIndex& decl =
+          shared_.program->index(array.index_ids[ud]);
+      const int abs_seg = id.segments[ud] + array.seg_lo[ud] - 1;
+      first[ud] = decl.segment_start(abs_seg);
     }
   }
-  cache_.put(id, block, /*dirty=*/false);
-  send_reply(reply_rank, array_id, linear, std::move(block), lookahead,
-             message.seq);
+  disk_pool_->submit(
+      {array_id, linear},
+      [this, id, store, linear, generate, shape, first, name = array.name,
+       version = version_of(id)] {
+        read_job(id, store, linear, generate, shape, first, name, version);
+      },
+      /*low_priority=*/lookahead);
 }
 
 void IoServer::handle_delete(const msg::Message& message) {
@@ -1117,7 +1075,7 @@ void IoServer::handle_delete(const msg::Message& message) {
   // Let in-flight reads of the array finish before the state goes away
   // (a well-formed program separates reads from the delete with a
   // barrier, but the server must stay consistent regardless).
-  if (disk_pool_) disk_pool_->drain();
+  disk_pool_->drain();
   drain_completions();
   cache_.erase_array(array_id);
   // A late queued write must not resurrect the deleted array on disk:
@@ -1150,7 +1108,7 @@ void IoServer::handle_delete(const msg::Message& message) {
 }
 
 void IoServer::flush() {
-  if (disk_pool_) disk_pool_->drain();
+  disk_pool_->drain();
   drain_completions();
   cache_.flush_dirty();
   write_behind_.drain();

@@ -163,12 +163,7 @@ class WriteBehind {
   // the prepare durability acks from here.
   using RetireHandler = std::function<void(const AckList&)>;
 
-  // `batched == false` reproduces the legacy retirement policy (the
-  // pre-pipeline engine): one block and one presence-map pwrite per
-  // write. It is selected when server_disk_threads == 0 so the serial
-  // configuration stays an honest baseline for the pipelined one.
-  explicit WriteBehind(int lanes = 1, bool batched = true,
-                       ErrorHandler on_error = nullptr,
+  explicit WriteBehind(int lanes = 1, ErrorHandler on_error = nullptr,
                        RetireHandler on_retire = nullptr);
   ~WriteBehind();
 
@@ -215,7 +210,6 @@ class WriteBehind {
   std::deque<Item> queue_;
   std::map<Key, BlockPtr> pending_;
   std::vector<Key> in_flight_keys_;
-  std::size_t max_batch_;
   ErrorHandler on_error_;
   RetireHandler on_retire_;
   std::string error_;  // first disk failure from any lane
@@ -455,7 +449,7 @@ class IoServer {
   int journal_fd_ = -1;  // append-only ack journal (crash recovery)
 
   WriteBehind write_behind_;
-  std::unique_ptr<DiskPool> disk_pool_;  // null when server_disk_threads==0
+  std::unique_ptr<DiskPool> disk_pool_;
 };
 
 }  // namespace sia::sip

@@ -34,9 +34,9 @@ struct RunResult {
     std::int64_t implicit_gets = 0;
     std::int64_t puts_remote = 0;
     std::int64_t puts_local = 0;
-    // Write combining (config.coalesce_puts): accumulate-puts/prepares
-    // merged into a shadow block instead of sent, and the messages that
-    // eventually carried the merged blocks out.
+    // Write combining: accumulate-puts/prepares merged into a shadow
+    // block instead of sent, and the messages that eventually carried the
+    // merged blocks out.
     std::int64_t puts_coalesced = 0;
     std::int64_t prepares_coalesced = 0;
     std::int64_t coalesce_flushes = 0;

@@ -185,8 +185,7 @@ Master::Master(SipShared& shared)
     : shared_(shared),
       schedules_(shared.config.workers, shared.config.chunk_divisor,
                  shared.config.min_chunk),
-      work_stealing_(shared.config.work_stealing &&
-                     shared.config.workers > 1),
+      stealing_(shared.config.workers > 1),
       outstanding_(static_cast<std::size_t>(shared.config.workers)) {
   stats_.worker_iterations.assign(
       static_cast<std::size_t>(shared.config.workers), 0);
@@ -246,7 +245,7 @@ void Master::handle_chunk_request(const msg::Message& message) {
     send_chunk_reply(message.src, key, begin, end);
     return;
   }
-  if (!work_stealing_) {
+  if (!stealing_) {
     schedules_.retire(pardo_id, instance);
     send_chunk_reply(message.src, key, begin, end);
     return;

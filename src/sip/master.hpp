@@ -164,7 +164,7 @@ class Master {
   // starved_ queues requesters whose reply waits on a steal resolution;
   // at most one steal is in flight at a time (the victim answers exactly
   // once, so resolution is a simple state machine).
-  bool work_stealing_ = false;
+  bool stealing_ = false;  // a lone worker has no victim
   std::vector<OutstandingChunk> outstanding_;
   std::map<ChunkKey, std::deque<int>> starved_;
   std::optional<StealInFlight> steal_;

@@ -13,10 +13,9 @@ constexpr std::size_t kCoalesceFlushThreshold = 128;
 
 ServedArrayClient::ServedArrayClient(SipShared& shared, int my_rank,
                                      BlockPool& pool,
-                                     std::size_t cache_capacity_doubles,
-                                     bool coalesce_puts)
+                                     std::size_t cache_capacity_doubles)
     : shared_(shared), my_rank_(my_rank), pool_(pool),
-      cache_(cache_capacity_doubles), coalesce_enabled_(coalesce_puts) {}
+      cache_(cache_capacity_doubles) {}
 
 BlockShape ServedArrayClient::shape_of(const BlockId& id) const {
   const sial::ResolvedArray& array = shared_.program->array(id.array_id);
@@ -180,10 +179,6 @@ void ServedArrayClient::prepare(const BlockId& id, BlockPtr data,
   if (!accumulate) {
     if (coalesce_.count(id) > 0) flush_coalesced_block(id);
     send_prepare_message(id, make_exclusive(std::move(data)), false);
-    return;
-  }
-  if (!coalesce_enabled_) {
-    send_prepare_message(id, make_exclusive(std::move(data)), true);
     return;
   }
   auto it = coalesce_.find(id);

@@ -5,7 +5,7 @@
 // responsible I/O server and issues asynchronous requests whose replies
 // land in a local LRU cache. Epochs advance at server_barrier, mirroring
 // the distributed-array rules — including the zero-copy payload path and
-// the prepare-accumulate shadow table (`coalesce_puts`).
+// the prepare-accumulate shadow table.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +56,7 @@ class ServedArrayClient {
   };
 
   ServedArrayClient(SipShared& shared, int my_rank, BlockPool& pool,
-                    std::size_t cache_capacity_doubles,
-                    bool coalesce_puts = false);
+                    std::size_t cache_capacity_doubles);
 
   // SIAL `request`: async fetch unless cached or a demand fetch is
   // already in flight. If only a look-ahead is in flight, a demand
@@ -132,7 +131,6 @@ class ServedArrayClient {
   std::unordered_map<BlockId, Pending, BlockIdHash> pending_;
   // Write-combining shadow table of exclusively owned prepare+= payloads.
   std::unordered_map<BlockId, BlockPtr, BlockIdHash> coalesce_;
-  bool coalesce_enabled_ = false;
   std::int64_t epoch_ = 0;
   Stats stats_;
 };

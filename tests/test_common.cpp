@@ -160,13 +160,16 @@ TEST(SipConfigTest, BundleParserRejectsMalformedText) {
   reject("constants[n]=1.5\nsource=0\n");         // map value type
   reject("workers=3\n");                           // no source section
   reject("workers=3");                              // unterminated line
-  try {  // a removed knob is an unknown key, and the error names it
-    sip::read_bundle("worker_threads=2\nsource=0\n");
-    ADD_FAILURE() << "worker_threads accepted";
-  } catch (const Error& error) {
-    EXPECT_NE(std::string(error.what()).find("worker_threads"),
-              std::string::npos)
-        << error.what();
+  // A removed knob is an unknown key, and the error names it.
+  for (const std::string removed :
+       {"worker_threads", "batch_gets", "coalesce_puts", "work_stealing"}) {
+    try {
+      sip::read_bundle(removed + "=1\nsource=0\n");
+      ADD_FAILURE() << removed << " accepted";
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what()).find(removed), std::string::npos)
+          << error.what();
+    }
   }
 
   sip::Bundle bundle;
@@ -252,7 +255,7 @@ endsial
   untuned.workers = 3;
   untuned.io_servers = 2;
   untuned.opt_level = 1;
-  untuned.batch_gets = false;
+  untuned.server_cold_io = true;
   untuned.default_segment = SipConfig{}.default_segment;
   EXPECT_EQ(pinned(untuned), Knobs{});
 
@@ -260,7 +263,7 @@ endsial
   // pins the segment dimension.
   SipConfig mixed = base;
   mixed.segment_overrides["moindex"] = 4;
-  mixed.coalesce_puts = false;
+  mixed.opt_level = 0;
   mixed.min_chunk = 4;
   mixed.prefetch_depth = 0;
   mixed.chunk_divisor = 3;

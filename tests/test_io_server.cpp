@@ -248,7 +248,7 @@ TEST_F(DiskStoreTest, WriteBehindBatchesWritesOfOneArray) {
   // it in large per-array batches — far fewer batches (and map flushes)
   // than blocks.
   DiskStore store(dir_, "wb", 4, 64);
-  WriteBehind writer(/*lanes=*/2, /*batched=*/true);
+  WriteBehind writer(/*lanes=*/2);
   writer.pause();
   for (int i = 0; i < 32; ++i) {
     writer.enqueue(&store, 0, i, block_of(static_cast<double>(i)));
@@ -263,22 +263,6 @@ TEST_F(DiskStoreTest, WriteBehindBatchesWritesOfOneArray) {
   EXPECT_EQ(back[0], 31.0);
 }
 
-TEST_F(DiskStoreTest, LegacyWriterRetiresOneBlockPerBatch) {
-  // batched=false reproduces the pre-pipeline policy: one block and one
-  // presence-map pwrite per write (the serial baseline of BENCH_io.json).
-  DiskStore store(dir_, "wb", 4, 16);
-  WriteBehind writer(/*lanes=*/1, /*batched=*/false);
-  writer.pause();
-  for (int i = 0; i < 8; ++i) {
-    writer.enqueue(&store, 0, i, block_of(static_cast<double>(i)));
-  }
-  writer.resume();
-  writer.drain();
-  EXPECT_EQ(writer.writes(), 8);
-  EXPECT_EQ(writer.batches(), 8);
-  EXPECT_EQ(store.map_flushes(), 8);
-}
-
 TEST_F(DiskStoreTest, WriteBehindSurfacesWriteErrorsInsteadOfTerminating) {
   // A disk failure on a lane thread (here: a block exceeding its slot,
   // standing in for ENOSPC/short writes) must not escape the thread body
@@ -286,7 +270,7 @@ TEST_F(DiskStoreTest, WriteBehindSurfacesWriteErrorsInsteadOfTerminating) {
   // error handler and rethrown from drain().
   DiskStore store(dir_, "wb", 4, 8);
   std::string reported;
-  WriteBehind writer(/*lanes=*/1, /*batched=*/true,
+  WriteBehind writer(/*lanes=*/1,
                      [&](const std::string& error) { reported = error; });
   writer.enqueue(&store, 0, 1, block_of(9.0, /*count=*/8));
   EXPECT_THROW(writer.drain(), RuntimeError);
@@ -325,7 +309,7 @@ TEST_F(DiskStoreTest, AbandonWaitsForTheBatchOnALane) {
   std::condition_variable cv;
   bool retiring = false;
   bool release = false;
-  WriteBehind writer(/*lanes=*/1, /*batched=*/true, nullptr,
+  WriteBehind writer(/*lanes=*/1, nullptr,
                      [&](const WriteBehind::AckList&) {
                        std::unique_lock<std::mutex> lock(mutex);
                        retiring = true;
@@ -475,29 +459,35 @@ endsial
   EXPECT_EQ(result.profile.served.reads_coalesced, 3);
 }
 
-TEST(ServedPipelineTest, ThreadedStressMatchesSerialBitExact) {
-  // io_storm shrunk to test size, threaded pipeline vs the serial
-  // engine through an undersized server cache: heavy eviction, disk
-  // reads, look-ahead, and shared re-reads — and a bit-identical result.
-  const auto run = [](bool pipelined) {
-    SipConfig config;
-    config.workers = 4;
-    config.io_servers = 1;
-    config.default_segment = 8;
-    config.server_cache_bytes = 8 * 8 * 8 * sizeof(double);  // 8 blocks
-    config.server_disk_threads = pipelined ? 4 : 0;
-    config.prefetch_depth = pipelined ? 4 : 0;
-    config.constants = {{"norb", 96}, {"nsweeps", 2}, {"nshared", 96}};
-    Sip sip(config);
-    return sip.run_source(chem::io_storm_source());
-  };
+TEST(ServedPipelineTest, ThreadedStressMatchesClosedFormChecksum) {
+  // io_storm shrunk to test size through an undersized server cache:
+  // heavy eviction, disk reads, look-ahead, and shared re-reads. The
+  // elements are 100·a + k, so snorm2 is an exact integer:
+  // nsweeps·Σ_{a,k} (100a+k)² + workers·Σ_{r≤nshared,k} (100r+k)².
+  constexpr std::int64_t kWorkers = 4, kNorb = 96, kSweeps = 2, kShared = 96;
+  SipConfig config;
+  config.workers = kWorkers;
+  config.io_servers = 1;
+  config.default_segment = 8;
+  config.server_cache_bytes = 8 * 8 * 8 * sizeof(double);  // 8 blocks
+  config.server_disk_threads = 4;
+  config.prefetch_depth = 4;
+  config.constants = {{"norb", kNorb}, {"nsweeps", kSweeps},
+                      {"nshared", kShared}};
   chem::register_chem_superinstructions();
-  const RunResult threaded = run(true);
-  const RunResult serial = run(false);
-  EXPECT_DOUBLE_EQ(threaded.scalar("snorm2"), serial.scalar("snorm2"));
-  EXPECT_GT(threaded.profile.served.server_lookahead_requests, 0);
-  EXPECT_GT(threaded.profile.served.server_disk_reads, 0);
-  EXPECT_GT(threaded.profile.served.write_batches, 0);
+  Sip sip(config);
+  const RunResult result = sip.run_source(chem::io_storm_source());
+  std::int64_t expected = 0;
+  for (std::int64_t a = 1; a <= kNorb; ++a) {
+    for (std::int64_t k = 1; k <= kNorb; ++k) {
+      const std::int64_t square = (100 * a + k) * (100 * a + k);
+      expected += kSweeps * square + (a <= kShared ? kWorkers * square : 0);
+    }
+  }
+  EXPECT_EQ(result.scalar("snorm2"), static_cast<double>(expected));
+  EXPECT_GT(result.profile.served.server_lookahead_requests, 0);
+  EXPECT_GT(result.profile.served.server_disk_reads, 0);
+  EXPECT_GT(result.profile.served.write_batches, 0);
 }
 
 // ---------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -132,7 +133,7 @@ TEST(PlannerTest, SweepsOnlySegmentSize) {
   SipConfig base = sweep_config();
   base.chunk_divisor = 3;
   base.prefetch_depth = 7;
-  base.coalesce_puts = false;
+  base.opt_level = 1;
   base.min_chunk = 2;
   const PlanChoice choice =
       plan_launch(optimized_sweep(base), base, Calibration{}, HostModel{4});
@@ -140,7 +141,7 @@ TEST(PlannerTest, SweepsOnlySegmentSize) {
   EXPECT_TRUE(choice.pinned.empty());
   EXPECT_EQ(choice.config.chunk_divisor, 3);
   EXPECT_EQ(choice.config.prefetch_depth, 7);
-  EXPECT_FALSE(choice.config.coalesce_puts);
+  EXPECT_EQ(choice.config.opt_level, 1);
   EXPECT_EQ(choice.config.min_chunk, 2);
   EXPECT_EQ(choice.summary.rfind("segment=", 0), 0u) << choice.summary;
   std::vector<std::string> dimensions;
@@ -536,32 +537,52 @@ endsial
 )SIAL";
 }
 
-SipConfig skew_config(bool work_stealing) {
+SipConfig skew_config() {
   SipConfig config;
   config.workers = 2;
   config.io_servers = 0;
   config.default_segment = 48;
   config.segment_overrides["index"] = 1;  // `do r` sweeps reps times
   config.chunk_divisor = 1;  // first chunks: half the space per worker
-  config.work_stealing = work_stealing;
   config.constants = {{"n", 49}, {"m", 384}, {"reps", 100}};
   return config;
 }
 
+// skew_source's lsum in closed form: c(i,j) = reps·Σ_k (100i+k)(100k+j).
+// The squares pass 2^53, so this is exact only up to the rounding of
+// summing n·m positive terms, n·m·2^-53 relative.
+double skew_lsum_closed_form(const SipConfig& config) {
+  const long n = config.constants.at("n");
+  const long m = config.constants.at("m");
+  const long reps = config.constants.at("reps");
+  long double sum = 0.0L;
+  for (long i = 1; i <= n; ++i) {
+    for (long j = 1; j <= m; ++j) {
+      long c = 0;
+      for (long k = 1; k <= n; ++k) c += (100 * i + k) * (100 * k + j);
+      const long double v = static_cast<long double>(reps * c);
+      sum += v * v;
+    }
+  }
+  return static_cast<double>(sum);
+}
+
 TEST(PlannerStealTest, StealingIsBitIdenticalOnSkewedPardo) {
-  Sip no_steal(skew_config(false));
-  const RunResult baseline = no_steal.run_source(skew_source());
-  EXPECT_EQ(baseline.profile.scheduling.steals_granted, 0);
+  const SipConfig config = skew_config();
+  const double expected = skew_lsum_closed_form(config);
 
   // The skew leaves the victim several unstarted heavy iterations when
   // the thief asks, so a steal does not hinge on timing; a second run
   // checks it again. Bit-identity must hold on EVERY run, stolen or not.
+  std::optional<double> first;
   std::int64_t steals = 0;
   for (int attempt = 0; attempt < 5; ++attempt) {
-    Sip sip(skew_config(true));
+    Sip sip(config);
     const RunResult result = sip.run_source(skew_source());
-    EXPECT_EQ(result.scalar("lsum"), baseline.scalar("lsum"))
-        << "attempt " << attempt;
+    const double lsum = result.scalar("lsum");
+    EXPECT_NEAR(lsum, expected, expected * 1e-11) << "attempt " << attempt;
+    if (!first) first = lsum;
+    EXPECT_EQ(lsum, *first) << "attempt " << attempt;
     EXPECT_GT(result.profile.scheduling.chunks_served, 0);
     steals += result.profile.scheduling.steals_granted;
     if (steals > 0 && attempt >= 1) break;
@@ -570,11 +591,11 @@ TEST(PlannerStealTest, StealingIsBitIdenticalOnSkewedPardo) {
 }
 
 TEST(PlannerStealTest, SerialAndStolenRunsAgree) {
-  SipConfig serial = skew_config(false);
+  SipConfig serial = skew_config();
   serial.workers = 1;
   Sip one(serial);
   const double expected = one.run_source(skew_source()).scalar("lsum");
-  Sip sip(skew_config(true));
+  Sip sip(skew_config());
   EXPECT_EQ(sip.run_source(skew_source()).scalar("lsum"), expected);
 }
 
@@ -583,10 +604,10 @@ TEST(PlannerStealTest, StealingStaysExactlyOnceUnderChaos) {
   // the schedule underneath; a lost put or a double-applied accumulate
   // would shift the integer-valued checksum. Bit-equality against the
   // fault-free baseline is the exactly-once assertion.
-  Sip clean(skew_config(true));
+  Sip clean(skew_config());
   const double baseline = clean.run_source(skew_source()).scalar("lsum");
   for (const char* plan : {"drop=0.01,seed=7", "dup=0.02,seed=11"}) {
-    SipConfig config = skew_config(true);
+    SipConfig config = skew_config();
     config.retry_timeout_ms = 50;
     config.fault_plan = FaultPlan::parse(plan);
     Sip sip(config);

@@ -229,11 +229,10 @@ enddo h
 }
 
 // ---------------------------------------------------------------------
-// Batched get issue (config.batch_gets).
+// Batched get issue.
 
-// Two implicit remote reads per statement: without batching the second
-// fetch is only issued after the first reply arrived; with batching both
-// requests are in flight before the worker blocks.
+// Two implicit remote reads per statement: both requests are in flight
+// before the worker blocks on the first reply.
 constexpr const char* kTwoReadsPerStatement = R"(
 moindex a = 1, n
 moindex b = 1, n
@@ -266,48 +265,36 @@ total = 0.0
 collective total += lsum
 )";
 
-RunResult run_batched(bool batch_gets) {
+TEST(BatchGetsTest, MatchesClosedFormAndReportsPerWorkerWait) {
+  constexpr long kN = 24;
   SipConfig config;
   config.workers = 4;
   config.io_servers = 0;
   config.default_segment = 4;
-  config.constants = {{"n", 24}};
+  config.constants = {{"n", kN}};
   config.prefetch_depth = 0;  // isolate batching from look-ahead
-  config.batch_gets = batch_gets;
   Sip sip(config);
-  return sip.run_source(std::string("sial test\n") + kTwoReadsPerStatement +
-                        "\nendsial\n");
-}
-
-double total_block_wait(const RunResult& result) {
-  return std::accumulate(result.profile.worker_block_wait.begin(),
-                         result.profile.worker_block_wait.end(), 0.0);
-}
-
-TEST(BatchGetsTest, SameResultAndReportedPerWorkerWait) {
-  const RunResult off = run_batched(false);
-  const RunResult on = run_batched(true);
-  // Correctness must not depend on issue order.
-  EXPECT_DOUBLE_EQ(off.scalar("total"), on.scalar("total"));
+  const RunResult result = sip.run_source(
+      std::string("sial test\n") + kTwoReadsPerStatement + "\nendsial\n");
+  // A(a,k) = 100a + k, so C(a,b) = Σ_k (100a+k)(100b+k) is an exact
+  // integer and total = Σ_{a,b} C(a,b)². The squares pass 2^53, so the
+  // reduction order moves the last bits; n² positive terms summed in any
+  // order stay within n²·2^-53 of the exact value.
+  long double expected = 0.0L;
+  for (long a = 1; a <= kN; ++a) {
+    for (long b = 1; b <= kN; ++b) {
+      long c = 0;
+      for (long k = 1; k <= kN; ++k) c += (100 * a + k) * (100 * b + k);
+      expected += static_cast<long double>(c) * static_cast<long double>(c);
+    }
+  }
+  EXPECT_NEAR(result.scalar("total"), static_cast<double>(expected),
+              static_cast<double>(expected) * 1e-13);
   // The report carries one get/request wait entry per worker.
-  ASSERT_EQ(on.profile.worker_block_wait.size(), 4u);
-  ASSERT_EQ(off.profile.worker_block_wait.size(), 4u);
-  for (const double wait : on.profile.worker_block_wait) {
+  ASSERT_EQ(result.profile.worker_block_wait.size(), 4u);
+  for (const double wait : result.profile.worker_block_wait) {
     EXPECT_GE(wait, 0.0);
   }
-}
-
-TEST(BatchGetsTest, BatchingDoesNotIncreaseBlockWait) {
-  // Wall-clock based, so run a few times and compare the best case of
-  // each configuration; batching must not make block waits worse, and
-  // usually shrinks them (both requests are serviced during one wait).
-  double min_off = 1e9, min_on = 1e9;
-  for (int rep = 0; rep < 3; ++rep) {
-    min_off = std::min(min_off, total_block_wait(run_batched(false)));
-    min_on = std::min(min_on, total_block_wait(run_batched(true)));
-  }
-  EXPECT_LE(min_on, min_off * 1.5 + 0.01)
-      << "batched gets waited longer than serial gets";
 }
 
 // ---------------------------------------------------------------------
@@ -354,6 +341,11 @@ total = 0.0
 collective total += lsum
 )";
 
+double total_block_wait(const RunResult& result) {
+  return std::accumulate(result.profile.worker_block_wait.begin(),
+                         result.profile.worker_block_wait.end(), 0.0);
+}
+
 RunResult run_served(int prefetch_depth) {
   SipConfig config;
   config.workers = 4;
@@ -385,9 +377,9 @@ TEST(RequestLookaheadTest, LookaheadIssuesAndResultUnchanged) {
 }
 
 TEST(RequestLookaheadTest, LookaheadDoesNotIncreaseRequestWait) {
-  // Wall-clock based like BatchingDoesNotIncreaseBlockWait: compare the
-  // best of three runs; look-ahead must not make request waits worse,
-  // and usually shrinks them (the block is local before it is needed).
+  // Wall-clock based, so compare the best of three runs; look-ahead
+  // must not make request waits worse, and usually shrinks them (the
+  // block is local before it is needed).
   double min_off = 1e9, min_on = 1e9;
   for (int rep = 0; rep < 3; ++rep) {
     min_off = std::min(min_off, total_block_wait(run_served(0)));

@@ -170,14 +170,14 @@ TEST(SpawnParityTest, SpawnServedStormMatchesThread) {
 // ---------------------------------------------------------------------
 // Profile parity: every rank's counters reach the report through the
 // same RankReport merge whether the ranks are threads or processes.
-// One serial worker, no look-ahead and a synchronous disk service make
-// the schedule deterministic, so every count must match exactly; only
-// times differ. Fabric traffic is excluded: spawn serializes what
-// threads pass by pointer. So is the worker pool's heap-fallback count,
-// which follows from that: a thread-mode prepare hands the server the
-// worker's pool block itself, keeping the slot busy while the server
-// caches it. It is compared against a loopback run, which serializes
-// the same way spawn does.
+// One worker and no look-ahead make the schedule deterministic, so
+// every count must match exactly except write-behind batching, which
+// follows lane timing; times differ. Fabric traffic is excluded: spawn
+// serializes what threads pass by pointer. So is the worker pool's
+// heap-fallback count, which follows from that: a thread-mode prepare
+// hands the server the worker's pool block itself, keeping the slot busy
+// while the server caches it. It is compared against a loopback run,
+// which serializes the same way spawn does.
 
 std::string parity_source() {
   return R"SIAL(
@@ -218,7 +218,6 @@ SipConfig parity_config(const std::string& transport) {
   config.workers = 1;
   config.io_servers = 1;
   config.prefetch_depth = 0;
-  config.server_disk_threads = 0;
   config.default_segment = 4;
   config.sparse_threshold = 1e-6;
   config.transport = transport;
@@ -265,8 +264,6 @@ TEST(SpawnParityTest, SpawnProfileMatchesThreadCounts) {
   EXPECT_SAME(profile.served.server_disk_reads);
   EXPECT_SAME(profile.served.server_disk_writes);
   EXPECT_SAME(profile.served.reads_coalesced);
-  EXPECT_SAME(profile.served.write_batches);
-  EXPECT_SAME(profile.served.map_flushes);
   EXPECT_SAME(profile.served.computed);
   EXPECT_SAME(workers.gets_issued);
   EXPECT_SAME(workers.gets_local);
@@ -292,6 +289,17 @@ TEST(SpawnParityTest, SpawnProfileMatchesThreadCounts) {
   EXPECT_SAME(profile.screening.zero_reads);
   EXPECT_SAME(profile.screening.evictions_screened);
 #undef EXPECT_SAME
+  // Write-behind batching depends on lane timing, so batches and
+  // presence-map flushes are bounded, not compared: each one retires or
+  // flushes at least one of the (exactly compared) disk writes.
+  for (const ProfileReport* profile : {&t, &s}) {
+    EXPECT_GE(profile->served.write_batches, 1);
+    EXPECT_LE(profile->served.write_batches,
+              profile->served.server_disk_writes);
+    EXPECT_GE(profile->served.map_flushes, 1);
+    EXPECT_LE(profile->served.map_flushes,
+              profile->served.server_disk_writes);
+  }
   ASSERT_EQ(s.screening.arrays.size(), t.screening.arrays.size());
   for (std::size_t a = 0; a < t.screening.arrays.size(); ++a) {
     EXPECT_EQ(s.screening.arrays[a].name, t.screening.arrays[a].name);
