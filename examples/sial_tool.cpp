@@ -10,7 +10,7 @@
 //                                           performance (paper sec. VIII)
 //
 // Options: -w N (workers), -s N (io servers), -g N (segment size),
-//          -O0 / -O1 / -O2 (bytecode optimization level; default -O2),
+//          -O0 / -O1 (bytecode optimization level; default -O1),
 //          --dump-bytecode[=opt|raw] (annotated listing of the optimized
 //          bytecode, or the raw compiler output),
 //          -D name=value (symbolic constant; repeatable),
@@ -29,16 +29,22 @@
 //
 // This is the developer-facing workflow the paper describes: compile the
 // SIAL program once, dry-run it to check feasibility, then run it with
-// runtime-chosen tuning parameters. Optimizer diagnostics (what was
-// hoisted, which barriers were dropped, which temps defeat renaming) are
-// rendered to stderr with caret snippets against the source.
+// runtime-chosen tuning parameters. Optimizer diagnostics (which barriers
+// were dropped, and which barrier already covers each) are rendered to
+// stderr with caret snippets against the source.
+//
+// `run` prints every scalar once the program ends. A scalar that a pardo
+// body stores into and that no collective reduces holds only worker 0's
+// share of that loop, so it is marked as a worker-0 partial.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "chem/integrals.hpp"
 #include "common/error.hpp"
@@ -73,11 +79,51 @@ constexpr std::pair<const char*, const char*> kFieldFlags[] = {
     {"--transport", "transport"},
 };
 
+// Names of the scalars a pardo body stores into, directly or through a
+// called proc, that no collective targets. After a run each holds one
+// worker's partial sum of the loop, not a program result.
+std::set<std::string> worker_partials(
+    const sia::sial::CompiledProgram& program) {
+  using sia::sial::Opcode;
+  std::set<int> stored;
+  std::set<int> reduced;
+  std::vector<int> procs;  // called from a pardo body; scanned below
+  const auto note_store = [&](const sia::sial::Instruction& instr) {
+    if (instr.op == Opcode::kStoreScalar) stored.insert(instr.a0);
+    if (instr.op == Opcode::kCall &&
+        std::find(procs.begin(), procs.end(), instr.a0) == procs.end()) {
+      procs.push_back(instr.a0);
+    }
+  };
+  int pardo_depth = 0;
+  for (const sia::sial::Instruction& instr : program.code) {
+    if (instr.op == Opcode::kCollective) reduced.insert(instr.a0);
+    if (instr.op == Opcode::kPardoStart) ++pardo_depth;
+    if (instr.op == Opcode::kPardoEnd) --pardo_depth;
+    if (pardo_depth > 0) note_store(instr);
+  }
+  // A proc body runs from its entry to its single trailing kReturn.
+  for (std::size_t p = 0; p < procs.size(); ++p) {
+    for (std::size_t pc = static_cast<std::size_t>(
+             program.procs[static_cast<std::size_t>(procs[p])].entry_pc);
+         program.code[pc].op != Opcode::kReturn; ++pc) {
+      note_store(program.code[pc]);
+    }
+  }
+  std::set<std::string> names;
+  for (const int slot : stored) {
+    if (reduced.count(slot) == 0) {
+      names.insert(program.scalars[static_cast<std::size_t>(slot)].name);
+    }
+  }
+  return names;
+}
+
 int usage() {
   std::fprintf(stderr,
                "usage: sial_tool {compile|dryrun|run|plan|model} <file.sial> "
                "[-w workers] [-s servers] [-g segment] "
-               "[-O0|-O1|-O2] [--dump-bytecode[=opt|raw]] "
+               "[-O0|-O1] [--dump-bytecode[=opt|raw]] "
                "[--sparse-threshold X] [-D name=value]... "
                "[--no-autotune] "
                "[--transport thread|loopback|spawn]\n");
@@ -219,9 +265,11 @@ int main(int argc, char** argv) {
       sia::sip::Sip sip(config);
       // run_source (not run): spawn mode ships the source to children.
       const sia::sip::RunResult result = sip.run_source(source);
+      const std::set<std::string> partials = worker_partials(program);
       std::printf("final scalars:\n");
       for (const auto& [name, value] : result.scalars) {
-        std::printf("  %-16s = %.12g\n", name.c_str(), value);
+        std::printf("  %-16s = %.12g%s\n", name.c_str(), value,
+                    partials.count(name) > 0 ? "  (worker-0 partial)" : "");
       }
       std::printf("\n%s", result.profile.to_string().c_str());
       return 0;

@@ -106,11 +106,8 @@ struct SipConfig {
 
   // Bytecode optimization level applied between the SIAL compiler and
   // program finalization (src/sial/opt/). 0 = none (bytecode runs
-  // exactly as compiled), 1 = bit-exact transforms (static prefetch
-  // hoisting, redundant-barrier and dead-store elimination), 2 =
-  // additionally reassociate contraction chains when a compile-time flop
-  // model proves it strictly cheaper.
-  int opt_level = 2;
+  // exactly as compiled), 1 = redundant-barrier elimination (bit-exact).
+  int opt_level = 1;
 
   // Number of future loop iterations for which the interpreter issues
   // block requests ahead of use. 0 disables prefetching. Applies to both
@@ -287,7 +284,7 @@ struct SipConfig {
     visit("worker_memory_bytes", Knob{}, s.worker_memory_bytes...);
     visit("server_cache_bytes", Knob{.tuned = "server_cache_bytes"},
           s.server_cache_bytes...);
-    visit("opt_level", Knob{.min = 0, .max = 2}, s.opt_level...);
+    visit("opt_level", Knob{.min = 0, .max = 1}, s.opt_level...);
     visit("prefetch_depth", Knob{.min = 0}, s.prefetch_depth...);
     visit("server_disk_threads",
           Knob{.min = 1, .tuned = "server_disk_threads"},

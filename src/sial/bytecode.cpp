@@ -50,7 +50,6 @@ const char* opcode_name(Opcode op) {
     case Opcode::kCollective: return "collective";
     case Opcode::kCheckpoint: return "checkpoint";
     case Opcode::kRestoreArr: return "restore";
-    case Opcode::kPrefetch: return "prefetch";
   }
   return "?";
 }

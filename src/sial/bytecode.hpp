@@ -71,12 +71,6 @@ enum class Opcode {
   kCollective,  // a0 = dst scalar slot, a1 = src scalar slot
   kCheckpoint,  // a0 = array id, a1 = string table id (file key)
   kRestoreArr,  // a0 = array id, a1 = string table id
-
-  // Optimizer-generated (src/sial/opt/): non-blocking fetch of blocks[0]
-  // hoisted out of a loop whose body proved the block id invariant.
-  // a0 = the loop's index id (zero-trip guard: issue only if the loop
-  // will run), a1 = super index id for `do ii in i` loops (else -1).
-  kPrefetch,
 };
 
 const char* opcode_name(Opcode op);
@@ -173,8 +167,8 @@ struct CompiledProgram {
   // The SIAL text this program was compiled from (diagnostic snippets).
   std::string source;
   // Mid-end bookkeeping: opt_level_applied records the level that ran;
-  // each opt_note tags a pc with what a pass did there ("hoisted", an
-  // "eliminated: ..." marker on a kNop, ...) for annotated disassembly.
+  // each opt_note tags a pc with what the pass did there (an
+  // "eliminated: ..." marker on a kNop) for annotated disassembly.
   int opt_level_applied = 0;
   std::vector<std::pair<int, std::string>> opt_notes;
 

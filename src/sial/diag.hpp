@@ -4,16 +4,16 @@
 // number of secondary notes anchored to their own ranges (the style of
 // quirrel's SQCompilationContext): the optimizer explains *what* it did
 // at the primary location and *why* with notes pointing at the evidence
-// ("hoisted before this loop", "first conflicting access is here").
+// ("no conflicting access separates it from this barrier").
 //
 // render() produces the familiar caret form:
 //
-//   <file>:12:5: warning: this get is loop-invariant (hoisted) [W003]
-//       get V(a,i)
-//       ^~~~~~~~~~
-//   <file>:11:3: note: hoisted before this loop
-//       do k
-//       ^~~~
+//   <file>:14:1: warning: this barrier is redundant [W001]
+//   sip_barrier
+//   ^~~~~~~~~~~
+//   <file>:13:1: note: no conflicting access separates it from this barrier
+//   sip_barrier
+//   ^~~~~~~~~~~
 #pragma once
 
 #include <string>
@@ -39,10 +39,9 @@ struct Diag {
 };
 
 // Stable warning codes emitted by the optimizer (docs/COMPILER.md).
+// W003, W004 and W005 are retired with the passes that emitted them;
+// never reuse them.
 inline constexpr const char* kDiagRedundantBarrier = "W001";
-inline constexpr const char* kDiagLoopInvariantGet = "W003";
-inline constexpr const char* kDiagDeadStore = "W004";
-inline constexpr const char* kDiagReassociated = "W005";
 
 // Renders one diagnostic (with its notes) against the source text it
 // refers to. `file` is the display name; pass "<sial>" when the program

@@ -90,14 +90,6 @@ std::string disassemble_instruction(const CompiledProgram& program, int pc) {
     case Opcode::kCompare:
       out << " " << cmp_op_name(static_cast<CmpOp>(instr.a0));
       break;
-    case Opcode::kPrefetch:
-      out << " guard="
-          << program.indices[static_cast<std::size_t>(instr.a0)].name;
-      if (instr.a1 >= 0) {
-        out << " in "
-            << program.indices[static_cast<std::size_t>(instr.a1)].name;
-      }
-      break;
     default:
       if (instr.a0 >= 0 &&
           (instr.op == Opcode::kBlockScalarOp ||

@@ -14,8 +14,8 @@ std::string disassemble_instruction(const CompiledProgram& program, int pc);
 std::string disassemble(const CompiledProgram& program);
 
 // Like disassemble(), but each instruction line is annotated with the
-// optimizer's note for it when present (hoisted kPrefetch, eliminated
-// kNop slots, reassociated pairs).
+// optimizer's note for it when present (the kNop left by an eliminated
+// barrier).
 std::string disassemble_annotated(const CompiledProgram& program);
 
 }  // namespace sia::sial

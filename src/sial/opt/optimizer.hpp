@@ -1,20 +1,16 @@
-// The SIAL mid-end: an optimizing pass pipeline over compiled bytecode,
-// run between the compiler and program finalization (sip::launch).
+// The SIAL mid-end: one pass over compiled bytecode, run between the
+// compiler and program finalization (sip::launch).
 //
 // Levels:
 //   -O0  untouched copy of the compiler's output (runtime behaves as if
 //        no mid-end existed).
-//   -O1  loop-invariant get/request hoisting to kPrefetch, redundant
-//        barrier elimination, dead-store elimination, static read/write
-//        sets + renaming proofs + pardo window-safety. All transforms
-//        are bit-exact: -O1 results are identical to -O0.
-//   -O2  everything in -O1 plus contraction-chain reassociation when a
-//        nominal flop model proves the reassociated order strictly
-//        cheaper (floating-point sums re-associate, so -O2 is bit-exact
-//        only when the pattern does not fire; see docs/COMPILER.md).
+//   -O1  redundant-barrier elimination (the default). It only turns
+//        barriers into kNop, so -O1 results are identical to -O0.
 //
-// Every transform records an opt_note (pc -> text) for annotated
-// disassembly and a source-ranged diagnostic explaining what it did.
+// Latency hiding is the runtime's job: the SIP's block look-ahead
+// (prefetch_depth) fetches ahead of the loop at run time. Each removed
+// barrier records an opt_note (pc -> text) for annotated disassembly
+// and a W001 diagnostic explaining why it was redundant.
 #pragma once
 
 #include <vector>

@@ -302,7 +302,6 @@ std::optional<InstructionLoad> instruction_load(
       return InstructionLoad{CostClass::kExecute, 0.0};
     case Opcode::kGet:
     case Opcode::kRequest:
-    case Opcode::kPrefetch:
     case Opcode::kPut:
     case Opcode::kPrepare: {
       const sial::ResolvedArray& array =

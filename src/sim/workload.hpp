@@ -27,7 +27,7 @@ enum class CostClass : int {
   kChunk,         // pardo chunk request (grant round trip); fixed, per
                   // request of the guided schedule
   kSync,          // barrier, collective; fixed
-  kTransfer,      // get, put, request, prepare, prefetch; unit: byte
+  kTransfer,      // get, put, request, prepare; unit: byte
 };
 inline constexpr std::size_t kCostClassCount = 6;
 inline constexpr std::array<const char*, kCostClassCount> kCostClassNames = {

@@ -698,37 +698,6 @@ void Interpreter::exec_request(const Instruction& instr) {
   }
 }
 
-void Interpreter::exec_prefetch(const Instruction& instr) {
-  // Optimizer-hoisted fetch of a loop-invariant block (src/sial/opt/).
-  // Zero-trip guard first, replicating exec_do_start's bounds: if the
-  // loop this fetch was hoisted from will not run, the unoptimized
-  // program never issued it — the block may legitimately not exist.
-  const sial::ResolvedIndex& index = program_.index(instr.a0);
-  long first = 0, last = 0;
-  if (instr.a1 >= 0) {
-    const long super_value = data_->index_value(instr.a1);
-    if (super_value == sial::kUndefinedIndexValue) {
-      return;  // the kDoStart right behind us reports the error
-    }
-    first = (super_value - 1) * index.subs_per_segment + 1;
-    last = std::min<long>(super_value * index.subs_per_segment,
-                          index.seg_hi);
-  } else {
-    first = index.seg_lo;
-    last = index.seg_hi;
-  }
-  if (first > last) return;
-
-  const BlockId id = resolve(instr.blocks[0]).id();
-  const bool served = program_.array(instr.blocks[0].array_id).kind ==
-                      sial::ArrayKind::kServed;
-  if (served) {
-    served_->issue_request(id);
-  } else {
-    dist_->issue_get(id);
-  }
-}
-
 void Interpreter::batch_issue_gets(const Instruction& instr,
                                    std::size_t first_block) {
   const auto issue = [&](const BlockOperand& operand) {
@@ -1171,8 +1140,6 @@ void Interpreter::step() {
       exec_request(instr);
       ++pc_;
       return;
-    case Opcode::kPrefetch:
-      exec_prefetch(instr);
       ++pc_;
       return;
     case Opcode::kPut:

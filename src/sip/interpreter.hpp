@@ -84,9 +84,6 @@ class Interpreter {
   void exec_block_scaled_copy(const sial::Instruction& instr);
   void exec_get(const sial::Instruction& instr);
   void exec_request(const sial::Instruction& instr);
-  // Optimizer-hoisted loop-invariant fetch (kPrefetch): non-blocking
-  // get/request with a zero-trip guard on the hoisted loop's bounds.
-  void exec_prefetch(const sial::Instruction& instr);
   // Snapshot of the enclosing do/pardo loops, innermost first, for
   // prefetch_candidates (shared by exec_get and exec_request look-ahead).
   std::vector<LoopContext> loop_contexts() const;

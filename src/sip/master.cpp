@@ -72,8 +72,7 @@ DryRunReport dry_run(const sial::ResolvedProgram& program) {
         if (--pardo_depth == 0) close_region();
         break;
       case sial::Opcode::kGet:
-      case sial::Opcode::kRequest:
-      case sial::Opcode::kPrefetch: {
+      case sial::Opcode::kRequest: {
         const sial::ResolvedArray& array =
             program.array(instr.blocks[0].array_id);
         region_remote_doubles +=

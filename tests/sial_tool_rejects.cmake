@@ -16,3 +16,4 @@ endfunction()
 
 expect_rejected("bad value for 'workers'" dryrun ${PROGRAM} -w 3x)
 expect_rejected("unknown option '-t'" run ${PROGRAM} -t 2)
+expect_rejected("opt_level must be in \\[0, 1\\]" run ${PROGRAM} -O2)

@@ -236,7 +236,7 @@ endpardo i, j
 sip_barrier
 server_barrier
 endsial
-)"), 2).program;
+)"), 1).program;
   using Knobs = std::vector<std::string>;
   const auto plan = [&](const SipConfig& config) {
     return sip::plan_launch(program, config, sip::Calibration{},
@@ -254,7 +254,7 @@ endsial
   SipConfig untuned = base;
   untuned.workers = 3;
   untuned.io_servers = 2;
-  untuned.opt_level = 1;
+  untuned.opt_level = 0;
   untuned.server_cold_io = true;
   untuned.default_segment = SipConfig{}.default_segment;
   EXPECT_EQ(pinned(untuned), Knobs{});

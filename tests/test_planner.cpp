@@ -133,7 +133,7 @@ TEST(PlannerTest, SweepsOnlySegmentSize) {
   SipConfig base = sweep_config();
   base.chunk_divisor = 3;
   base.prefetch_depth = 7;
-  base.opt_level = 1;
+  base.opt_level = 0;
   base.min_chunk = 2;
   const PlanChoice choice =
       plan_launch(optimized_sweep(base), base, Calibration{}, HostModel{4});
@@ -141,7 +141,7 @@ TEST(PlannerTest, SweepsOnlySegmentSize) {
   EXPECT_TRUE(choice.pinned.empty());
   EXPECT_EQ(choice.config.chunk_divisor, 3);
   EXPECT_EQ(choice.config.prefetch_depth, 7);
-  EXPECT_EQ(choice.config.opt_level, 1);
+  EXPECT_EQ(choice.config.opt_level, 0);
   EXPECT_EQ(choice.config.min_chunk, 2);
   EXPECT_EQ(choice.summary.rfind("segment=", 0), 0u) << choice.summary;
   std::vector<std::string> dimensions;
