@@ -182,10 +182,6 @@ struct SipConfig {
   // blocks still take precedence.
   std::map<std::string, std::string> computed_served;
 
-  // When true, the master performs only the dry run and the launch returns
-  // its memory report without executing anything.
-  bool dry_run_only = false;
-
   // ---- Fault tolerance (PR 4) ----
 
   // Fault-injection plan; empty (inactive) by default. When active the
@@ -298,7 +294,6 @@ struct SipConfig {
     visit("scratch_dir", Knob{}, s.scratch_dir...);
     visit("constants", Knob{}, s.constants...);
     visit("computed_served", Knob{}, s.computed_served...);
-    visit("dry_run_only", Knob{}, s.dry_run_only...);
     visit("fault_plan", Knob{}, s.fault_plan...);
     visit("reliable_protocol", Knob{}, s.reliable_protocol...);
     visit("retry_timeout_ms", Knob{.min = 1}, s.retry_timeout_ms...);

@@ -239,6 +239,21 @@ BlockShape ResolvedProgram::grid_block_shape(
   return BlockShape({extents.data(), static_cast<std::size_t>(array.rank())});
 }
 
+BlockShape ResolvedProgram::shape_of(const BlockId& id) const {
+  return grid_block_shape(
+      array(id.array_id),
+      {id.segments.data(), static_cast<std::size_t>(id.rank)});
+}
+
+std::int64_t ResolvedProgram::linear_of(const BlockId& id) const {
+  return id.linearize(array(id.array_id).num_segments);
+}
+
+BlockId ResolvedProgram::id_from_linear(int array_id,
+                                        std::int64_t linear) const {
+  return BlockId::from_linear(array_id, linear, array(array_id).num_segments);
+}
+
 std::vector<long> ResolvedProgram::pardo_dims(
     const PardoInfo& pardo, std::span<const long> index_values) const {
   if (pardo.sub_of >= 0) {

@@ -123,6 +123,19 @@ class ResolvedProgram {
   BlockShape grid_block_shape(const ResolvedArray& array,
                               std::span<const int> dim_local) const;
 
+  // Block geometry by id, as the block protocols use it: the block's
+  // shape, and its linear position in the array grid (the form a block id
+  // takes in message headers) and back.
+  BlockShape shape_of(const BlockId& id) const;
+  std::int64_t linear_of(const BlockId& id) const;
+  BlockId id_from_linear(int array_id, std::int64_t linear) const;
+  // True when blocks of the array are screened: it is declared sparse and
+  // the runtime threshold is on.
+  bool screenable(int array_id) const {
+    return threshold() > 0.0 && array(array_id).sparse;
+  }
+  double threshold() const { return config_.sparse_threshold; }
+
   // Pardo iteration-space support. Enumerates the raw Cartesian space of
   // the pardo's indices in row-major order (last index fastest), applies
   // the where clauses, and returns the raw linear positions that survive.

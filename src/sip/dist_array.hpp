@@ -2,24 +2,26 @@
 //
 // Each block of a distributed array has a home worker chosen by a static
 // hash (paper §V-B). This manager owns, for one worker:
-//   * the home store: blocks whose home is this worker, with per-block
-//     epoch metadata used to detect conflicting accesses that lack a
+//   * the home store: blocks whose home is this worker, with a per-block
+//     WriteLog used to detect conflicting accesses that lack a
 //     sip_barrier ("the runtime system detects most improper uses of
 //     barriers", §IV-C);
 //   * the remote-block LRU cache ("it may be available ... because it is
 //     still available in the block cache from a recent use", §V-A);
 //   * the pending-request table for asynchronous gets, tagged with the
 //     issuing epoch so replies that cross a barrier are dropped;
-//   * the put-accumulate shadow table: repeated `put += ` to the same
+//   * the put-accumulate WriteCombiner: repeated `put += ` to the same
 //     remote block merge locally and go out as one message at the next
 //     flush point (pardo iteration boundary, barrier, conflicting access,
 //     or table-size threshold).
 //
 // All communication is asynchronous and zero-copy: get replies carry a
-// shared reference to the home block (the getter caches the alias; the
-// home side copies-on-write before mutating a shared block so reader
-// snapshots stay consistent), and puts move an exclusively owned block
-// into the message so the home can adopt it without unpacking.
+// shared reference to the home block (the getter caches the alias), and
+// puts move an exclusively owned block into the message. Every write to
+// the home store goes through apply_write, which adopts that block or
+// copies a shared home block before mutating it, so reader snapshots stay
+// consistent. The send, write-combining, conflict, apply and reply rules
+// are the ones served arrays use too (sip/block_transfer.hpp).
 #pragma once
 
 #include <cstdint>
@@ -34,6 +36,7 @@
 #include "common/fields.hpp"
 #include "msg/message.hpp"
 #include "msg/reliable.hpp"
+#include "sip/block_transfer.hpp"
 #include "sip/shared.hpp"
 
 namespace sia::sip {
@@ -149,40 +152,18 @@ class DistArrayManager {
   std::size_t home_doubles() const { return home_doubles_; }
 
  private:
-  struct WriteRecord {
-    std::int64_t epoch = -1;
-    int writer = -1;
-    bool accumulate = false;
-  };
-
   // Applies the conflict rules for a write arriving at the home store.
   void check_write_conflict(const BlockId& id, int writer, bool accumulate);
-
-  // Replaces `block` with a private pool-backed copy if any alias exists
-  // outside `block` itself (a get reply in flight, a remote cache). Home
-  // mutations go through this so zero-copy reader snapshots never change
-  // under the reader.
-  void ensure_exclusive_home(BlockPtr& block);
-
-  // Returns an exclusively owned version of `data`: moves it when the
-  // caller's reference is the only one, otherwise copies into a fresh
-  // pool block.
-  BlockPtr make_exclusive(BlockPtr data);
-
-  // Sends one shadow-table entry to its home and removes it.
-  void flush_coalesced_block(const BlockId& id);
-  void send_put_message(const BlockId& id, BlockPtr exclusive_data,
-                        bool accumulate, int owner);
-
-  // True when blocks of this array are screened: the array is declared
-  // sparse and the runtime threshold is on.
-  bool screenable(int array_id) const;
-  double threshold() const;
-
-  BlockPtr make_block(const BlockShape& shape);
-  BlockShape shape_of(const BlockId& id) const;
-  std::int64_t linear_of(const BlockId& id) const;
-  BlockId id_from_linear(int array_id, std::int64_t linear) const;
+  // Writes an incoming put payload into the home store (apply_write).
+  // `mismatch` prefixes the shape-mismatch diagnostic.
+  void write_home(const BlockId& id, BlockPtr incoming, bool accumulate,
+                  int writer, const char* mismatch);
+  // A screened replace: the home block becomes a norm-table entry.
+  void screen_home_block(const BlockId& id, double norm);
+  // Sends a put of `payload` to the block's home; a null payload sends
+  // the screened-replace marker carrying `norm` instead.
+  void send_put_message(const BlockId& id, BlockPtr payload,
+                        bool accumulate, double norm = 0.0);
 
   SipShared& shared_;
   int my_rank_;
@@ -190,7 +171,7 @@ class DistArrayManager {
   msg::ReliableChannel* channel_ = nullptr;
 
   std::unordered_map<BlockId, BlockPtr, BlockIdHash> home_;
-  std::unordered_map<BlockId, WriteRecord, BlockIdHash> write_records_;
+  WriteLog write_log_;
   // Home-side norm table: blocks screened out at put time. An entry means
   // "this block was replaced by a value below the threshold"; reads of it
   // are answered with the canonical zero block and no storage is held.
@@ -206,9 +187,8 @@ class DistArrayManager {
   // the point of actual use.
   std::unordered_set<BlockId, BlockIdHash> misses_;
   std::unordered_set<int> created_;  // array ids seen by `create`
-  // Write-combining shadow table: exclusively owned accumulate payloads
-  // not yet sent to their home worker.
-  std::unordered_map<BlockId, BlockPtr, BlockIdHash> coalesce_;
+  // Exclusively owned accumulate payloads not yet sent to their home.
+  WriteCombiner coalesce_;
   std::int64_t epoch_ = 0;
   std::size_t home_doubles_ = 0;
   Stats stats_;

@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "blas/elementwise.hpp"
 #include "common/log.hpp"
 #include "common/posix_io.hpp"
 #include "msg/tags.hpp"
@@ -534,18 +533,15 @@ IoServer::IoServer(SipShared& shared, int my_rank)
       cache_(shared.config.server_cache_bytes / sizeof(double),
              [this](const BlockId& id, const BlockPtr& block, bool dirty) {
                if (!dirty) return;
-               const sial::ResolvedArray& array =
-                   shared_.program->array(id.array_id);
-               const std::int64_t linear =
-                   id.linearize(array.num_segments);
+               const std::int64_t linear = shared_.program->linear_of(id);
                // Re-screen at eviction: an accumulated block that decayed
                // below the threshold needs no disk write — a presence-map
                // marker suffices. Skipped when an older version of the
                // same block is queued/in flight on the lanes: a marker
                // cannot outrank those writes (same-slot FIFO is what keeps
                // replays exactly-once), so the data takes the normal path.
-               if (screenable(id.array_id) &&
-                   block->norm() < shared_.config.sparse_threshold &&
+               if (shared_.program->screenable(id.array_id) &&
+                   block->norm() < shared_.program->threshold() &&
                    write_behind_.lookup(id.array_id, linear) == nullptr) {
                  ++stats_.evictions_screened;
                  shared_.fabric->record_screened(
@@ -631,67 +627,33 @@ const ServerComputeFn* IoServer::generator_for(int array_id) {
   return it->second.fn;
 }
 
-BlockShape IoServer::shape_of(const BlockId& id) const {
-  const sial::ResolvedArray& array = shared_.program->array(id.array_id);
-  return shared_.program->grid_block_shape(
-      array, {id.segments.data(), static_cast<std::size_t>(id.rank)});
-}
-
-bool IoServer::screenable(int array_id) const {
-  return shared_.config.sparse_threshold > 0.0 &&
-         shared_.program->array(array_id).sparse;
-}
-
-BlockPtr IoServer::load_block(const BlockId& id, bool* found) {
-  const sial::ResolvedArray& array = shared_.program->array(id.array_id);
-  const std::int64_t linear = id.linearize(array.num_segments);
-
+BlockPtr IoServer::load_block(const BlockId& id) {
+  const std::int64_t linear = shared_.program->linear_of(id);
   // Still sitting in the write-behind queue?
   if (BlockPtr pending = write_behind_.lookup(id.array_id, linear)) {
-    *found = true;
     return pending;
   }
   DiskStore& store = store_for(id.array_id);
-  if (!store.has(linear)) {
-    *found = false;
-    return nullptr;
-  }
+  if (!store.has(linear)) return nullptr;
   ++stats_.disk_reads;
-  auto block = std::make_shared<Block>(shape_of(id));
+  auto block = std::make_shared<Block>(shared_.program->shape_of(id));
   store.read(linear, block->data().data(), block->size());
-  *found = true;
   return block;
 }
 
 void IoServer::handle_prepare(msg::Message& message, bool accumulate) {
   ++stats_.prepares;
   const int array_id = static_cast<int>(message.header[0]);
-  const sial::ResolvedArray& array = shared_.program->array(array_id);
-  const BlockId id =
-      BlockId::from_linear(array_id, message.header[1], array.num_segments);
-  const int writer = static_cast<int>(message.header[2]);
-
-  WriteRecord& record = write_records_[id];
-  if (record.epoch == epoch_) {
-    if (record.accumulate != accumulate) {
-      throw RuntimeError("conflicting prepare and prepare+= on block " +
-                         id.to_string() + " of '" + array.name +
-                         "' without a server_barrier");
-    }
-    if (!accumulate && record.writer != writer) {
-      throw RuntimeError("two workers prepared block " + id.to_string() +
-                         " of '" + array.name +
-                         "' without a server_barrier");
-    }
-  }
-  record.epoch = epoch_;
-  record.writer = writer;
-  record.accumulate = accumulate;
+  const std::int64_t linear = message.header[1];
+  const BlockId id = shared_.program->id_from_linear(array_id, linear);
+  write_log_.record(id, epoch_, static_cast<int>(message.header[2]),
+                    accumulate, shared_.program->array(array_id).name,
+                    kPrepareNames);
 
   // Header-only screened replace: the payload stayed below the screening
   // threshold at the sender, so only a presence-map marker travels.
   if (message.header.size() > 3 && message.header[3] != 0) {
-    apply_screened_prepare(message, id, message.header[1]);
+    apply_screened_prepare(message, id, linear);
     return;
   }
 
@@ -701,8 +663,7 @@ void IoServer::handle_prepare(msg::Message& message, bool accumulate) {
   // copy while the only instance of the data is a dirty cache block — a
   // server crash would then lose it with no one left to replay it.
   if (ft_ && message.seq != 0) {
-    pending_acks_[{array_id, message.header[1]}].push_back(
-        {message.src, message.seq});
+    pending_acks_[{array_id, linear}].push_back({message.src, message.seq});
   }
 
   // This prepare supersedes any disk read of the same block still in
@@ -721,73 +682,35 @@ void IoServer::handle_prepare(msg::Message& message, bool accumulate) {
       inflight_.erase(inflight);
     }
   }
-  const std::int64_t linear = message.header[1];
-  const auto reply_to_stolen = [&](const BlockPtr& fresh) {
-    for (const Waiter& waiter : stolen) {
-      send_reply(waiter.reply_rank, array_id, linear, fresh,
-                 waiter.lookahead, waiter.req_seq);
-    }
-  };
 
-  BlockPtr incoming = std::move(message.block);
-  const std::size_t incoming_size =
-      incoming ? incoming->size() : message.data.size();
-  if (incoming_size != shape_of(id).element_count()) {
+  SIA_CHECK(message.block != nullptr, "prepare without block payload");
+  if (message.block->size() !=
+      shared_.program->shape_of(id).element_count()) {
     throw RuntimeError("prepare shape mismatch for " + id.to_string());
   }
-
-  if (!accumulate && incoming && incoming.use_count() == 1) {
-    // Replace with an exclusively owned payload: adopt it outright — no
-    // allocation, no unpack copy. The cache entry swap leaves any shared
-    // snapshot (earlier zero-copy reply) untouched for its holders.
-    BlockPtr fresh = incoming;
-    cache_.put(id, std::move(incoming), /*dirty=*/true);
-    reply_to_stolen(fresh);
-    return;
-  }
-
-  BlockPtr block = cache_.get(id);
-  if (!block) {
-    if (accumulate) {
-      bool found = false;
-      block = load_block(id, &found);
-      if (!found) block = std::make_shared<Block>(shape_of(id));
-    } else {
-      block = std::make_shared<Block>(shape_of(id));
-    }
-  } else {
-    ++stats_.cache_hits;
-  }
-  // Copy-on-write before mutating: `block` is referenced by the cache and
-  // by this local variable; any further reference means a zero-copy reply
-  // snapshot, a write-behind queue entry, or a worker-side adopted copy
-  // is watching the storage, so mutate a private copy instead. (This also
-  // closes the pre-existing race of accumulating into a block the
-  // write-behind thread is concurrently writing to disk.)
-  if (block.use_count() > 2) {
-    ++stats_.cow_copies;
-    auto copy = std::make_shared<Block>(block->shape());
-    blas::copy(block->data(), copy->data());
-    block = std::move(copy);
-  }
-  if (accumulate) {
-    if (incoming) {
-      blas::axpy(1.0, incoming->data(), block->data());
-    } else {
-      for (std::size_t i = 0; i < message.data.size(); ++i) {
-        block->data()[i] += message.data[i];
-      }
-    }
-  } else {
-    if (incoming) {
-      blas::copy(incoming->data(), block->data());
-    } else {
-      std::copy(message.data.begin(), message.data.end(),
-                block->data().begin());
-    }
-  }
+  // The stored block is the cached one, else (for an accumulate) the one
+  // queued for write-behind or on disk. A queued block is referenced by
+  // the lanes too, so apply_write copies it instead of mutating storage a
+  // lane may be writing. An adopted replace leaves any earlier zero-copy
+  // reply snapshot untouched for its holders.
+  BlockPtr block = apply_write(
+      std::move(message.block), accumulate,
+      [&] {
+        BlockPtr stored = cache_.get(id);
+        if (stored) {
+          ++stats_.cache_hits;
+        } else if (accumulate) {
+          stored = load_block(id);
+        }
+        return stored;
+      },
+      /*pool=*/nullptr, stats_.cow_copies);
   cache_.put(id, block, /*dirty=*/true);
-  reply_to_stolen(block);
+  for (const Waiter& waiter : stolen) {
+    send_reply(waiter.reply_rank,
+               {array_id, linear, ReplyStatus::kFound, waiter.lookahead},
+               waiter.req_seq, block);
+  }
 }
 
 void IoServer::apply_screened_prepare(msg::Message& message,
@@ -808,8 +731,10 @@ void IoServer::apply_screened_prepare(msg::Message& message,
     }
   }
   for (const Waiter& waiter : stolen) {
-    send_screened_reply(waiter.reply_rank, id.array_id, linear,
-                        waiter.lookahead, waiter.req_seq);
+    send_reply(waiter.reply_rank,
+               {id.array_id, linear, ReplyStatus::kScreened,
+                waiter.lookahead},
+               waiter.req_seq);
   }
   // Drop the cached pre-marker version; reads now answer from the map.
   // The marker also supersedes earlier prepares of this block still owed
@@ -826,7 +751,8 @@ void IoServer::apply_screened_prepare(msg::Message& message,
     // lands last and the slot ends up correct, merely un-elided for this
     // rare race.
     write_behind_.enqueue(&store, id.array_id, linear,
-                          zero_block(shape_of(id)), std::move(acks));
+                          zero_block(shared_.program->shape_of(id)),
+                          std::move(acks));
     return;
   }
   store.record_screened(linear);
@@ -840,49 +766,11 @@ void IoServer::apply_screened_prepare(msg::Message& message,
   }
 }
 
-void IoServer::send_reply(int reply_rank, int array_id, std::int64_t linear,
-                          BlockPtr block, bool lookahead,
-                          std::uint64_t ack) {
-  // Zero-copy reply: share the cached block. Later prepares copy-on-write
-  // before mutating, so the requester's snapshot stays stable. The
-  // look-ahead flag is echoed so the client can discard a speculative
-  // reply made stale by its own intervening prepare without also
-  // discarding the demand reply that supersedes it. Under the reliable
-  // protocol the reply doubles as the request's ack (`ack` echoes its
-  // sequence number): requests are idempotent, so a retransmitted request
-  // is simply answered again rather than deduplicated.
-  msg::Message reply;
-  reply.tag = msg::kServedReply;
-  reply.header = {array_id, linear, /*miss=*/0, lookahead ? 1 : 0};
-  reply.ack = ack;
-  reply.block = std::move(block);
-  shared_.fabric->send(my_rank_, reply_rank, std::move(reply));
-}
-
-void IoServer::send_miss_reply(int reply_rank, int array_id,
-                               std::int64_t linear, std::uint64_t ack) {
-  // Look-ahead of a block that does not exist (yet): tell the client to
-  // forget the speculative request instead of failing the run — the
-  // demand request will follow if the program really reads the block.
-  msg::Message reply;
-  reply.tag = msg::kServedReply;
-  reply.header = {array_id, linear, /*miss=*/1, /*lookahead=*/1};
-  reply.ack = ack;
-  shared_.fabric->send(my_rank_, reply_rank, std::move(reply));
-}
-
-void IoServer::send_screened_reply(int reply_rank, int array_id,
-                                   std::int64_t linear, bool lookahead,
-                                   std::uint64_t ack) {
-  // Screened (or sparse-and-never-prepared) block: the client adopts the
-  // canonical zero block, so no payload moves — a five-word header
-  // replaces a full block reply.
-  msg::Message reply;
-  reply.tag = msg::kServedReply;
-  reply.header = {array_id, linear, /*miss=*/1, lookahead ? 1 : 0,
-                  /*screened=*/1};
-  reply.ack = ack;
-  shared_.fabric->send(my_rank_, reply_rank, std::move(reply));
+void IoServer::send_reply(int reply_rank, const BlockReply& reply,
+                          std::uint64_t ack, BlockPtr block) {
+  shared_.fabric->send(
+      my_rank_, reply_rank,
+      make_reply(msg::kServedReply, reply, ack, std::move(block)));
 }
 
 void IoServer::read_job(BlockId id, DiskStore* store, std::int64_t linear,
@@ -933,11 +821,17 @@ void IoServer::read_job(BlockId id, DiskStore* store, std::int64_t linear,
   try {
     for (const Waiter& waiter : waiters) {
       if (done.block) {
-        send_reply(waiter.reply_rank, id.array_id, linear, done.block,
-                   waiter.lookahead, waiter.req_seq);
+        send_reply(waiter.reply_rank,
+                   {id.array_id, linear, ReplyStatus::kFound,
+                    waiter.lookahead},
+                   waiter.req_seq, done.block);
       } else if (waiter.lookahead) {
-        send_miss_reply(waiter.reply_rank, id.array_id, linear,
-                        waiter.req_seq);
+        // Look-ahead of a block that does not exist (yet): the client
+        // forgets the speculative request instead of failing the run;
+        // the demand request follows if the program really reads it.
+        send_reply(waiter.reply_rank,
+                   {id.array_id, linear, ReplyStatus::kMiss, true},
+                   waiter.req_seq);
       } else {
         shared_.raise_abort("request of served block " + id.to_string() +
                             " of '" + array_name +
@@ -987,8 +881,7 @@ void IoServer::handle_request(const msg::Message& message) {
   const int array_id = static_cast<int>(message.header[0]);
   const sial::ResolvedArray& array = shared_.program->array(array_id);
   const std::int64_t linear = message.header[1];
-  const BlockId id =
-      BlockId::from_linear(array_id, linear, array.num_segments);
+  const BlockId id = shared_.program->id_from_linear(array_id, linear);
   const int reply_rank = static_cast<int>(message.header[2]);
   const bool lookahead = message.header.size() > 3 && message.header[3] != 0;
   if (lookahead) {
@@ -997,10 +890,13 @@ void IoServer::handle_request(const msg::Message& message) {
     ++stats_.requests;
   }
 
+  BlockReply reply{array_id, linear, ReplyStatus::kFound, lookahead};
   if (BlockPtr block = cache_.get(id)) {
+    // Zero-copy reply: share the cached block. Later prepares copy it
+    // before mutating (apply_write), so the requester's snapshot stays
+    // stable.
     ++stats_.cache_hits;
-    send_reply(reply_rank, array_id, linear, std::move(block), lookahead,
-               message.seq);
+    send_reply(reply_rank, reply, message.seq, std::move(block));
     return;
   }
 
@@ -1010,17 +906,17 @@ void IoServer::handle_request(const msg::Message& message) {
   // answered with a norm-only reply. Prepares and the queue-feeding
   // eviction paths all run on this thread, so the presence/queue check
   // here cannot race a concurrent state change.
-  if (screenable(array_id) &&
+  if (shared_.program->screenable(array_id) &&
       write_behind_.lookup(array_id, linear) == nullptr) {
     DiskStore& store = store_for(array_id);
     if (store.is_screened(linear) ||
         (!store.has(linear) && generator_for(array_id) == nullptr)) {
       ++stats_.requests_screened;
       shared_.fabric->record_screened(
-          my_rank_,
-          static_cast<std::int64_t>(shape_of(id).element_count()));
-      send_screened_reply(reply_rank, array_id, linear, lookahead,
-                          message.seq);
+          my_rank_, static_cast<std::int64_t>(
+                        shared_.program->shape_of(id).element_count()));
+      reply.status = ReplyStatus::kScreened;
+      send_reply(reply_rank, reply, message.seq);
       return;
     }
   }
@@ -1050,7 +946,7 @@ void IoServer::handle_request(const msg::Message& message) {
   // tables and program metadata are not synchronized.
   DiskStore* store = &store_for(array_id);
   const ServerComputeFn* generate = generator_for(array_id);
-  const BlockShape shape = shape_of(id);
+  const BlockShape shape = shared_.program->shape_of(id);
   std::array<long, blas::kMaxRank> first{};
   if (generate != nullptr) {
     for (int d = 0; d < id.rank; ++d) {
@@ -1096,10 +992,7 @@ void IoServer::handle_delete(const msg::Message& message) {
   ack_durable(superseded);
   auto store = stores_.find(array_id);
   if (store != stores_.end()) store->second->erase_all();
-  for (auto it = write_records_.begin(); it != write_records_.end();) {
-    it = it->first.array_id == array_id ? write_records_.erase(it)
-                                        : std::next(it);
-  }
+  write_log_.erase_array(array_id);
   for (auto it = prepare_versions_.begin();
        it != prepare_versions_.end();) {
     it = it->first.array_id == array_id ? prepare_versions_.erase(it)

@@ -21,9 +21,12 @@
 //     jobs here so the message loop keeps servicing hits and prepares
 //     while reads are in flight. Demand reads take priority over
 //     look-ahead (read-ahead) jobs;
-//   * IoServer — the rank main loop: prepare/request handling with
-//     conflict detection, LRU cache with dirty write-behind, an in-flight
-//     read table coalescing duplicate requests, barrier flush, shutdown.
+//   * IoServer — the rank main loop: prepare/request handling, LRU cache
+//     with dirty write-behind, an in-flight read table coalescing
+//     duplicate requests, barrier flush, shutdown. Prepares take the
+//     distributed-array rules from sip/block_transfer.hpp: the WriteLog
+//     conflict check and apply_write's adopt-or-copy decision; replies
+//     use the shared make_reply layout.
 #pragma once
 
 #include <condition_variable>
@@ -47,6 +50,7 @@
 #include "msg/chaos.hpp"
 #include "msg/message.hpp"
 #include "msg/reliable.hpp"
+#include "sip/block_transfer.hpp"
 #include "sip/shared.hpp"
 
 namespace sia::sip {
@@ -269,7 +273,7 @@ class IoServer {
     std::int64_t write_batches = 0;
     std::int64_t map_flushes = 0;
     std::int64_t computed = 0;  // blocks generated on demand (§V-B)
-    std::int64_t cow_copies = 0;  // copy-on-write before accumulate
+    std::int64_t cow_copies = 0;  // copy-on-write before an in-place write
     // Retransmitted prepares dropped by the per-peer dedup window
     // (exactly-once apply under the reliable protocol).
     std::int64_t dup_msgs_dropped = 0;
@@ -345,26 +349,20 @@ class IoServer {
   void load_ack_journal();
 
   DiskStore& store_for(int array_id);
-  BlockPtr load_block(const BlockId& id, bool* found);
-  BlockShape shape_of(const BlockId& id) const;
+  // The block queued for write-behind or on disk, or null if absent.
+  BlockPtr load_block(const BlockId& id);
   // Generator for a computed served array (nullptr if the array is a
   // plain stored one). Resolved lazily from the config.
   const ServerComputeFn* generator_for(int array_id);
 
-  // `lookahead` is echoed in the reply header so the client can tell
-  // which of its requests (speculative or demand) is being answered.
-  // `ack` echoes the request's sequence number (the reply is the ack
-  // under the reliable protocol; 0 when the protocol is off).
-  void send_reply(int reply_rank, int array_id, std::int64_t linear,
-                  BlockPtr block, bool lookahead, std::uint64_t ack);
-  void send_miss_reply(int reply_rank, int array_id, std::int64_t linear,
-                       std::uint64_t ack);
-  // Norm-only reply for a screened (or sparse-and-absent) block: the
-  // client adopts the canonical zero block instead of moving a payload.
-  void send_screened_reply(int reply_rank, int array_id,
-                           std::int64_t linear, bool lookahead,
-                           std::uint64_t ack);
-  bool screenable(int array_id) const;
+  // Replies to a request (make_reply's layout). The look-ahead flag is
+  // echoed so the client can discard a speculative reply made stale by
+  // its own intervening prepare without also discarding the demand reply
+  // that supersedes it. `ack` echoes the request's sequence number: the
+  // reply is the ack under the reliable protocol (requests are
+  // idempotent, so a retransmitted one is simply answered again).
+  void send_reply(int reply_rank, const BlockReply& reply, std::uint64_t ack,
+                  BlockPtr block = nullptr);
   // Applies a header-only screened replace prepare (no block payload):
   // records the block in the presence map instead of storing data.
   // Conflict detection and version bookkeeping happen in handle_prepare
@@ -383,12 +381,6 @@ class IoServer {
   // Main loop: absorb finished reads into the cache and the stats.
   void drain_completions();
   std::uint64_t version_of(const BlockId& id) const;
-
-  struct WriteRecord {
-    std::int64_t epoch = -1;
-    int writer = -1;
-    bool accumulate = false;
-  };
 
   struct GeneratorSlot {
     bool resolved = false;
@@ -421,7 +413,7 @@ class IoServer {
   std::unordered_map<int, std::unique_ptr<DiskStore>> stores_;
   BlockCache cache_;
   std::unordered_map<int, GeneratorSlot> generators_;
-  std::unordered_map<BlockId, WriteRecord, BlockIdHash> write_records_;
+  WriteLog write_log_;
   // Per-block prepare counter (server thread only; cleared per barrier).
   // Read completions are stamped with the version seen at submission and
   // dropped if a prepare bumped it meanwhile — otherwise a stale clean

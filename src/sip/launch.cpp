@@ -263,7 +263,7 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
   ProfileReport::Plan plan_record;
   Calibration calibration;
   std::string cal_path;
-  if (autotune_enabled(config_) && !config_.dry_run_only) {
+  if (autotune_enabled(config_)) {
     cal_path = calibration_path(config_);
     calibration = Calibration::load(cal_path);
     const PlanChoice choice =
@@ -283,7 +283,6 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
   // resources are committed (paper §V-B).
   RunResult result;
   result.dry_run = dry_run(resolved);
-  if (config_.dry_run_only) return result;
   if (!result.dry_run.feasible) {
     throw InfeasibleError(
         "program '" + program.name + "' needs " +

@@ -3,9 +3,10 @@
 // "Blocks of served arrays are obtained with request and stored with
 // prepare commands" (paper §IV-A). The client sends prepares to the
 // responsible I/O server and issues asynchronous requests whose replies
-// land in a local LRU cache. Epochs advance at server_barrier, mirroring
-// the distributed-array rules — including the zero-copy payload path and
-// the prepare-accumulate shadow table.
+// land in a local LRU cache. Epochs advance at server_barrier. The
+// distributed-array rules apply unchanged, from the same code
+// (sip/block_transfer.hpp): tracked or plain sends, the zero-copy payload
+// path, the prepare-accumulate WriteCombiner and the shared reply layout.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include "common/fields.hpp"
 #include "msg/message.hpp"
 #include "msg/reliable.hpp"
+#include "sip/block_transfer.hpp"
 #include "sip/shared.hpp"
 
 namespace sia::sip {
@@ -98,17 +100,13 @@ class ServedArrayClient {
   const Stats& stats() const { return stats_; }
 
  private:
-  BlockShape shape_of(const BlockId& id) const;
-  std::int64_t linear_of(const BlockId& id) const;
-  bool screenable(int array_id) const;
-  double threshold() const;
-  BlockPtr make_exclusive(BlockPtr data);
-  void flush_coalesced_block(const BlockId& id);
-  void send_prepare_message(const BlockId& id, BlockPtr exclusive_data,
-                            bool accumulate);
-  // Header-only replace prepare for a below-threshold payload: the server
-  // records the block as screened in its presence map without a write.
-  void send_screened_prepare(const BlockId& id, double norm);
+  // Sends a request (`lookahead` flags a speculative one).
+  void send_request(const BlockId& id, bool lookahead);
+  // Sends a prepare of `payload`; a null payload sends the screened
+  // replace marker carrying `norm`, which the server records in its
+  // presence map without a write.
+  void send_prepare_message(const BlockId& id, BlockPtr payload,
+                            bool accumulate, double norm = 0.0);
 
   // One in-flight fetch of a block. A look-ahead and a demand request
   // may be outstanding at once (look-ahead promotion); `lookahead_stale`
@@ -129,8 +127,8 @@ class ServedArrayClient {
   msg::ReliableChannel* channel_ = nullptr;
   BlockCache cache_;
   std::unordered_map<BlockId, Pending, BlockIdHash> pending_;
-  // Write-combining shadow table of exclusively owned prepare+= payloads.
-  std::unordered_map<BlockId, BlockPtr, BlockIdHash> coalesce_;
+  // Exclusively owned prepare+= payloads not yet sent to their server.
+  WriteCombiner coalesce_;
   std::int64_t epoch_ = 0;
   Stats stats_;
 };

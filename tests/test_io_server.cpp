@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "block/block_pool.hpp"
@@ -530,6 +531,87 @@ struct ServedProtocolHarness {
   BlockId id;
   std::int64_t linear = 0;
 };
+
+// An IoServer on rank 2 of a ServedProtocolHarness, driven by hand as
+// worker rank 1.
+struct ServerUnderTest {
+  explicit ServerUnderTest(ServedProtocolHarness& harness)
+      : hx(harness), server(harness.shared, /*my_rank=*/2),
+        thread([this] { server.run(); }) {}
+  ~ServerUnderTest() { stop(); }
+
+  void send(msg::Message m) { hx.fabric->send(1, 2, std::move(m)); }
+  void prepare(BlockPtr block, bool accumulate) {
+    msg::Message m;
+    m.tag = accumulate ? msg::kServedPrepareAcc : msg::kServedPrepare;
+    m.header = {hx.array_id, hx.linear, /*writer=*/1};
+    m.block = std::move(block);
+    send(std::move(m));
+  }
+  void barrier() {
+    msg::Message m;
+    m.tag = msg::kServerBarrierEnter;
+    m.header = {0};
+    send(std::move(m));
+    ASSERT_TRUE(hx.fabric->recv_for(0, 5000).has_value());  // master ack
+  }
+  // A demand request; returns the reply's block (null if none arrived).
+  BlockPtr request() {
+    msg::Message m;
+    m.tag = msg::kServedRequest;
+    m.header = {hx.array_id, hx.linear, /*reply_rank=*/1};
+    send(std::move(m));
+    std::optional<msg::Message> reply = hx.fabric->recv_for(1, 5000);
+    return reply.has_value() ? std::move(reply->block) : nullptr;
+  }
+  void stop() {
+    if (!thread.joinable()) return;
+    msg::Message m;
+    m.tag = msg::kShutdown;
+    send(std::move(m));
+    thread.join();
+  }
+
+  ServedProtocolHarness& hx;
+  IoServer server;
+  std::thread thread;
+};
+
+// A replace prepare whose payload the worker no longer references becomes
+// the server's cached block as is: the next request is answered with the
+// very block the worker sent.
+TEST_F(DiskStoreTest, ExclusivePrepareIsAdopted) {
+  ServedProtocolHarness hx(SipConfig{}, dir_, "S");
+  ServerUnderTest sut(hx);
+  BlockPtr block = block_of(5.0);
+  const Block* sent = block.get();
+  sut.prepare(std::move(block), /*accumulate=*/false);
+  const BlockPtr reply = sut.request();
+  sut.stop();
+  ASSERT_NE(reply, nullptr);
+  EXPECT_EQ(reply.get(), sent);
+  EXPECT_EQ(sut.server.stats().cow_copies, 0);
+  EXPECT_TRUE(hx.shared.first_error.empty()) << hx.shared.first_error;
+}
+
+// A prepare += onto a block whose zero-copy reply a worker still holds
+// copies it once, so the worker's snapshot keeps its old values.
+TEST_F(DiskStoreTest, AccumulatePrepareOntoHeldReplyCopiesOnce) {
+  ServedProtocolHarness hx(SipConfig{}, dir_, "S");
+  ServerUnderTest sut(hx);
+  sut.prepare(block_of(5.0), /*accumulate=*/false);
+  sut.barrier();
+  const BlockPtr snapshot = sut.request();
+  ASSERT_NE(snapshot, nullptr);
+  sut.prepare(block_of(2.0), /*accumulate=*/true);
+  const BlockPtr updated = sut.request();
+  sut.stop();
+  ASSERT_NE(updated, nullptr);
+  for (const double v : snapshot->data()) EXPECT_EQ(v, 5.0);
+  for (const double v : updated->data()) EXPECT_EQ(v, 7.0);
+  EXPECT_EQ(sut.server.stats().cow_copies, 1);
+  EXPECT_TRUE(hx.shared.first_error.empty()) << hx.shared.first_error;
+}
 
 TEST_F(DiskStoreTest, PrepareDuringInflightReadIsNotLost) {
   // A speculative read of block B is in flight (a deliberately slow

@@ -2,6 +2,8 @@
 // and barrier-epoch semantics across worker counts.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "block/block_pool.hpp"
@@ -432,6 +434,116 @@ TEST(SipDistTest, PutOvertakingTheOwnersReleaseWaitsForIt) {
 
   owner.advance_epoch();  // the owner's release
   EXPECT_EQ(owner.home_blocks().at(id)->data()[0], 7.0);
+}
+
+// Direct-manager harness, set up as in GetOvertakingTheOwnersReleaseWaitsForIt:
+// a reader on rank 1 and the home of block `id` on rank 2.
+struct HomeAndReader {
+  HomeAndReader() {
+    shared.fabric = &fabric;
+    for (int segment = 2; shared.owner_rank(id) != 2; ++segment) {
+      id = BlockId(0, std::vector<int>{segment});
+    }
+  }
+  static BlockPtr block_of(double value) {
+    auto block = std::make_shared<Block>(BlockShape(std::vector<int>{3}));
+    for (double& v : block->data()) v = value;
+    return block;
+  }
+  // Delivers every message queued for `rank` to its manager.
+  void deliver(int rank) {
+    DistArrayManager& to = rank == 1 ? reader : owner;
+    while (std::optional<msg::Message> m = fabric.try_recv(rank)) {
+      if (m->tag == msg::kBlockGetRequest) {
+        to.handle_get_request(*m);
+      } else if (m->tag == msg::kBlockGetReply) {
+        to.handle_get_reply(*m);
+      } else {
+        to.handle_put(*m, m->tag == msg::kBlockPutAcc);
+      }
+    }
+  }
+  // The reader's get of `id`: its zero-copy snapshot of the home block.
+  BlockPtr fetch() {
+    reader.issue_get(id);
+    deliver(2);
+    deliver(1);
+    return reader.try_read(id);
+  }
+  void barrier() {
+    reader.advance_epoch();
+    owner.advance_epoch();
+  }
+
+  SipConfig config = config_with(2, 3);
+  const sial::ResolvedProgram program{
+      sial::compile_sial("sial test\nmoindex i = 1, n\ndistributed d(i)\n"
+                         "endsial\n"),
+      config};
+  msg::Fabric fabric{config.total_ranks()};
+  SipShared shared{program, config, "", {}};
+  BlockPool reader_pool, owner_pool;
+  DistArrayManager reader{shared, 1, reader_pool, 1 << 16};
+  DistArrayManager owner{shared, 2, owner_pool, 1 << 16};
+  BlockId id{0, std::vector<int>{1}};
+};
+
+// A replace put whose payload the sender no longer references moves into
+// the home store without a copy, whether it arrives from another worker
+// or is the home worker's own replace of a block a reader still holds.
+TEST(SipDistTest, ExclusiveReplacePutIsAdopted) {
+  HomeAndReader hx;
+  BlockPtr remote = HomeAndReader::block_of(5.0);
+  const Block* remote_sent = remote.get();
+  hx.reader.put(hx.id, std::move(remote), /*accumulate=*/false);
+  hx.deliver(2);
+  EXPECT_EQ(hx.owner.home_blocks().at(hx.id).get(), remote_sent);
+
+  hx.barrier();
+  const BlockPtr snapshot = hx.fetch();
+  ASSERT_NE(snapshot, nullptr);
+  hx.barrier();
+  BlockPtr local = HomeAndReader::block_of(7.0);
+  const Block* local_sent = local.get();
+  hx.owner.put(hx.id, std::move(local), /*accumulate=*/false);
+  EXPECT_EQ(hx.owner.home_blocks().at(hx.id).get(), local_sent);
+  EXPECT_EQ(snapshot->data()[0], 5.0);
+  EXPECT_EQ(hx.owner.stats().home_cow_copies, 0);
+}
+
+// A put += onto a home block that a reader still holds must not change
+// the reader's snapshot: the home copies the block once, then adds.
+TEST(SipDistTest, AccumulateOntoHeldHomeBlockCopiesOnce) {
+  HomeAndReader hx;
+  hx.reader.put(hx.id, HomeAndReader::block_of(5.0), /*accumulate=*/false);
+  hx.deliver(2);
+  hx.barrier();
+  const BlockPtr snapshot = hx.fetch();
+  ASSERT_NE(snapshot, nullptr);
+  EXPECT_EQ(snapshot.get(), hx.owner.home_blocks().at(hx.id).get());
+
+  hx.owner.put(hx.id, HomeAndReader::block_of(2.0), /*accumulate=*/true);
+  EXPECT_EQ(hx.owner.stats().home_cow_copies, 1);
+  EXPECT_EQ(hx.owner.home_blocks().at(hx.id)->data()[0], 7.0);
+  for (const double v : snapshot->data()) EXPECT_EQ(v, 5.0);
+}
+
+// A get of a block another worker put in the same epoch is a missing
+// sip_barrier: the home detects it when the request arrives.
+TEST(SipDistTest, GetInTheEpochOfAnotherWorkersPutThrows) {
+  HomeAndReader hx;
+  hx.owner.put(hx.id, HomeAndReader::block_of(5.0), /*accumulate=*/false);
+  hx.reader.issue_get(hx.id);
+  std::optional<msg::Message> request = hx.fabric.try_recv(2);
+  ASSERT_TRUE(request.has_value());
+  try {
+    hx.owner.handle_get_request(*request);
+    FAIL() << "expected RuntimeError";
+  } catch (const RuntimeError& error) {
+    EXPECT_NE(std::string(error.what()).find("same epoch as a put"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 }  // namespace

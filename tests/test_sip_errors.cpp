@@ -3,6 +3,7 @@
 // "runtime system detects most improper uses of barriers".
 #include <gtest/gtest.h>
 
+#include "sial/compiler.hpp"
 #include "sip/launch.hpp"
 
 namespace sia::sip {
@@ -127,6 +128,39 @@ TEST(SipErrorTest, DivisionByZero) {
   expect_error("scalar x\nx = 1.0 / 0.0\n", "division by zero");
 }
 
+// The served protocol keeps the distributed-array write rules, with
+// server_barrier in the role of sip_barrier.
+TEST(SipErrorTest, MixedPrepareAndAccumulateDetected) {
+  expect_error(R"(
+moindex i = 1, n
+served s(i)
+temp t(i)
+pardo i
+  t(i) = 1.0
+  prepare s(i) = t(i)
+  prepare s(i) += t(i)
+endpardo i
+server_barrier
+)",
+               "conflicting prepare");
+}
+
+TEST(SipErrorTest, ConflictingPreparesWithoutBarrierDetected) {
+  // Every worker prepares every block: with >= 2 workers the server sees
+  // replaces from different writers in one epoch.
+  expect_error(R"(
+moindex i = 1, n
+served s(i)
+temp t(i)
+do i
+  t(i) = 1.0
+  prepare s(i) = t(i)
+enddo i
+server_barrier
+)",
+               "without a server_barrier");
+}
+
 TEST(SipErrorTest, InfeasibleMemoryReportsWorkerCount) {
   SipConfig config = base_config();
   config.worker_memory_bytes = 2048;  // absurdly small
@@ -151,24 +185,25 @@ endsial
   }
 }
 
-TEST(SipErrorTest, DryRunOnlySkipsExecution) {
-  SipConfig config = base_config();
-  config.dry_run_only = true;
-  Sip sip(config);
-  const RunResult result = sip.run_source(R"(
+TEST(SipErrorTest, AnalyzeSkipsExecution) {
+  // Running this program fails on its division by zero; analyzing it
+  // executes nothing, so it returns the dry-run report instead.
+  Sip sip(base_config());
+  DryRunReport report;
+  EXPECT_NO_THROW(report = sip.analyze(sial::compile_sial(R"(
 sial test
 moindex i = 1, n
 distributed d(i)
 temp t(i)
+scalar x
 pardo i
   t(i) = 1.0
   put d(i) = t(i)
 endpardo i
+x = 1.0 / 0.0
 endsial
-)");
-  // Nothing executed: no scalars collected, but the dry run is filled in.
-  EXPECT_TRUE(result.scalars.empty());
-  EXPECT_GT(result.dry_run.per_worker_bytes(), 0u);
+)")));
+  EXPECT_GT(report.per_worker_bytes(), 0u);
 }
 
 TEST(SipErrorTest, ErrorInOneWorkerAbortsWholeLaunch) {

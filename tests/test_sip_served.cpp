@@ -116,6 +116,44 @@ collective total += lsum
   EXPECT_DOUBLE_EQ(result.scalar("total"), 9.0 * 16.0);
 }
 
+TEST(SipServedTest, CoalescingMergesRepeatedAccumulatePrepares) {
+  // Each pardo task prepares S(i) += t(i) once per k segment; the shadow
+  // table merges the repeats into one prepare per block. fill_coords
+  // makes element c of t equal to c, so S(c) = 3c exactly (3 k segments)
+  // and the sum of squares is 9 * (1 + 4 + ... + 81) = 2565.
+  for (const auto& [workers, servers] :
+       std::vector<std::pair<int, int>>{{1, 1}, {2, 1}, {3, 2}}) {
+    Sip sip(config_with(workers, servers));
+    const RunResult result = run(sip, R"(
+moindex i = 1, n
+moindex k = 1, n
+served S(i)
+temp t(i)
+temp u(i)
+scalar lsum
+scalar total
+pardo i
+  do k
+    execute fill_coords t(i)
+    prepare S(i) += t(i)
+  enddo k
+endpardo i
+server_barrier
+pardo i
+  request S(i)
+  u(i) = S(i)
+  lsum += u(i) * u(i)
+endpardo i
+total = 0.0
+collective total += lsum
+)");
+    EXPECT_GT(result.workers.prepares_coalesced, 0)
+        << workers << " workers, " << servers << " servers";
+    EXPECT_EQ(result.scalar("total"), 2565.0)
+        << workers << " workers, " << servers << " servers";
+  }
+}
+
 TEST(SipServedTest, TinyServerCacheForcesDiskTraffic) {
   // Server cache fits only one block: prepares must spill to disk via the
   // write-behind path and requests must read back from disk.
