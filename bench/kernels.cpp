@@ -88,6 +88,48 @@ BENCHMARK_CAPTURE(BM_BlockContraction, avx2, "avx2")
 BENCHMARK_CAPTURE(BM_BlockContraction, avx512, "avx512")
     ->Arg(4)->Arg(8)->Arg(12)->Arg(16)->Arg(20)->Arg(24)->Arg(32);
 
+// The three contractions of the ccd residual (chem::ccd_energy_source())
+// at its 16^4 block shape, each 2*16^6 flops, in the program's own operand
+// and destination orders. Ids: a=0 i=1 b=2 j=3 c=4 d=5 k=6 l=7.
+struct CcdOrder {
+  std::vector<int> dst, a, b;
+};
+// tmp(a,i,b,j) = vp(a,c,b,d) * T(c,i,d,j)
+const CcdOrder kParticleLadder = {{0, 1, 2, 3}, {0, 4, 2, 5}, {4, 1, 5, 3}};
+// tmp(a,i,b,j) = vh(k,i,l,j) * T(a,k,b,l)
+const CcdOrder kHoleLadder = {{0, 1, 2, 3}, {6, 1, 7, 3}, {0, 6, 2, 7}};
+// tmp(a,i,b,j) = vr(k,a,c,i) * T(c,k,b,j)
+const CcdOrder kRing = {{0, 1, 2, 3}, {6, 0, 4, 1}, {4, 6, 2, 3}};
+
+void BM_CcdContraction(benchmark::State& state, const char* kernel,
+                       const CcdOrder* order) {
+  constexpr int seg = 16;
+  const std::vector<int> extents = {seg, seg, seg, seg};
+  Block a = random_block(extents, 1);
+  Block b = random_block(extents, 2);
+  Block c{BlockShape(extents)};
+  with_gemm_kernel(state, kernel, [&] {
+    for (auto _ : state) {
+      sip::block_contract(c, order->dst, a, order->a, b, order->b, false);
+      benchmark::DoNotOptimize(c.data().data());
+      benchmark::ClobberMemory();
+    }
+  });
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      2.0 * std::pow(static_cast<double>(seg), 6.0) *
+          static_cast<double>(state.iterations()) * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_CcdContraction, avx2_particle_ladder, "avx2",
+                  &kParticleLadder);
+BENCHMARK_CAPTURE(BM_CcdContraction, avx2_hole_ladder, "avx2", &kHoleLadder);
+BENCHMARK_CAPTURE(BM_CcdContraction, avx2_ring, "avx2", &kRing);
+BENCHMARK_CAPTURE(BM_CcdContraction, avx512_particle_ladder, "avx512",
+                  &kParticleLadder);
+BENCHMARK_CAPTURE(BM_CcdContraction, avx512_hole_ladder, "avx512",
+                  &kHoleLadder);
+BENCHMARK_CAPTURE(BM_CcdContraction, avx512_ring, "avx512", &kRing);
+
 // The Fock build's Coulomb contraction J(mu,nu) = v(mu,nu,la,si) *
 // D(la,si): a matrix-vector product (n == 1) of 2*seg^4 flops.
 void BM_FockContraction(benchmark::State& state) {

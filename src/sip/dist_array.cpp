@@ -165,10 +165,6 @@ void DistArrayManager::put(const BlockId& id, BlockPtr data,
 
 void DistArrayManager::flush_coalesced() { coalesce_.flush_all(); }
 
-void DistArrayManager::create_array(int array_id) {
-  created_.insert(array_id);
-}
-
 void DistArrayManager::delete_array(int array_id) {
   const auto in_array = [&](const auto& entry) {
     return entry.first.array_id == array_id;
@@ -186,7 +182,6 @@ void DistArrayManager::delete_array(int array_id) {
   cache_.erase_array(array_id);
   std::erase_if(pending_, in_array);
   coalesce_.erase_array(array_id);
-  created_.erase(array_id);
 }
 
 void DistArrayManager::advance_epoch() {

@@ -108,9 +108,9 @@ class DistArrayManager {
   // Number of entries currently write-combining.
   std::size_t coalesced_pending() const { return coalesce_.size(); }
 
-  // `create`/`delete` (uniform control flow: every worker runs these, so
-  // each erases its own home blocks and cached copies).
-  void create_array(int array_id);
+  // `delete` (uniform control flow: every worker runs it, so each erases
+  // its own home blocks and cached copies). `create` needs no call: a
+  // block comes into being at its home on its first put.
   void delete_array(int array_id);
 
   // sip_barrier passed: bump the epoch, clear cached remote copies, and
@@ -186,7 +186,6 @@ class DistArrayManager {
   // Gets answered "no such block": harmless for prefetches, an error at
   // the point of actual use.
   std::unordered_set<BlockId, BlockIdHash> misses_;
-  std::unordered_set<int> created_;  // array ids seen by `create`
   // Exclusively owned accumulate payloads not yet sent to their home.
   WriteCombiner coalesce_;
   std::int64_t epoch_ = 0;

@@ -607,7 +607,8 @@ void Interpreter::exec_block_binary(const Instruction& instr) {
     if (op == sial::BinOp::kMul) {
       block_contract(dst_block, ids_of(instr.blocks[0]), *a,
                      ids_of(instr.blocks[1]), *b, ids_of(instr.blocks[2]),
-                     accumulate, shared_.config.sparse_threshold);
+                     accumulate, shared_.config.sparse_threshold,
+                     pool_.get());
     } else {
       block_add(dst_block, ids_of(instr.blocks[0]), *a,
                 ids_of(instr.blocks[1]), *b, ids_of(instr.blocks[2]),
@@ -923,7 +924,6 @@ void Interpreter::exec_checkpoint(const Instruction& instr, bool restore) {
                          "'");
     }
     dist_->delete_array(array_id);
-    dist_->create_array(array_id);
     for (int part = 0; part < manifest.parts; ++part) {
       checkpoint::read_part(
           shared_.scratch_dir, key, manifest, part,
@@ -1161,7 +1161,6 @@ void Interpreter::step() {
       ++pc_;
       return;
     case Opcode::kCreate:
-      dist_->create_array(instr.a0);
       ++pc_;
       return;
     case Opcode::kDeleteArr:

@@ -5,6 +5,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <optional>
+#include <utility>
 
 #include "blas/contraction_plan.hpp"
 #include "blas/elementwise.hpp"
@@ -35,6 +38,26 @@ std::atomic<std::uint64_t> g_operand_permutes{0};
 // accumulates). Pool threads bump this concurrently.
 std::atomic<std::uint64_t> g_kernels_screened{0};
 
+bool shares_storage(const Block& x, const Block& y) {
+  const std::span<const double> xs = x.data();
+  const std::span<const double> ys = y.data();
+  const std::less<const double*> before;
+  return before(xs.data(), ys.data() + ys.size()) &&
+         before(ys.data(), xs.data() + xs.size());
+}
+
+// Copies `src` into `slot`, in pool memory when a pool is given.
+const double* stage_copy(const Block& src, BlockPool* pool,
+                         std::optional<Block>& slot) {
+  if (pool != nullptr) {
+    slot.emplace(src.shape(), pool->allocate(src.size()));
+  } else {
+    slot.emplace(src.shape());
+  }
+  std::copy(src.data().begin(), src.data().end(), slot->data().begin());
+  return std::as_const(*slot).data().data();
+}
+
 }  // namespace
 
 std::uint64_t contract_operand_permute_count() {
@@ -48,7 +71,7 @@ std::uint64_t kernels_screened_count() {
 void block_contract(Block& dst, std::span<const int> dst_ids, const Block& a,
                     std::span<const int> a_ids, const Block& b,
                     std::span<const int> b_ids, bool accumulate,
-                    double screen_threshold) {
+                    double screen_threshold, BlockPool* pool) {
   if (screen_threshold > 0.0 && a.norm() * b.norm() < screen_threshold) {
     // ||A x B||_F <= ||A||_F * ||B||_F < threshold: the whole product is
     // screened out without reading either operand's data.
@@ -58,38 +81,23 @@ void block_contract(Block& dst, std::span<const int> dst_ids, const Block& a,
     }
     return;
   }
-  // All symbolic analysis (axis partition, gather tables, output
-  // permutation) is memoized per worker; inside a pardo the same shaped
-  // contraction repeats thousands of times and hits the cache.
+  // All symbolic analysis (axis partition, offset tables, operand order)
+  // is memoized per worker; inside a pardo the same shaped contraction
+  // repeats thousands of times and hits the cache.
   const blas::ContractionPlan& plan = blas::thread_plan_cache().get(
       dst_ids, a_ids, b_ids, a.shape().extents(), b.shape().extents());
 
+  // The GEMM writes dst while it still reads the operands, so an operand
+  // that shares storage with dst (t(i,j) = t(i,k) * y(k,j) at j == k) is
+  // read from a copy.
+  std::optional<Block> a_copy, b_copy;
   const double* a_ptr = a.data().data();
   const double* b_ptr = b.data().data();
-
-  if (plan.dst_identity) {
-    blas::dgemm_gather(plan.m, plan.n, plan.k, 1.0, a_ptr,
-                       plan.a_row_off.data(), plan.a_col_off.data(), b_ptr,
-                       plan.b_row_off.data(), plan.b_col_off.data(),
-                       accumulate ? 1.0 : 0.0, dst.data().data(), plan.n);
-    return;
-  }
-
-  // Output-side permutation remains: GEMM into scratch, then one
-  // cache-blocked permute (or permute-accumulate) into dst.
-  thread_local std::vector<double> c_buf;
-  c_buf.resize(plan.m * plan.n);
-  blas::dgemm_gather(plan.m, plan.n, plan.k, 1.0, a_ptr,
-                     plan.a_row_off.data(), plan.a_col_off.data(), b_ptr,
-                     plan.b_row_off.data(), plan.b_col_off.data(), 0.0,
-                     c_buf.data(), plan.n);
-  if (accumulate) {
-    blas::permute_acc(c_buf.data(), plan.result_dims, plan.final_perm,
-                      dst.data().data());
-  } else {
-    blas::permute(c_buf.data(), plan.result_dims, plan.final_perm,
-                  dst.data().data());
-  }
+  if (shares_storage(dst, a)) a_ptr = stage_copy(a, pool, a_copy);
+  if (shares_storage(dst, b)) b_ptr = stage_copy(b, pool, b_copy);
+  if (plan.swapped) std::swap(a_ptr, b_ptr);
+  blas::dgemm_gather(1.0, a_ptr, plan.lhs, b_ptr, plan.rhs,
+                     accumulate ? 1.0 : 0.0, dst.data().data(), plan.dst);
 }
 
 double block_dot(const Block& a, std::span<const int> a_ids, const Block& b,
@@ -109,10 +117,10 @@ double block_dot(const Block& a, std::span<const int> a_ids, const Block& b,
   static const std::vector<int> kNoIds;
   const blas::ContractionPlan& plan = blas::thread_plan_cache().get(
       kNoIds, a_ids, b_ids, a.shape().extents(), b.shape().extents());
-  if (plan.b_contiguous) {
+  if (plan.rhs.row_run == plan.rhs.row_off.size()) {
     return blas::dot(a.data(), b.data());
   }
-  return blas::dot_gather(a.data(), b.data().data(), plan.b_row_off.data());
+  return blas::dot_gather(a.data(), b.data().data(), plan.rhs.row_off.data());
 }
 
 namespace {

@@ -4,8 +4,9 @@
 // generate new blocks as output and do not involve communication" (paper
 // §I). This module has three parts:
 //   1. the intrinsic block kernels behind SIAL's built-in operators —
-//      block contraction (permute + DGEMM, §III footnote 3), permuted
-//      copy/accumulate, element-wise add/sub, full-contraction dot;
+//      block contraction (DGEMM over permuted views, §III footnote 3),
+//      permuted copy/accumulate, element-wise add/sub, full-contraction
+//      dot;
 //   2. the registry for user-defined super instructions invoked with
 //      `execute` ("non-intrinsic super instructions can be added to the
 //      SIP without changing the SIAL language", §IV-C);
@@ -37,7 +38,10 @@ enum class CopyMode { kAssign = 0, kAccumulate = 1, kSubtract = 2 };
 
 // dst(dst_ids) = / += contraction of a(a_ids) with b(b_ids) over the index
 // ids common to a and b. dst_ids must be exactly the non-common ids (any
-// order). An empty common set is an outer product.
+// order). An empty common set is an outer product. The product is one GEMM
+// pass that writes straight into dst, rounded as gemm.hpp states. dst may
+// be a or b: an operand that shares dst's storage is first copied, into
+// `pool` when one is given.
 //
 // With screen_threshold > 0 the GEMM is skipped outright when
 // ||A||_F * ||B||_F < threshold (submultiplicativity bounds the dropped
@@ -47,7 +51,7 @@ enum class CopyMode { kAssign = 0, kAccumulate = 1, kSubtract = 2 };
 void block_contract(Block& dst, std::span<const int> dst_ids, const Block& a,
                     std::span<const int> a_ids, const Block& b,
                     std::span<const int> b_ids, bool accumulate,
-                    double screen_threshold = 0.0);
+                    double screen_threshold = 0.0, BlockPool* pool = nullptr);
 
 // Full contraction of two blocks over identical id sets -> scalar.
 // With screen_threshold > 0, returns 0 without touching the data when

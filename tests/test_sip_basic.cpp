@@ -275,6 +275,42 @@ enddo i
   EXPECT_DOUBLE_EQ(result.scalar("s"), 4.0 * 9.0 * 144.0);
 }
 
+TEST(SipBasicTest, ContractionIntoItsOwnOperand) {
+  // At j == k the destination t(i,j) is the very block t(i,k) (or t(k,j))
+  // being read. Every product element is 1 * 1 summed over a 2-wide
+  // segment, 2; each of the 8 (i,j,k) block triples adds 4 * 2^2 = 16.
+  SipConfig config = small_config(1);
+  config.default_segment = 2;
+  config.constants = {{"norb", 4}};
+  for (const char* product : {"t(i,k) * y(k,j)", "y(i,k) * t(k,j)"}) {
+    SCOPED_TRACE(product);
+    const RunResult result = run(std::string(R"(
+aoindex i = 1, norb
+aoindex j = 1, norb
+aoindex k = 1, norb
+temp t(i,j)
+temp y(i,j)
+scalar s
+scalar total
+do i
+  do j
+    do k
+      t(i,k) = 1.0
+      t(k,j) = 1.0
+      y(i,k) = 1.0
+      y(k,j) = 1.0
+      t(i,j) = )") + product + R"(
+      s = t(i,j) * t(i,j)
+      total += s
+    enddo k
+  enddo j
+enddo i
+)",
+                                 config);
+    EXPECT_EQ(result.scalar("total"), 128.0);
+  }
+}
+
 TEST(SipBasicTest, StaticArrayPersistsAcrossLoops) {
   const RunResult result = run(R"(
 moindex i = 1, n
