@@ -249,6 +249,13 @@ int main(int argc, char** argv) {
                     phase.flops_per_task,
                     static_cast<long long>(phase.fetches_per_task));
       }
+      std::printf("per worker: %zu KiB fixed, pool slots per class:",
+                  workload.memory.fixed_bytes() / 1024);
+      for (const auto& [capacity, slots] :
+           sia::sip::dry_run(workload.memory, config).pool_plan) {
+        std::printf(" %zux%zu", slots, capacity);
+      }
+      std::printf("\n");
       const sia::sim::MachineModel machine = sia::sim::cray_xt5();
       std::printf("\nprojected on %s:\n%8s %12s %8s\n",
                   machine.name.c_str(), "cores", "seconds", "wait%");

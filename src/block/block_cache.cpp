@@ -98,12 +98,6 @@ void BlockCache::clear() {
   stats_ = Stats{};
 }
 
-void BlockCache::mark_dirty(const BlockId& id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(id);
-  if (it != entries_.end()) it->second->dirty = true;
-}
-
 void BlockCache::erase(const BlockId& id) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(id);

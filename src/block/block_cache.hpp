@@ -65,9 +65,6 @@ class BlockCache {
   // dirty).
   void put(const BlockId& id, BlockPtr block, bool dirty = false);
 
-  // Marks an existing entry dirty (e.g. accumulated into).
-  void mark_dirty(const BlockId& id);
-
   // Drops every entry and zeroes the stats (no victim callbacks) —
   // epoch-advance resets. Accumulate stats() first if you need them.
   void clear();

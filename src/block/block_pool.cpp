@@ -2,6 +2,7 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <atomic>
 #include <new>
 
@@ -19,6 +20,14 @@ struct ArenaDelete {
   std::align_val_t align{};
   void operator()(double* arena) const { ::operator delete[](arena, align); }
 };
+
+// Raises `peak` to `now` if it is lower.
+void raise_peak(std::atomic<std::size_t>& peak, std::size_t now) {
+  std::size_t seen = peak.load(std::memory_order_relaxed);
+  while (now > seen && !peak.compare_exchange_weak(
+                           seen, now, std::memory_order_relaxed)) {
+  }
+}
 
 // Shared slot storage. Referenced by the owning BlockPool and by every
 // outstanding PoolBuffer, so buffers stay valid after the BlockPool
@@ -42,9 +51,12 @@ class PoolCore {
     // Uninitialised, not zeroed (see block_pool.hpp). An arena that can
     // hold a huge page starts on a 2 MiB boundary and is marked
     // MADV_HUGEPAGE; a failed madvise (THP off, or a kernel without it)
-    // leaves ordinary pages. A smaller arena can never be backed by a huge
-    // page, so it gets the default alignment and no madvise.
-    const std::size_t bytes = total * sizeof(double);
+    // leaves ordinary pages. An arena of at least half a huge page is
+    // padded to a whole one, so a plan that fills it faults in once, not
+    // page by page. A smaller one can never be backed by a huge page, so
+    // it gets the default alignment and no madvise.
+    std::size_t bytes = total * sizeof(double);
+    if (bytes >= kHugePageBytes / 2) bytes = std::max(bytes, kHugePageBytes);
     const bool huge = bytes >= kHugePageBytes;
     const std::align_val_t align{huge ? kHugePageBytes
                                       : __STDCPP_DEFAULT_NEW_ALIGNMENT__};
@@ -69,42 +81,47 @@ class PoolCore {
   PoolBuffer allocate(const std::shared_ptr<PoolCore>& self,
                       std::size_t count) {
     SIA_CHECK(count > 0, "BlockPool: zero-size allocation");
-    for (auto& cls : classes_) {
-      if (cls->capacity < count) continue;
-      std::lock_guard<std::mutex> lock(cls->mutex);
-      if (cls->free_slots.empty()) continue;
-      double* slot = cls->free_slots.back();
-      cls->free_slots.pop_back();
+    int demand = -1;
+    for (std::size_t c = 0; c < classes_.size(); ++c) {
+      SizeClass& cls = *classes_[c];
+      if (cls.capacity < count) continue;
+      if (demand < 0) {
+        demand = static_cast<int>(c);
+        cls.add_live();
+      }
+      std::lock_guard<std::mutex> lock(cls.mutex);
+      if (cls.free_slots.empty()) continue;
+      double* slot = cls.free_slots.back();
+      cls.free_slots.pop_back();
       pool_allocs_.fetch_add(1, std::memory_order_relaxed);
-      add_in_use(cls->capacity);
-      return PoolBuffer(self, slot, cls->capacity, cls->capacity, false);
+      add_in_use(cls.capacity);
+      return PoolBuffer(self, slot, cls.capacity, static_cast<int>(c),
+                        demand);
     }
     if (!allow_heap_fallback_) {
+      if (demand >= 0) classes_[static_cast<std::size_t>(demand)]->drop_live();
       throw RuntimeError("block pool exhausted for request of " +
                          std::to_string(count) +
                          " doubles; dry-run sizing was violated");
     }
     heap_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     add_in_use(count);
-    return PoolBuffer(self, new double[count], count, count, true);
+    return PoolBuffer(self, new double[count], count, -1, demand);
   }
 
-  void release_slot(double* data, std::size_t size_class, bool heap,
+  void release_slot(double* data, int slot_class, int demand_class,
                     std::size_t capacity) {
     in_use_doubles_.fetch_sub(capacity, std::memory_order_relaxed);
-    if (heap) {
+    if (demand_class >= 0) {
+      classes_[static_cast<std::size_t>(demand_class)]->drop_live();
+    }
+    if (slot_class < 0) {
       delete[] data;
       return;
     }
-    for (auto& cls : classes_) {
-      if (cls->capacity == size_class) {
-        std::lock_guard<std::mutex> lock(cls->mutex);
-        cls->free_slots.push_back(data);
-        return;
-      }
-    }
-    // Unreachable if the buffer came from this pool.
-    throw InternalError("BlockPool: released slot of unknown size class");
+    SizeClass& cls = *classes_[static_cast<std::size_t>(slot_class)];
+    std::lock_guard<std::mutex> lock(cls.mutex);
+    cls.free_slots.push_back(data);
   }
 
   BlockPool::Stats stats() const {
@@ -114,6 +131,10 @@ class PoolCore {
     stats.in_use_doubles = in_use_doubles_.load(std::memory_order_relaxed);
     stats.peak_in_use_doubles =
         peak_in_use_doubles_.load(std::memory_order_relaxed);
+    for (const auto& cls : classes_) {
+      stats.class_high_water[cls->capacity] =
+          cls->high_water.load(std::memory_order_relaxed);
+    }
     return stats;
   }
 
@@ -134,16 +155,20 @@ class PoolCore {
     std::size_t capacity = 0;  // doubles per slot
     mutable std::mutex mutex;
     std::vector<double*> free_slots;  // stack of available slots
+    // Live requests this class is the smallest fit for, and their peak.
+    std::atomic<std::size_t> live{0};
+    std::atomic<std::size_t> high_water{0};
+
+    void add_live() {
+      raise_peak(high_water, live.fetch_add(1, std::memory_order_relaxed) + 1);
+    }
+    void drop_live() { live.fetch_sub(1, std::memory_order_relaxed); }
   };
 
   void add_in_use(std::size_t doubles) {
-    const std::size_t now =
-        in_use_doubles_.fetch_add(doubles, std::memory_order_relaxed) +
-        doubles;
-    std::size_t peak = peak_in_use_doubles_.load(std::memory_order_relaxed);
-    while (now > peak && !peak_in_use_doubles_.compare_exchange_weak(
-                             peak, now, std::memory_order_relaxed)) {
-    }
+    raise_peak(peak_in_use_doubles_,
+               in_use_doubles_.fetch_add(doubles, std::memory_order_relaxed) +
+                   doubles);
   }
 
   std::unique_ptr<double[], ArenaDelete> arena_;
@@ -163,8 +188,8 @@ PoolBuffer::~PoolBuffer() { release(); }
 
 PoolBuffer::PoolBuffer(PoolBuffer&& other) noexcept
     : core_(std::move(other.core_)), data_(other.data_),
-      capacity_(other.capacity_), size_class_(other.size_class_),
-      heap_(other.heap_) {
+      capacity_(other.capacity_), slot_class_(other.slot_class_),
+      demand_class_(other.demand_class_) {
   other.data_ = nullptr;
   other.capacity_ = 0;
 }
@@ -175,8 +200,8 @@ PoolBuffer& PoolBuffer::operator=(PoolBuffer&& other) noexcept {
     core_ = std::move(other.core_);
     data_ = other.data_;
     capacity_ = other.capacity_;
-    size_class_ = other.size_class_;
-    heap_ = other.heap_;
+    slot_class_ = other.slot_class_;
+    demand_class_ = other.demand_class_;
     other.data_ = nullptr;
     other.capacity_ = 0;
   }
@@ -185,8 +210,8 @@ PoolBuffer& PoolBuffer::operator=(PoolBuffer&& other) noexcept {
 
 void PoolBuffer::release() {
   if (data_ != nullptr && core_ != nullptr) {
-    core_->release_slot(data_, size_class_, heap_, capacity_);
-  } else if (data_ != nullptr && heap_) {
+    core_->release_slot(data_, slot_class_, demand_class_, capacity_);
+  } else if (data_ != nullptr && slot_class_ < 0) {
     delete[] data_;
   }
   data_ = nullptr;

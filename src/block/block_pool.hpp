@@ -5,9 +5,12 @@
 // blocks of each size is determined from information obtained during the
 // dry run analysis." (paper §V-B). BlockPool implements exactly that: a
 // set of size classes, each a stack of fixed-size slots carved out of one
-// arena. Allocation pops a slot from the smallest class that fits;
-// release pushes it back. A configurable heap fallback (with a counter)
-// lets non-dry-run callers keep running while making pool misses visible.
+// arena. Allocation pops a slot from the smallest class that fits and
+// has one free; release pushes it back. A configurable heap fallback
+// (with a counter) lets non-dry-run callers keep running while making
+// pool misses visible. Each class also counts its high water: the most
+// requests it was the smallest fit for that were live at once, which the
+// dry run's per-class peak must cover.
 //
 // The arena is reserved, not zeroed: its pages fault in when a slot is
 // first written, so a pool sized for the dry run's peak costs nothing up
@@ -67,17 +70,17 @@ class PoolBuffer {
   friend class BlockPool;
   friend class detail::PoolCore;
   PoolBuffer(std::shared_ptr<detail::PoolCore> core, double* data,
-             std::size_t capacity, std::size_t size_class, bool heap)
+             std::size_t capacity, int slot_class, int demand_class)
       : core_(std::move(core)), data_(data), capacity_(capacity),
-        size_class_(size_class), heap_(heap) {}
+        slot_class_(slot_class), demand_class_(demand_class) {}
 
   void release();
 
   std::shared_ptr<detail::PoolCore> core_;
   double* data_ = nullptr;
   std::size_t capacity_ = 0;
-  std::size_t size_class_ = 0;  // element capacity of the class
-  bool heap_ = false;
+  int slot_class_ = -1;    // class the slot came from; -1: heap
+  int demand_class_ = -1;  // smallest class that fits; -1: none does
 };
 
 class BlockPool {
@@ -87,6 +90,10 @@ class BlockPool {
     std::size_t heap_fallbacks = 0;
     std::size_t in_use_doubles = 0;
     std::size_t peak_in_use_doubles = 0;
+    // Per size class (slot capacity in doubles): the most buffers live at
+    // once whose request that class is the smallest to fit, wherever they
+    // were served from (the class, a larger one, or the heap).
+    std::map<std::size_t, std::size_t> class_high_water;
 
     // Field list for the rank report (common/fields.hpp).
     template <class Visit, class... S>
@@ -95,6 +102,7 @@ class BlockPool {
       visit("heap_fallbacks", Fold::kSum, s.heap_fallbacks...);
       visit("in_use_doubles", Fold::kSum, s.in_use_doubles...);
       visit("peak_in_use_doubles", Fold::kMax, s.peak_in_use_doubles...);
+      visit("class_high_water", Fold::kMax, s.class_high_water...);
     }
   };
 

@@ -476,9 +476,9 @@ sial sparse_mp2
 # Served-array screening workload: amplitudes T(i,a,j,b) decay in
 # |i - j| (localized-orbital style), so most (i,j)-off-diagonal blocks
 # screen out. Phase 1 prepares them to the I/O servers — screened
-# prepares send a norm marker instead of the payload and the servers
+# prepares send a header marker instead of the payload and the servers
 # record them in the presence map without a disk write. Phase 2 requests
-# every block back — screened requests get norm-only replies satisfied
+# every block back — screened requests get header-only replies satisfied
 # by the canonical zero block — and reduces e2 = sum T.T.
 moindex i = 1, nocc
 moindex j = 1, nocc

@@ -61,7 +61,7 @@ std::string mp2_served_source();
 // exponentially away from the diagonal (the `fill_decay` builtin), then
 // F = D * G is contracted with fused accumulate. With sparse_threshold
 // > 0 the runtime screens the far-off-diagonal blocks: puts are dropped
-// at the sender, gets are answered norm-only, and the norm-product test
+// at the sender, gets are answered header-only, and the norm-product test
 // skips the GEMM for all but the near-diagonal block triples. At
 // threshold 0 the run is bit-identical to the dense engine. Constants:
 // norb (elements; band width tracks the segment size). Result scalar:
@@ -70,8 +70,8 @@ std::string sparse_fock_source();
 
 // MP2-like two-phase served workload with banded amplitudes: phase 1
 // fills T(i,a,j,b) with blocks decaying in |i - j| and prepares them to
-// the I/O servers (screened prepares carry only a norm marker); phase 2
-// requests every block back (screened requests are answered norm-only
+// the I/O servers (screened prepares carry only a header marker); phase
+// 2 requests every block back (screened requests are answered header-only
 // and read as the canonical zero block) and reduces e2 = sum T.T.
 // Constants: norb, nocc. Result scalar: e2.
 std::string sparse_mp2_source();

@@ -14,6 +14,7 @@
 // by name through the same strict parser.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -235,6 +236,14 @@ struct SipConfig {
   // How long a spoke keeps retrying its initial connect / a reconnect
   // (exponential backoff) before declaring the hub unreachable.
   int connect_timeout_ms = 10000;
+
+  // Capacity in doubles of each worker's remote-block cache (one for
+  // distributed gets, one for served requests): a quarter of the worker
+  // budget, at least 4096.
+  std::size_t worker_cache_doubles() const {
+    return std::max<std::size_t>(worker_memory_bytes / sizeof(double) / 4,
+                                 4096);
+  }
 
   bool socket_transport() const { return transport != "thread"; }
   bool spawn_processes() const { return transport == "spawn"; }

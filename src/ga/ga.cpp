@@ -227,11 +227,6 @@ void GlobalArray::fill(double value) {
   }
 }
 
-std::span<double> GlobalArray::access_local(int rank) {
-  Slab& slab = *slabs_[static_cast<std::size_t>(rank)];
-  return slab.data;
-}
-
 GaStats GlobalArray::stats(int rank) const {
   const Slab& slab = *slabs_[static_cast<std::size_t>(rank)];
   std::lock_guard<std::mutex> lock(slab.mutex);

@@ -76,9 +76,6 @@ class GlobalArray {
   // Fills every element (collective convenience; call from one rank).
   void fill(double value);
 
-  // Direct access to this rank's slab (GA's "access local" idiom).
-  std::span<double> access_local(int rank);
-
   GaStats stats(int rank) const;
 
   // Bytes resident on `rank` for this array.

@@ -5,12 +5,9 @@
 
 namespace sia::msg {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(const std::uint8_t* bytes, std::size_t count) {
+std::uint64_t frame_checksum(const std::uint8_t* bytes, std::size_t count) {
+  constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+  constexpr std::uint64_t kFnvPrime = 1099511628211ull;
   std::uint64_t hash = kFnvOffset;
   for (std::size_t i = 0; i < count; ++i) {
     hash ^= bytes[i];
@@ -18,6 +15,8 @@ std::uint64_t fnv1a(const std::uint8_t* bytes, std::size_t count) {
   }
   return hash;
 }
+
+namespace {
 
 // Little-endian scalar append/read. The runtime only targets
 // little-endian hosts (x86/arm64); memcpy keeps it alignment-safe.
@@ -97,7 +96,8 @@ void encode_message_frame(const Message& message, int dst,
   const std::uint32_t length =
       static_cast<std::uint32_t>(out.size() - payload_start);
   std::memcpy(out.data() + frame_start + 4, &length, sizeof(length));
-  put<std::uint64_t>(out, fnv1a(out.data() + payload_start, length));
+  put<std::uint64_t>(out,
+                     frame_checksum(out.data() + payload_start, length));
 }
 
 void encode_hello_frame(int rank, std::vector<std::uint8_t>& out) {
@@ -105,7 +105,7 @@ void encode_hello_frame(int rank, std::vector<std::uint8_t>& out) {
   const std::size_t payload_start = out.size();
   put<std::int32_t>(out, rank);
   put<std::uint64_t>(
-      out, fnv1a(out.data() + payload_start, sizeof(std::int32_t)));
+      out, frame_checksum(out.data() + payload_start, sizeof(std::int32_t)));
 }
 
 DecodeStatus decode_prolog(const std::uint8_t* bytes, FrameProlog* prolog) {
@@ -124,13 +124,21 @@ DecodeStatus decode_prolog(const std::uint8_t* bytes, FrameProlog* prolog) {
   return DecodeStatus::kOk;
 }
 
+int frame_source(const FrameProlog& prolog, const std::uint8_t* body) {
+  std::int32_t src = -1;  // the body starts with dst, then src
+  if (prolog.kind == FrameKind::kMessage && prolog.length >= 2 * sizeof(src)) {
+    std::memcpy(&src, body + sizeof(src), sizeof(src));
+  }
+  return src;
+}
+
 DecodeStatus decode_frame_body(const FrameProlog& prolog,
                                const std::uint8_t* body,
                                DecodedFrame* out) {
   const std::size_t length = prolog.length;
   std::uint64_t stored_checksum = 0;
   std::memcpy(&stored_checksum, body + length, sizeof(stored_checksum));
-  if (fnv1a(body, length) != stored_checksum) {
+  if (frame_checksum(body, length) != stored_checksum) {
     return DecodeStatus::kBadChecksum;
   }
 

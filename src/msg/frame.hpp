@@ -71,6 +71,11 @@ enum class DecodeStatus {
 
 const char* decode_status_name(DecodeStatus status);
 
+// The frame checksum (64-bit FNV-1a) of `count` bytes: the codec appends
+// it to every frame and checks it on decode; the socket hub checks it
+// again before forwarding a transit frame.
+std::uint64_t frame_checksum(const std::uint8_t* bytes, std::size_t count);
+
 // Encodes `message` destined for `dst` as a complete frame (prolog +
 // payload + checksum), appending to `out`. The block payload, if any, is
 // serialized into the frame; `message` itself is not modified.
@@ -96,6 +101,10 @@ struct DecodedFrame {
 DecodeStatus decode_frame_body(const FrameProlog& prolog,
                                const std::uint8_t* body,
                                DecodedFrame* out);
+
+// The source rank a message frame's body names, read without checking
+// the body (to name the sender of a rejected frame); -1 if it has none.
+int frame_source(const FrameProlog& prolog, const std::uint8_t* body);
 
 // Convenience for tests: encode/decode a whole frame held in one buffer.
 DecodeStatus decode_frame(const std::vector<std::uint8_t>& bytes,

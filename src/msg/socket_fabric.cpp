@@ -18,21 +18,6 @@ namespace sia::msg {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-// Checksum of a frame body, recomputed at the hub before a transit frame
-// is forwarded so a corrupted stream quarantines its *source* connection
-// instead of poisoning the destination spoke.
-std::uint64_t fnv1a(const std::uint8_t* bytes, std::size_t count) {
-  std::uint64_t hash = kFnvOffset;
-  for (std::size_t i = 0; i < count; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
 void set_nodelay(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -419,7 +404,7 @@ void SocketFabric::handle_frame(Connection* conn, const FrameProlog& prolog,
   // forwarding so corruption is pinned on the connection it arrived from.
   std::uint64_t stored = 0;
   std::memcpy(&stored, body + prolog.length, sizeof(stored));
-  if (fnv1a(body, prolog.length) != stored) {
+  if (frame_checksum(body, prolog.length) != stored) {
     quarantine(conn, DecodeStatus::kBadChecksum);
     return;
   }
@@ -441,9 +426,19 @@ void SocketFabric::handle_frame(Connection* conn, const FrameProlog& prolog,
 }
 
 void SocketFabric::quarantine(Connection* conn, DecodeStatus status) {
-  frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-  (void)status;
+  reject(conn->peer_rank, status);
   mark_down(conn);
+}
+
+void SocketFabric::reject(int peer, DecodeStatus status) {
+  frames_rejected_.fetch_add(1, std::memory_order_relaxed);
+  if (!options_.rejected_frame_is_fatal) return;
+  fatal("socket fabric: rejected a frame from " +
+        (peer >= 0 ? "rank " + std::to_string(peer)
+                   : std::string("an unregistered peer")) +
+        " (" + decode_status_name(status) +
+        "); a corrupted stream cannot be resynchronized and fault "
+        "tolerance is off");
 }
 
 void SocketFabric::mark_down(Connection* conn) {
@@ -628,6 +623,9 @@ void SocketFabric::spoke_reader_loop() {
       }
       FrameProlog prolog;
       DecodeStatus status = decode_prolog(buffer.data(), &prolog);
+      // A spoke's only peer is the hub; on the loopback socket the peer
+      // is the source rank the frame claims, once its body is read.
+      int peer = options_.role == SocketOptions::Role::kLoopback ? -1 : 0;
       if (status == DecodeStatus::kOk) {
         const std::size_t body_bytes = prolog.length + kFrameChecksumBytes;
         buffer.resize(body_bytes);
@@ -644,10 +642,13 @@ void SocketFabric::spoke_reader_loop() {
           enqueue_local(decoded.dst, std::move(decoded.message));
           continue;
         }
+        if (status == DecodeStatus::kOk) status = DecodeStatus::kMalformed;
+        const int src = frame_source(prolog, buffer.data());
+        if (peer < 0 && src >= 0 && src < ranks()) peer = src;
       }
-      // Garbage on a stream transport cannot be resynchronized: count
-      // the rejection and treat the connection as lost.
-      frames_rejected_.fetch_add(1, std::memory_order_relaxed);
+      // Garbage on a stream transport cannot be resynchronized: reject
+      // the frame and treat the connection as lost.
+      reject(peer, status);
       broken = true;
       break;
     }
@@ -674,6 +675,10 @@ void SocketFabric::spoke_writer_loop() {
       spoke_outbound_.pop_front();
       fd = spoke_fd_;
       gen = conn_gen_;
+    }
+    if (corrupt_next_frame_.load(std::memory_order_relaxed) &&
+        corrupt_next_frame_.exchange(false)) {
+      frame.back() ^= 0xff;
     }
     if (write_full(fd, frame.data(), frame.size()) < 0) {
       if (stopped()) return;

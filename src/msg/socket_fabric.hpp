@@ -77,6 +77,11 @@ struct SocketOptions {
   // SipShared::raise_abort so the rank aborts with a diagnosis instead
   // of hanging. May be empty: then the fabric just stops.
   std::function<void(const std::string&)> on_fatal;
+  // A rejected frame (bad magic, version, length, checksum or payload)
+  // ends the run through on_fatal, naming the peer and the status. Set
+  // when no reliable protocol would retransmit what the dropped
+  // connection lost; otherwise the connection is dropped and rebuilt.
+  bool rejected_frame_is_fatal = false;
 };
 
 class SocketFabric : public Fabric {
@@ -106,6 +111,9 @@ class SocketFabric : public Fabric {
   // Spoke/loopback test hook: hard-resets the transport socket as a peer
   // crash would, forcing the reconnect path mid-stream.
   void debug_break_connection();
+  // Spoke/loopback test hook: flips the checksum of the next frame sent,
+  // as a corrupted stream would.
+  void debug_corrupt_next_frame() { corrupt_next_frame_ = true; }
 
   bool is_local(int rank) const {
     return options_.role == SocketOptions::Role::kLoopback ||
@@ -149,6 +157,9 @@ class SocketFabric : public Fabric {
   void handle_frame(Connection* conn, const FrameProlog& prolog,
                     std::vector<std::uint8_t> body);
   void quarantine(Connection* conn, DecodeStatus status);
+  // Counts a rejected frame from `peer` (-1: unknown) and, when
+  // rejected_frame_is_fatal, ends the run with a diagnostic.
+  void reject(int peer, DecodeStatus status);
   void mark_down(Connection* conn);
   void fatal(const std::string& what);
 
@@ -195,6 +206,7 @@ class SocketFabric : public Fabric {
 
   std::atomic<std::int64_t> reconnects_{0};
   std::atomic<std::int64_t> frames_rejected_{0};
+  std::atomic<bool> corrupt_next_frame_{false};
   std::atomic<std::int64_t> peer_down_drops_{0};
 };
 

@@ -10,9 +10,11 @@ SiaOutcome simulate_sia(const MachineModel& machine,
   const double mem =
       memory_per_core > 0.0 ? memory_per_core : machine.memory_per_core;
 
-  // Fixed per-worker footprint must fit; the dry run would have reported
-  // the worker count required otherwise.
-  if (workload.sia_fixed_per_core > mem) {
+  // Fixed per-worker footprint must leave room for a share of the
+  // distributed arrays; the dry run reports the same case as fitting no
+  // worker count.
+  if (fixed_exceeds(workload.sia_fixed_per_core, workload.sia_resident_total,
+                    mem)) {
     outcome.completed = false;
     outcome.reason = "per-worker block pools exceed memory";
     return outcome;

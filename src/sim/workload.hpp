@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,35 @@ struct PhaseModel {
   int sweeps = 1;                // repetitions (e.g. CC iterations)
 };
 
+// One worker's memory as model_program's walk of the bytecode finds it,
+// worst case over schedules (hand-built workloads leave it empty). The
+// dry run's report extends it.
+struct WorkerMemory {
+  std::size_t static_bytes = 0;      // replicated static arrays
+  std::size_t temp_peak_bytes = 0;   // temp and write-combined blocks
+  std::size_t local_bytes = 0;       // allocate'd local blocks
+  std::size_t cache_demand_bytes = 0;  // remote blocks cached or in flight
+  std::size_t dist_total_bytes = 0;  // all distributed arrays, all workers
+  std::size_t served_total_bytes = 0;  // disk-resident, for information
+  // Pool size class (doubles per slot) -> the most slots of the class a
+  // worker's pool can have live at once, apart from the blocks of the
+  // served arrays the program prepares, which stay in the writer's pool
+  // only while the thread transport's servers and readers hold them
+  // (sip::dry_run caps them for the pool plan): block size -> blocks.
+  std::map<std::size_t, std::size_t> pool_slots, served_blocks;
+
+  // The part no worker count shrinks.
+  std::size_t fixed_bytes() const {
+    return static_bytes + temp_peak_bytes + local_bytes + cache_demand_bytes;
+  }
+};
+
+// True when a worker's fixed footprint leaves no room for any share of
+// `dist_total` bytes of distributed arrays: no worker count fits `budget`.
+inline bool fixed_exceeds(double fixed, double dist_total, double budget) {
+  return fixed > budget || (fixed == budget && dist_total > 0.0);
+}
+
 struct WorkloadModel {
   std::string name;
   std::vector<PhaseModel> phases;
@@ -67,6 +97,7 @@ struct WorkloadModel {
   double sia_fixed_per_core = 0.0;  // blocks, cache, statics per worker
   double ga_resident_total = 0.0;   // GA-style rigid allocation, total
   double ga_fixed_per_core = 0.0;   // GA-style per-core buffers/replicas
+  WorkerMemory memory;
 
   double total_flops() const;
 };

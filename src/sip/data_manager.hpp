@@ -41,9 +41,6 @@ class DataManager {
     return scalars_[static_cast<std::size_t>(slot)];
   }
   double& scalar_ref(int slot) { return scalars_[static_cast<std::size_t>(slot)]; }
-  void set_scalar(int slot, double value) {
-    scalars_[static_cast<std::size_t>(slot)] = value;
-  }
   std::span<const double> scalars() const { return scalars_; }
 
   // ------------------------------------------------------------------
@@ -75,7 +72,6 @@ class DataManager {
   void clear_temps();
 
   // Peak node-local memory in doubles (statics + temps + locals).
-  std::size_t used_doubles() const { return used_doubles_; }
   std::size_t peak_doubles() const { return peak_doubles_; }
 
  private:

@@ -83,7 +83,6 @@ void DistArrayManager::write_home(const BlockId& id, BlockPtr incoming,
                                   bool accumulate, int writer,
                                   const char* mismatch) {
   check_write_conflict(id, writer, accumulate);
-  screened_norms_.erase(id);
   if (incoming->size() != shared_.program->shape_of(id).element_count()) {
     throw RuntimeError(mismatch + id.to_string());
   }
@@ -95,27 +94,18 @@ void DistArrayManager::write_home(const BlockId& id, BlockPtr incoming,
               &pool_, stats_.home_cow_copies));
 }
 
-void DistArrayManager::screen_home_block(const BlockId& id, double norm) {
-  auto it = home_.find(id);
-  if (it != home_.end()) {
-    home_doubles_ -= it->second->size();
-    home_.erase(it);
-  }
-  screened_norms_[id] = norm;
+void DistArrayManager::screen_home_block(const BlockId& id) {
+  home_.erase(id);
 }
 
 void DistArrayManager::send_put_message(const BlockId& id, BlockPtr payload,
-                                        bool accumulate, double norm) {
+                                        bool accumulate) {
   ++stats_.puts_remote;
   msg::Message message;
   message.tag = accumulate ? msg::kBlockPutAcc : msg::kBlockPut;
   message.header = {id.array_id, shared_.program->linear_of(id), my_rank_,
                     epoch_, /*screened=*/payload ? 0 : 1};
-  if (payload) {
-    message.block = std::move(payload);
-  } else {
-    message.data = {norm};
-  }
+  message.block = std::move(payload);
   // Under the reliable protocol a duplicated or retransmitted put+= must
   // not accumulate twice: tracked ordered sends are applied exactly once.
   send_block_message(*shared_.fabric, channel_, my_rank_,
@@ -130,13 +120,12 @@ void DistArrayManager::put(const BlockId& id, BlockPtr data,
   if (shared_.program->screenable(id.array_id) &&
       data->norm() < shared_.program->threshold()) {
     // Below-threshold payload: never moves. An accumulate contribution is
-    // dropped outright (error bounded by the threshold); a replace is
-    // recorded in the owner's norm table so reads answer "screened".
-    const double norm = data->norm();
+    // dropped outright (error bounded by the threshold); a replace drops
+    // the owner's block, so reads answer "screened".
     ++stats_.puts_screened;
     if (owner == my_rank_) {
       check_write_conflict(id, my_rank_, accumulate);
-      if (!accumulate) screen_home_block(id, norm);
+      if (!accumulate) screen_home_block(id);
       return;
     }
     shared_.fabric->record_screened(
@@ -145,7 +134,7 @@ void DistArrayManager::put(const BlockId& id, BlockPtr data,
     // A replace conflicts with shadowed accumulates; push them out first
     // so the home-side conflict detector sees both writes.
     coalesce_.flush(id);
-    send_put_message(id, nullptr, /*accumulate=*/false, norm);
+    send_put_message(id, nullptr, /*accumulate=*/false);
     return;
   }
   if (owner == my_rank_) {
@@ -171,14 +160,12 @@ void DistArrayManager::delete_array(int array_id) {
   };
   for (auto it = home_.begin(); it != home_.end();) {
     if (in_array(*it)) {
-      home_doubles_ -= it->second->size();
       it = home_.erase(it);
     } else {
       ++it;
     }
   }
   write_log_.erase_array(array_id);
-  std::erase_if(screened_norms_, in_array);
   cache_.erase_array(array_id);
   std::erase_if(pending_, in_array);
   coalesce_.erase_array(array_id);
@@ -226,19 +213,15 @@ void DistArrayManager::handle_get_request(const msg::Message& message) {
   if (it == home_.end()) {
     if (shared_.program->screenable(array_id)) {
       // Screened (or never-contributed) block of a sparse array: answer
-      // with a tiny norm-only marker instead of a payload. The client
-      // caches the canonical zero block, so the payload never moves.
+      // with a header-only marker instead of a payload. The client caches
+      // the canonical zero block, so the payload never moves.
       ++stats_.gets_screened;
-      auto norm_it = screened_norms_.find(id);
       shared_.fabric->record_screened(
           my_rank_, static_cast<std::int64_t>(
                         shared_.program->shape_of(id).element_count()));
       reply.status = ReplyStatus::kScreened;
-      msg::Message marker =
-          make_reply(msg::kBlockGetReply, reply, message.seq);
-      marker.data = {norm_it != screened_norms_.end() ? norm_it->second
-                                                      : 0.0};
-      shared_.fabric->send(my_rank_, reply_rank, std::move(marker));
+      shared_.fabric->send(my_rank_, reply_rank,
+                           make_reply(msg::kBlockGetReply, reply, message.seq));
       return;
     }
     // Not an error here: a look-ahead prefetch may run past what has been
@@ -309,9 +292,9 @@ void DistArrayManager::handle_put(msg::Message& message, bool accumulate) {
   }
   if (message.header.at(4) != 0) {
     // Screened replace marker: the sender's payload was below the
-    // threshold, so the block becomes a norm-table entry with no storage.
+    // threshold, so the block is dropped and reads as zero.
     check_write_conflict(id, writer, accumulate);
-    screen_home_block(id, message.data.empty() ? 0.0 : message.data[0]);
+    screen_home_block(id);
     return;
   }
   SIA_CHECK(message.block != nullptr, "put without block payload");
@@ -324,15 +307,7 @@ void DistArrayManager::handle_delete(const msg::Message& message) {
 }
 
 void DistArrayManager::store_home_block(const BlockId& id, BlockPtr block) {
-  auto it = home_.find(id);
-  if (it != home_.end()) {
-    home_doubles_ -= it->second->size();
-    it->second = std::move(block);
-    home_doubles_ += it->second->size();
-  } else {
-    home_doubles_ += block->size();
-    home_.emplace(id, std::move(block));
-  }
+  home_[id] = std::move(block);
 }
 
 }  // namespace sia::sip

@@ -105,8 +105,6 @@ class DistArrayManager {
   // reach the home rank in the closing epoch). Also called at pardo
   // iteration boundaries and program end.
   void flush_coalesced();
-  // Number of entries currently write-combining.
-  std::size_t coalesced_pending() const { return coalesce_.size(); }
 
   // `delete` (uniform control flow: every worker runs it, so each erases
   // its own home blocks and cached copies). `create` needs no call: a
@@ -139,17 +137,10 @@ class DistArrayManager {
     return home_;
   }
   void store_home_block(const BlockId& id, BlockPtr block);
-  // Norm table of home blocks screened out at put time (block id ->
-  // recorded norm); these have no backing store and read as zero.
-  const std::unordered_map<BlockId, double, BlockIdHash>& screened_norms()
-      const {
-    return screened_norms_;
-  }
   const Stats& stats() const { return stats_; }
   const BlockCache& cache() const { return cache_; }
   // Cache statistics accumulated across barrier-induced cache resets.
   BlockCache::Stats cache_stats() const;
-  std::size_t home_doubles() const { return home_doubles_; }
 
  private:
   // Applies the conflict rules for a write arriving at the home store.
@@ -158,12 +149,12 @@ class DistArrayManager {
   // `mismatch` prefixes the shape-mismatch diagnostic.
   void write_home(const BlockId& id, BlockPtr incoming, bool accumulate,
                   int writer, const char* mismatch);
-  // A screened replace: the home block becomes a norm-table entry.
-  void screen_home_block(const BlockId& id, double norm);
+  // A screened replace: the home block is dropped and reads as zero.
+  void screen_home_block(const BlockId& id);
   // Sends a put of `payload` to the block's home; a null payload sends
-  // the screened-replace marker carrying `norm` instead.
+  // the header-only screened-replace marker instead.
   void send_put_message(const BlockId& id, BlockPtr payload,
-                        bool accumulate, double norm = 0.0);
+                        bool accumulate);
 
   SipShared& shared_;
   int my_rank_;
@@ -172,10 +163,6 @@ class DistArrayManager {
 
   std::unordered_map<BlockId, BlockPtr, BlockIdHash> home_;
   WriteLog write_log_;
-  // Home-side norm table: blocks screened out at put time. An entry means
-  // "this block was replaced by a value below the threshold"; reads of it
-  // are answered with the canonical zero block and no storage is held.
-  std::unordered_map<BlockId, double, BlockIdHash> screened_norms_;
   BlockCache cache_;
   // In-flight gets with the epoch they were issued in.
   std::unordered_map<BlockId, std::int64_t, BlockIdHash> pending_;
@@ -189,7 +176,6 @@ class DistArrayManager {
   // Exclusively owned accumulate payloads not yet sent to their home.
   WriteCombiner coalesce_;
   std::int64_t epoch_ = 0;
-  std::size_t home_doubles_ = 0;
   Stats stats_;
   BlockCache::Stats cache_stats_accum_;
 };

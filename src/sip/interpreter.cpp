@@ -34,8 +34,7 @@ Interpreter::Interpreter(SipShared& shared, int worker_index)
   pool_ = std::make_unique<BlockPool>(shared_.pool_plan,
                                       /*allow_heap_fallback=*/true);
   data_ = std::make_unique<DataManager>(program_, *pool_);
-  const std::size_t cache_doubles = std::max<std::size_t>(
-      shared_.config.worker_memory_bytes / sizeof(double) / 4, 4096);
+  const std::size_t cache_doubles = shared_.config.worker_cache_doubles();
   dist_ = std::make_unique<DistArrayManager>(shared_, my_rank_, *pool_,
                                              cache_doubles);
   served_ = std::make_unique<ServedArrayClient>(shared_, my_rank_, *pool_,

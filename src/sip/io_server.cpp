@@ -15,11 +15,6 @@
 namespace sia::sip {
 
 namespace {
-// Upper bound on blocks retired per write-behind batch; keeps lookup
-// latency for queued blocks bounded while still amortizing the presence
-// map flush over many writes.
-constexpr std::size_t kMaxWriteBatch = 64;
-
 std::string ack_journal_path(const std::string& scratch_dir, int rank) {
   return scratch_dir + "/server_" + std::to_string(rank) + ".ackjournal";
 }

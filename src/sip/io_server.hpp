@@ -149,6 +149,11 @@ class DiskStore {
   mutable std::mutex mutex_;
 };
 
+// Upper bound on blocks retired per write-behind batch; keeps lookup
+// latency for queued blocks bounded while still amortizing the presence
+// map flush over many writes.
+inline constexpr std::size_t kMaxWriteBatch = 64;
+
 // Background writer lanes draining dirty blocks to their DiskStores in
 // per-array batches, sorted by linear id for sequential locality. Two
 // versions of the same block keep their enqueue order (a key being
@@ -279,7 +284,7 @@ class IoServer {
     std::int64_t dup_msgs_dropped = 0;
     // Norm-based screening (sparse arrays, sparse_threshold > 0).
     std::int64_t prepares_screened = 0;   // marker prepares (no payload)
-    std::int64_t requests_screened = 0;   // answered with a norm-only reply
+    std::int64_t requests_screened = 0;   // answered with a header-only reply
     std::int64_t evictions_screened = 0;  // dirty victims re-screened
 
     // Field list for the rank report (common/fields.hpp).

@@ -263,6 +263,7 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
   ProfileReport::Plan plan_record;
   Calibration calibration;
   std::string cal_path;
+  std::optional<sim::WorkerMemory> memory;  // the plan's walk, if any
   if (autotune_enabled(config_)) {
     cal_path = calibration_path(config_);
     calibration = Calibration::load(cal_path);
@@ -275,6 +276,7 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
     plan_record.candidates = choice.candidates;
     plan_record.summary = choice.summary;
     plan_record.pinned = choice.pinned;
+    if (choice.candidates > 0) memory = choice.memory;
   }
 
   const sial::ResolvedProgram resolved(std::move(optimized), config_);
@@ -282,7 +284,7 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
   // "The master inspects the SIAL program in dry-run mode" before any
   // resources are committed (paper §V-B).
   RunResult result;
-  result.dry_run = dry_run(resolved);
+  result.dry_run = memory ? dry_run(*memory, config_) : dry_run(resolved);
   if (!result.dry_run.feasible) {
     throw InfeasibleError(
         "program '" + program.name + "' needs " +

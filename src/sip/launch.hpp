@@ -44,6 +44,9 @@ struct RunResult {
     std::int64_t cache_misses = 0;
     std::int64_t cache_evictions = 0;
     std::int64_t pool_heap_fallbacks = 0;
+    // Pool size class (doubles) -> high water of live slots, the max
+    // over workers (BlockPool::Stats::class_high_water).
+    std::map<std::size_t, std::size_t> pool_class_high_water;
     std::size_t peak_local_doubles = 0;  // max over workers
   } workers;
 

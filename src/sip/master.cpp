@@ -1,11 +1,12 @@
 #include "sip/master.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "common/log.hpp"
 #include "msg/tags.hpp"
+#include "sim/program_model.hpp"
+#include "sip/io_server.hpp"
 #include "sip/spawn.hpp"
 
 namespace sia::sip {
@@ -13,141 +14,68 @@ namespace sia::sip {
 // ---------------------------------------------------------------------
 // Dry run.
 
-namespace {
-
-std::size_t bytes(std::size_t doubles) { return doubles * sizeof(double); }
-
-}  // namespace
-
-DryRunReport dry_run(const sial::ResolvedProgram& program) {
-  const SipConfig& config = program.config();
-  const sial::CompiledProgram& code = program.code();
+DryRunReport dry_run(const sim::WorkerMemory& memory,
+                     const SipConfig& config) {
   DryRunReport report;
-  report.worker_budget_bytes = config.worker_memory_bytes;
-
-  // Static arrays: fully replicated on every worker.
-  std::set<std::size_t> class_sizes;
-  for (const sial::ResolvedArray& array : program.arrays()) {
-    class_sizes.insert(array.max_block_elements);
-    switch (array.kind) {
-      case sial::ArrayKind::kStatic:
-        report.static_bytes += bytes(array.total_elements);
-        break;
-      case sial::ArrayKind::kDistributed:
-        report.dist_total_bytes += bytes(array.total_elements);
-        break;
-      case sial::ArrayKind::kServed:
-        report.served_total_bytes += bytes(array.total_elements);
-        break;
-      default:
-        break;
-    }
-  }
-
-  // Walk the code: temp working sets per pardo region, local allocations,
-  // and remote-block cache demand (gets/requests times prefetch depth).
-  std::set<int> temp_arrays_in_region;
-  std::size_t region_remote_doubles = 0;
-  std::size_t temp_peak = 0, cache_peak = 0;
-  int pardo_depth = 0;
-
-  auto close_region = [&] {
-    std::size_t temp_doubles = 0;
-    for (const int array_id : temp_arrays_in_region) {
-      // Two buffers per temp array: current block plus one being built.
-      temp_doubles += 2 * program.array(array_id).max_block_elements;
-    }
-    temp_peak = std::max(temp_peak, temp_doubles);
-    cache_peak = std::max(cache_peak, region_remote_doubles);
-    temp_arrays_in_region.clear();
-    region_remote_doubles = 0;
-  };
-
-  for (const sial::Instruction& instr : code.code) {
-    switch (instr.op) {
-      case sial::Opcode::kPardoStart:
-        ++pardo_depth;
-        break;
-      case sial::Opcode::kPardoEnd:
-        if (--pardo_depth == 0) close_region();
-        break;
-      case sial::Opcode::kGet:
-      case sial::Opcode::kRequest: {
-        const sial::ResolvedArray& array =
-            program.array(instr.blocks[0].array_id);
-        region_remote_doubles +=
-            (1 + static_cast<std::size_t>(config.prefetch_depth)) *
-            array.max_block_elements;
-        break;
-      }
-      case sial::Opcode::kAllocate: {
-        const sial::ResolvedArray& array =
-            program.array(instr.blocks[0].array_id);
-        std::size_t doubles = 1;
-        for (int d = 0; d < array.rank(); ++d) {
-          const sial::ResolvedIndex& index =
-              program.index(array.index_ids[static_cast<std::size_t>(d)]);
-          const bool wildcard =
-              instr.blocks[0].index_ids[static_cast<std::size_t>(d)] ==
-              sial::kWildcardIndex;
-          doubles *= wildcard
-                         ? static_cast<std::size_t>(index.high - index.low + 1)
-                         : static_cast<std::size_t>(index.segment_size);
-        }
-        report.local_bytes += bytes(doubles);
-        break;
-      }
-      default:
-        break;
-    }
-    // Any temp operand contributes to the enclosing region.
-    for (const sial::BlockOperand& operand : instr.blocks) {
-      if (program.array(operand.array_id).kind == sial::ArrayKind::kTemp) {
-        if (pardo_depth > 0) {
-          temp_arrays_in_region.insert(operand.array_id);
-        } else {
-          temp_peak = std::max(
-              temp_peak,
-              2 * program.array(operand.array_id).max_block_elements);
-        }
-      }
-    }
-  }
-  close_region();
-
-  report.temp_peak_bytes = bytes(temp_peak);
-  report.cache_demand_bytes = bytes(cache_peak);
-  report.dist_share_bytes =
-      report.dist_total_bytes / static_cast<std::size_t>(config.workers);
-
-  report.feasible = report.per_worker_bytes() <= report.worker_budget_bytes;
-  if (!report.feasible) {
-    const std::size_t fixed = report.static_bytes + report.temp_peak_bytes +
-                              report.local_bytes + report.cache_demand_bytes;
-    if (fixed >= report.worker_budget_bytes) {
-      report.workers_needed = 0;  // no worker count can fit the fixed part
-    } else {
-      const std::size_t head = report.worker_budget_bytes - fixed;
-      report.workers_needed = static_cast<int>(
-          (report.dist_total_bytes + head - 1) / head);
-    }
-  } else {
+  static_cast<sim::WorkerMemory&>(report) = memory;
+  const std::size_t budget = config.worker_memory_bytes;
+  const std::size_t fixed = report.fixed_bytes();
+  report.worker_budget_bytes = budget;
+  const auto workers = static_cast<std::size_t>(config.workers);
+  report.dist_share_bytes = (report.dist_total_bytes + workers - 1) / workers;
+  report.feasible = report.per_worker_bytes() <= budget;
+  if (report.feasible) {
     report.workers_needed = config.workers;
+  } else if (sim::fixed_exceeds(static_cast<double>(fixed),
+                                static_cast<double>(report.dist_total_bytes),
+                                static_cast<double>(budget))) {
+    report.workers_needed = 0;  // no worker count can fit the fixed part
+  } else {
+    const std::size_t head = budget - fixed;
+    report.workers_needed = static_cast<int>(
+        (report.dist_total_bytes + head - 1) / head);
   }
 
-  // Pool plan: one size class per distinct maximal block size. Slot
-  // counts cover the temp/cache working sets with margin; the pool's heap
-  // fallback (instrumented) covers the rest.
-  for (const std::size_t size : class_sizes) {
-    if (size == 0) continue;
-    const std::size_t budget_doubles =
-        report.worker_budget_bytes / sizeof(double);
-    std::size_t slots =
-        budget_doubles / (size * std::max<std::size_t>(class_sizes.size(), 1));
-    slots = std::clamp<std::size_t>(slots, 2, 64);
-    report.pool_plan[size] = slots;
+  // The pool plan. A prepared block stays in its writer's pool only on
+  // the thread transport (sockets serialize it), and there only while the
+  // servers cache it or retire it in a write-behind batch, or a worker's
+  // request cache holds it: per class, at most that many blocks of its
+  // smallest served size. A plan past the budget is scaled down to it;
+  // the pool's heap fallback serves the rest.
+  report.pool_plan = memory.pool_slots;
+  const auto servers = static_cast<std::size_t>(config.io_servers);
+  const std::size_t held_doubles =
+      servers * config.server_cache_bytes / sizeof(double) +
+      static_cast<std::size_t>(config.workers) * config.worker_cache_doubles();
+  const std::size_t batches =
+      servers * static_cast<std::size_t>(config.server_disk_threads) *
+      kMaxWriteBatch;
+  std::map<std::size_t, std::size_t> served;  // class -> slots
+  if (!config.socket_transport()) {
+    // Largest size first, so a class's cap ends at its smallest size.
+    for (auto it = memory.served_blocks.rbegin();
+         it != memory.served_blocks.rend(); ++it) {
+      std::size_t& slots =
+          served[report.pool_plan.lower_bound(it->first)->first];
+      slots = std::min(slots + it->second, held_doubles / it->first + batches);
+    }
+  }
+  double bytes = 0.0;
+  for (auto& [cls, slots] : report.pool_plan) {
+    slots += served[cls];
+    bytes += static_cast<double>(slots * cls * sizeof(double));
+  }
+  if (bytes > static_cast<double>(budget)) {
+    for (auto& [cls, slots] : report.pool_plan) {
+      slots = static_cast<std::size_t>(static_cast<double>(slots) *
+                                       static_cast<double>(budget) / bytes);
+    }
   }
   return report;
+}
+
+DryRunReport dry_run(const sial::ResolvedProgram& program) {
+  return dry_run(sim::model_program(program).memory, program.config());
 }
 
 std::string DryRunReport::to_string() const {
@@ -165,6 +93,10 @@ std::string DryRunReport::to_string() const {
       << mb(dist_total_bytes) << " total)\n";
   out << "served arrays (disk):  " << mb(served_total_bytes) << "\n";
   out << "per-worker total:      " << mb(per_worker_bytes()) << "\n";
+  for (const auto& [capacity, slots] : pool_plan) {
+    out << "pool class " << capacity << " doubles: " << slots
+        << " slots\n";
+  }
   if (feasible) {
     out << "feasible with the configured workers\n";
   } else if (workers_needed > 0) {

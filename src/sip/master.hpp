@@ -23,40 +23,34 @@
 #include <vector>
 
 #include "common/fields.hpp"
+#include "sim/workload.hpp"
 #include "sip/scheduler.hpp"
 #include "sip/shared.hpp"
 
 namespace sia::sip {
 
-// Result of the master's dry-run analysis.
-struct DryRunReport {
+// Result of the master's dry-run analysis: what the bytecode walk
+// (sim::model_program) finds one worker needs, against the budget.
+struct DryRunReport : sim::WorkerMemory {
   std::size_t worker_budget_bytes = 0;
-  std::size_t static_bytes = 0;      // replicated static arrays
-  std::size_t temp_peak_bytes = 0;   // temp blocks per pardo iteration
-  std::size_t local_bytes = 0;       // allocate'd local array regions
-  std::size_t cache_demand_bytes = 0;  // remote blocks incl. prefetch depth
-  std::size_t dist_total_bytes = 0;  // all distributed arrays, all workers
   std::size_t dist_share_bytes = 0;  // per-worker share at current count
-  std::size_t served_total_bytes = 0;  // disk-resident, for information
-
   bool feasible = true;
   // Smallest worker count that would fit; 0 if no count can (fixed costs
   // alone exceed the budget).
   int workers_needed = 0;
-
-  // Pool size classes derived from the block shapes the program uses:
-  // capacity in doubles -> number of slots per worker.
+  // Pool size class (doubles per slot) -> slots of each worker's pool.
   std::map<std::size_t, std::size_t> pool_plan;
 
   std::size_t per_worker_bytes() const {
-    return static_bytes + temp_peak_bytes + local_bytes +
-           cache_demand_bytes + dist_share_bytes;
+    return fixed_bytes() + dist_share_bytes;
   }
   std::string to_string() const;
 };
 
-// Analyzes the program against the configuration. Pure function of the
-// resolved program.
+// The dry run: checks a worker's memory as the bytecode walk found it
+// against the configuration, and sizes the pools from it.
+DryRunReport dry_run(const sim::WorkerMemory& memory, const SipConfig& config);
+// Walks the program (sim::model_program), then the above.
 DryRunReport dry_run(const sial::ResolvedProgram& program);
 
 // Master rank main loop; returns once all workers reported completion (or

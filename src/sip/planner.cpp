@@ -278,14 +278,15 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
     cfg.default_segment = segment;
     double seconds = kInfeasible;
     std::size_t served_bytes = 0;
+    sim::WorkloadModel workload;
     try {
       const sial::ResolvedProgram resolved(optimized, cfg);
-      const DryRunReport dry = dry_run(resolved);
-      const sim::WorkloadModel workload = sim::model_program(resolved);
-      if (dry.feasible && workload_tasks(workload) <= kMaxModelTasks) {
+      workload = sim::model_program(resolved);
+      if (dry_run(workload.memory, cfg).feasible &&
+          workload_tasks(workload) <= kMaxModelTasks) {
         ++choice.candidates;
         seconds = predict_seconds(workload, cfg, choice.costs);
-        served_bytes = dry.served_total_bytes;
+        served_bytes = workload.memory.served_total_bytes;
       }
     } catch (const std::exception&) {
       // e.g. a segment the index ranges reject
@@ -300,6 +301,7 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
       best_seconds = seconds;
       best = cfg;
       best_served_bytes = served_bytes;
+      choice.memory = std::move(workload.memory);
     }
   }
 

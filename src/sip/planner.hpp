@@ -97,6 +97,7 @@ struct PlanChoice {
   CostTable costs;                // the table the candidates were priced by
   std::string summary;            // tuned knobs, "dimension=value ..."
   std::vector<std::string> pinned;  // dimensions moved off their default
+  sim::WorkerMemory memory;  // the chosen candidate's, from its walk
 };
 
 // Predicted wall seconds for one candidate configuration against a

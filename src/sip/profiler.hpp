@@ -236,9 +236,9 @@ struct ProfileReport {
     std::int64_t bytes_elided = 0;     // bytes those payloads would move
     std::int64_t kernels_screened = 0; // GEMMs/dots/permutes skipped
     std::int64_t puts_screened = 0;      // dist put payloads dropped
-    std::int64_t gets_screened = 0;      // dist gets answered norm-only
+    std::int64_t gets_screened = 0;      // dist gets answered header-only
     std::int64_t prepares_screened = 0;  // served prepares dropped/markers
-    std::int64_t requests_screened = 0;  // served requests norm-only
+    std::int64_t requests_screened = 0;  // served requests header-only
     std::int64_t zero_reads = 0;         // reads satisfied by the zero block
     std::int64_t evictions_screened = 0; // dirty victims re-screened
     // Per sparse array: blocks absent-or-screened vs total blocks.

@@ -182,6 +182,7 @@ void merge_reports(const std::vector<RankReport>& reports,
   workers.cache_evictions = total.cache.evictions;
   workers.pool_heap_fallbacks =
       static_cast<std::int64_t>(total.pool.heap_fallbacks);
+  workers.pool_class_high_water = total.pool.class_high_water;
   workers.peak_local_doubles = total.peak_local_doubles;
 
   ProfileReport::ServedPipeline& served = profile.served;

@@ -22,7 +22,6 @@ std::pair<std::int64_t, std::int64_t> GuidedSchedule::next_chunk() {
   size = std::min(size, remaining);
   const std::int64_t begin = next_;
   next_ += size;
-  ++chunks_given_;
   return {begin, next_};
 }
 

@@ -27,7 +27,6 @@ class GuidedSchedule {
 
   std::int64_t total() const { return total_; }
   bool exhausted() const { return next_ >= total_; }
-  int chunks_given() const { return chunks_given_; }
 
  private:
   std::int64_t total_;
@@ -35,7 +34,6 @@ class GuidedSchedule {
   int chunk_divisor_;
   long min_chunk_;
   std::int64_t next_ = 0;
-  int chunks_given_ = 0;
 };
 
 // Keyed store of schedules for concurrently active pardo instances.

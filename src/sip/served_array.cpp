@@ -74,7 +74,7 @@ bool ServedArrayClient::pending(const BlockId& id) const {
 
 void ServedArrayClient::send_prepare_message(const BlockId& id,
                                              BlockPtr payload,
-                                             bool accumulate, double norm) {
+                                             bool accumulate) {
   ++stats_.prepares;
   // Our cached copy and any speculative reply still in flight pre-date
   // this prepare: drop the one and mark the other stale, so a later
@@ -89,12 +89,8 @@ void ServedArrayClient::send_prepare_message(const BlockId& id,
   msg::Message message;
   message.tag = accumulate ? msg::kServedPrepareAcc : msg::kServedPrepare;
   message.header = {id.array_id, shared_.program->linear_of(id), my_rank_};
-  if (payload) {
-    message.block = std::move(payload);
-  } else {
-    message.header.push_back(/*screened=*/1);
-    message.data = {norm};
-  }
+  if (!payload) message.header.push_back(/*screened=*/1);
+  message.block = std::move(payload);
   // Under the reliable protocol the server acks a prepare once its block
   // is durably on disk, and applies it exactly once.
   send_block_message(*shared_.fabric, channel_, my_rank_,
@@ -108,15 +104,14 @@ void ServedArrayClient::prepare(const BlockId& id, BlockPtr data,
   if (shared_.program->screenable(id.array_id) &&
       data->norm() < shared_.program->threshold()) {
     // Below-threshold payload never moves: an accumulate contribution is
-    // dropped at the sender, a replace becomes a tiny presence-map
+    // dropped at the sender, a replace becomes a header-only presence-map
     // marker on the server.
-    const double norm = data->norm();
     ++stats_.prepares_screened;
     shared_.fabric->record_screened(
         my_rank_, static_cast<std::int64_t>(data->size()));
     if (accumulate) return;
     coalesce_.flush(id);
-    send_prepare_message(id, nullptr, /*accumulate=*/false, norm);
+    send_prepare_message(id, nullptr, /*accumulate=*/false);
     return;
   }
   if (accumulate) {

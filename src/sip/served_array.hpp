@@ -84,7 +84,6 @@ class ServedArrayClient {
   // Sends pending coalesced prepare+= entries. Must run before entering
   // any barrier; also called at pardo iteration boundaries.
   void flush_coalesced();
-  std::size_t coalesced_pending() const { return coalesce_.size(); }
 
   // server_barrier passed.
   void advance_epoch();
@@ -102,11 +101,11 @@ class ServedArrayClient {
  private:
   // Sends a request (`lookahead` flags a speculative one).
   void send_request(const BlockId& id, bool lookahead);
-  // Sends a prepare of `payload`; a null payload sends the screened
-  // replace marker carrying `norm`, which the server records in its
-  // presence map without a write.
+  // Sends a prepare of `payload`; a null payload sends the header-only
+  // screened replace marker, which the server records in its presence
+  // map without a write.
   void send_prepare_message(const BlockId& id, BlockPtr payload,
-                            bool accumulate, double norm = 0.0);
+                            bool accumulate);
 
   // One in-flight fetch of a block. A look-ahead and a demand request
   // may be outstanding at once (look-ahead promotion); `lookahead_stale`

@@ -136,6 +136,7 @@ LaunchFabric make_fabric(SipShared& shared, int rank) {
     sopts.on_fatal = [&shared](const std::string& what) {
       if (shared.fabric != nullptr) shared.raise_abort(what);
     };
+    sopts.rejected_frame_is_fatal = !config.fault_tolerance_enabled();
     if (rank > 0) {
       sopts.role = msg::SocketOptions::Role::kSpoke;
       sopts.address = config.socket_address;

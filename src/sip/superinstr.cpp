@@ -230,14 +230,6 @@ double& SuperInstructionContext::scalar_arg(int i) {
   return *value.scalar;
 }
 
-const std::string& SuperInstructionContext::string_arg(int i) const {
-  const ExecArgValue& value = arg(i);
-  if (value.kind != sial::ExecOperand::Kind::kString) {
-    throw RuntimeError("super instruction argument is not a string");
-  }
-  return value.text;
-}
-
 double SuperInstructionContext::number_arg(int i) const {
   const ExecArgValue& value = arg(i);
   if (value.kind == sial::ExecOperand::Kind::kNumber) return value.number;

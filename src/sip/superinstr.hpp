@@ -112,7 +112,6 @@ class SuperInstructionContext {
   Block& block_arg(int i);
   const sial::BlockSelector& selector(int i) const;
   double& scalar_arg(int i);
-  const std::string& string_arg(int i) const;
   double number_arg(int i) const;
 
   // Absolute (1-based) element coordinate of the first element of block

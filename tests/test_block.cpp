@@ -240,6 +240,26 @@ TEST(BlockPoolTest, HeapFallbackCounted) {
   EXPECT_EQ(pool.stats().heap_fallbacks, 2u);
 }
 
+// The high water of a class counts the requests it is the smallest fit
+// for, wherever they were served: from the class, a larger one, or the
+// heap. A request larger than every class counts nowhere.
+TEST(BlockPoolTest, ClassHighWaterCountsTheSmallestFit) {
+  BlockPool pool({{8, 1}, {64, 1}}, /*allow_heap_fallback=*/true);
+  {
+    PoolBuffer a = pool.allocate(8);
+    PoolBuffer b = pool.allocate(5);    // class 8 full: served by 64
+    PoolBuffer c = pool.allocate(8);    // both full: heap
+    PoolBuffer d = pool.allocate(100);  // no class fits: heap
+    EXPECT_EQ(b.capacity(), 64u);
+    EXPECT_EQ(pool.stats().heap_fallbacks, 2u);
+  }
+  PoolBuffer e = pool.allocate(64);
+  const std::map<std::size_t, std::size_t> high_water =
+      pool.stats().class_high_water;
+  EXPECT_EQ(high_water.at(8), 3u);
+  EXPECT_EQ(high_water.at(64), 1u);
+}
+
 TEST(BlockPoolTest, TracksPeakUsage) {
   BlockPool pool({{8, 4}}, false);
   {

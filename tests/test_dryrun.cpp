@@ -60,8 +60,8 @@ pardo mu, nu
   t(mu,nu) = 1.0
 endpardo mu, nu
 )");
-  // Two buffers of one 4x4 block.
-  EXPECT_EQ(report.temp_peak_bytes, 2u * 16u * sizeof(double));
+  // One 4x4 block per iteration: each iteration drops the last one's.
+  EXPECT_EQ(report.temp_peak_bytes, 16u * sizeof(double));
 }
 
 TEST(DryRunTest, CacheDemandIncludesPrefetchDepth) {
@@ -81,8 +81,19 @@ endpardo mu
   shallow.prefetch_depth = 0;
   SipConfig deep = dry_config();
   deep.prefetch_depth = 3;
+  // A cache larger than the array holds every block a worker may read.
+  EXPECT_EQ(analyze(body, shallow).cache_demand_bytes,
+            32u * 32u * sizeof(double));
   EXPECT_EQ(analyze(body, deep).cache_demand_bytes,
-            4u * analyze(body, shallow).cache_demand_bytes);
+            32u * 32u * sizeof(double));
+  // A smaller one holds its capacity plus the replies in flight: the
+  // demand block and prefetch_depth look-aheads per get.
+  shallow.constants["n"] = deep.constants["n"] = 1024;
+  const std::size_t cache = shallow.worker_cache_doubles() * sizeof(double);
+  EXPECT_EQ(analyze(body, shallow).cache_demand_bytes,
+            cache + 1u * 16u * sizeof(double));
+  EXPECT_EQ(analyze(body, deep).cache_demand_bytes,
+            cache + 4u * 16u * sizeof(double));
 }
 
 TEST(DryRunTest, LocalWildcardAllocationEstimated) {
@@ -94,8 +105,9 @@ do nu
   allocate l(*,nu)
 enddo nu
 )");
-  // One full dimension (32 elements) x one segment (4) of the other.
-  EXPECT_EQ(report.local_bytes, 32u * 4u * sizeof(double));
+  // Each trip allocates one full dimension (32 elements) x one segment
+  // (4) of the other, and none is freed: all 8 strips are live at the end.
+  EXPECT_EQ(report.local_bytes, 32u * 32u * sizeof(double));
 }
 
 TEST(DryRunTest, ServedArraysReportedButNotResident) {
@@ -170,12 +182,74 @@ do mu
   t1(mu) = 1.0
 enddo mu
 )");
-  // Classes for 4-element and 16-element blocks.
-  EXPECT_TRUE(report.pool_plan.count(4));
-  EXPECT_TRUE(report.pool_plan.count(16));
+  // Classes for 4-element and 16-element blocks: one t2 block per pardo
+  // iteration; the sequential loop's eight t1 blocks all stay live.
+  EXPECT_EQ(report.pool_plan.size(), 2u);
+  EXPECT_EQ(report.pool_plan.at(16), 1u);
+  EXPECT_EQ(report.pool_plan.at(4), 8u);
+}
+
+std::size_t arena_bytes(const DryRunReport& report) {
+  std::size_t bytes = 0;
   for (const auto& [capacity, slots] : report.pool_plan) {
-    EXPECT_GE(slots, 2u) << "class " << capacity;
+    bytes += capacity * slots * sizeof(double);
   }
+  return bytes;
+}
+
+TEST(DryRunTest, PoolArenaStaysWithinCachesAndBudget) {
+  // Arrays of 128 MiB (4096^2 doubles in 32x32 blocks) against a 64 MiB
+  // worker budget, written in full by one pardo.
+  SipConfig config = dry_config();
+  config.workers = 1;
+  config.default_segment = 32;
+  config.constants["n"] = 4096;
+  config.worker_memory_bytes = 64ull << 20;
+  config.server_cache_bytes = 1 << 20;
+  const std::string served = R"(
+aoindex mu = 1, n
+aoindex nu = 1, n
+served s(mu,nu)
+temp t(mu,nu)
+pardo mu, nu
+  t(mu,nu) = 1.0
+  prepare s(mu,nu) = t(mu,nu)
+endpardo mu, nu
+server_barrier
+)";
+  const DryRunReport report = analyze(served, config);
+  EXPECT_TRUE(report.feasible);
+  EXPECT_EQ(report.served_blocks.at(1024), 128u * 128u);
+  // A prepared block stays in the writer's pool only while the server's
+  // 1 MiB cache, one write-behind batch per disk thread or the worker's
+  // 16 MiB request cache holds it (8 KiB blocks), beside the temp block
+  // and one staging slot.
+  EXPECT_EQ(report.pool_plan.at(1024), 17u * 128u + 2u * 64u + 2u);
+  EXPECT_LE(arena_bytes(report), config.worker_memory_bytes);
+  // A socket transport serializes every prepare: none stays.
+  SipConfig sockets = config;
+  sockets.transport = "loopback";
+  EXPECT_EQ(analyze(served, sockets).pool_plan.at(1024), 2u);
+
+  // Any schedule may give one worker every put of a distributed array,
+  // twice the budget here: the plan is scaled down to the budget, and
+  // the heap fallback serves past it.
+  config.workers = 4;
+  const DryRunReport dist = analyze(R"(
+aoindex mu = 1, n
+aoindex nu = 1, n
+distributed d(mu,nu)
+temp t(mu,nu)
+pardo mu, nu
+  t(mu,nu) = 1.0
+  put d(mu,nu) = t(mu,nu)
+endpardo mu, nu
+sip_barrier
+)",
+                                    config);
+  EXPECT_TRUE(dist.feasible);
+  EXPECT_GT(dist.pool_plan.at(1024), 128u * 128u / 4);
+  EXPECT_LE(arena_bytes(dist), config.worker_memory_bytes);
 }
 
 TEST(DryRunTest, ReportFormatsHumanReadably) {
@@ -187,6 +261,10 @@ distributed d(mu)
   EXPECT_NE(text.find("dry run"), std::string::npos);
   EXPECT_NE(text.find("distributed share"), std::string::npos);
   EXPECT_NE(text.find("feasible"), std::string::npos);
+  // The planned slots per class: d is never written, so its blocks never
+  // occupy this worker's pool.
+  EXPECT_NE(text.find("pool class 4 doubles: 0 slots"), std::string::npos)
+      << text;
 }
 
 }  // namespace

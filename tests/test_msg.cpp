@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <map>
 #include <thread>
 #include <vector>
@@ -9,6 +11,7 @@
 #include "block/block.hpp"
 #include "common/error.hpp"
 #include "msg/fabric.hpp"
+#include "msg/socket_fabric.hpp"
 #include "msg/tags.hpp"
 
 namespace sia::msg {
@@ -308,6 +311,33 @@ TEST(FabricTest, ManyThreadsManyMessages) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(received.load(), kRanks * kPerRank);
+}
+
+// With fault tolerance off nothing would retransmit what a dropped
+// connection lost, so one corrupted frame must end the run with a
+// diagnostic naming the peer and the status, not leave it waiting.
+TEST(SocketFabricTest, CorruptFrameWithoutFaultToleranceIsFatal) {
+  std::promise<std::string> fatal;
+  std::atomic<bool> once{false};
+  SocketOptions options;
+  options.role = SocketOptions::Role::kLoopback;
+  options.rejected_frame_is_fatal = true;
+  options.on_fatal = [&](const std::string& what) {
+    if (!once.exchange(true)) fatal.set_value(what);
+  };
+  SocketFabric fabric(3, options);
+  fabric.debug_corrupt_next_frame();
+  fabric.send(1, 2, make(7, {1, 2}, {3.0}));
+  std::future<std::string> diagnostic = fatal.get_future();
+  ASSERT_EQ(diagnostic.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "no diagnostic for a corrupted frame";
+  const std::string what = diagnostic.get();
+  EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+  EXPECT_NE(what.find("bad checksum"), std::string::npos) << what;
+  EXPECT_FALSE(fabric.try_recv(2).has_value());
+  EXPECT_EQ(fabric.total_stats().frames_rejected, 1);
+  fabric.stop();
 }
 
 }  // namespace

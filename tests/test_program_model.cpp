@@ -2,11 +2,20 @@
 // "support for performance modeling").
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "chem/programs.hpp"
 #include "sial/compiler.hpp"
 #include "sim/des.hpp"
 #include "sim/machine.hpp"
 #include "sim/program_model.hpp"
+#include "sim/sip_model.hpp"
+#include "sip/master.hpp"
+
+#ifndef SIA_PROGRAMS_DIR
+#define SIA_PROGRAMS_DIR "programs"
+#endif
 
 namespace sia::sim {
 namespace {
@@ -236,6 +245,56 @@ endsial
   EXPECT_DOUBLE_EQ(
       model.sequential_load[static_cast<std::size_t>(CostClass::kSync)].count,
       2.0);
+}
+
+// The dry run and the simulator read one walk: for every shipped program
+// and any per-worker budget, the dry run finds that no worker count fits
+// exactly when the simulator reports the pools exceed memory.
+TEST(ProgramModelTest, DryRunAndSimulatorAgreeOnHopelessBudgets) {
+  std::vector<std::string> sources = {
+      chem::contraction_demo_source(), chem::mp2_energy_source(),
+      chem::ccd_energy_source(),       chem::fock_build_source(),
+      chem::comm_storm_source(),       chem::io_storm_source(),
+      chem::mp2_served_source(),       chem::sparse_fock_source(),
+      chem::sparse_mp2_source()};
+  for (const char* file : {"mp2.sial", "paper_fragment.sial",
+                           "quickstart.sial", "subindex_demo.sial"}) {
+    std::ifstream in(std::string(SIA_PROGRAMS_DIR) + "/" + file);
+    ASSERT_TRUE(in.good()) << file;
+    std::ostringstream text;
+    text << in.rdbuf();
+    sources.push_back(text.str());
+  }
+  ASSERT_EQ(sources.size(), 13u);
+  const MachineModel machine = cray_xt5();
+  int hopeless = 0, fitting = 0;
+  for (const std::string& source : sources) {
+    const sial::CompiledProgram code = sial::compile_sial(source);
+    for (const int workers : {1, 3}) {
+      for (int shift = 10; shift <= 26; ++shift) {
+        SipConfig config;
+        config.workers = workers;
+        config.default_segment = 4;
+        config.worker_memory_bytes = std::size_t{1} << shift;
+        config.constants = {{"norb", 16}, {"nocc", 8},    {"maxiter", 2},
+                            {"n", 16},    {"nsweeps", 2}, {"nshared", 8}};
+        const sial::ResolvedProgram program(code, config);
+        const sip::DryRunReport dry = sip::dry_run(program);
+        const SiaOutcome outcome = simulate_sia(
+            machine, model_program(program), workers, SimOptions{},
+            static_cast<double>(config.worker_memory_bytes));
+        const bool exceeds = !outcome.completed &&
+                             outcome.reason ==
+                                 "per-worker block pools exceed memory";
+        EXPECT_EQ(dry.workers_needed == 0, exceeds)
+            << code.name << " workers=" << workers << " budget=2^" << shift
+            << " fixed=" << dry.fixed_bytes();
+        ++(exceeds ? hopeless : fitting);
+      }
+    }
+  }
+  EXPECT_GT(hopeless, 0);
+  EXPECT_GT(fitting, 0);
 }
 
 }  // namespace

@@ -317,5 +317,48 @@ endsial
   EXPECT_GT(result.profile.screening.evictions_screened, 0);
 }
 
+// A program whose every block is screened moves no payload at all: the
+// screened put, get reply, prepare and request reply are header-only
+// markers. (No collective: its scalar is the only other payload.)
+TEST(SparseServedTest, FullyScreenedProgramMovesNoPayload) {
+  SipConfig config = sparse_config(3, 4, 1e-8);
+  Sip sip(config);
+  const RunResult result = sip.run_source(R"(
+sial all_screened
+aoindex a = 1, n
+aoindex k = 1, n
+sparse distributed D(a,k)
+sparse served S(a,k)
+temp t(a,k)
+temp u(a,k)
+scalar lsum
+pardo a, k
+  t(a,k) = 0.0
+  put D(a,k) = t(a,k)
+  prepare S(a,k) = t(a,k)
+endpardo a, k
+sip_barrier
+server_barrier
+lsum = 0.0
+pardo a, k
+  get D(a,k)
+  request S(a,k)
+  u(a,k) = D(a,k)
+  lsum += u(a,k) * u(a,k)
+  u(a,k) = S(a,k)
+  lsum += u(a,k) * u(a,k)
+endpardo a, k
+endsial
+)");
+  EXPECT_EQ(result.scalar("lsum"), 0.0);
+  const ProfileReport::Screening& screening = result.profile.screening;
+  EXPECT_EQ(screening.puts_screened, 16);
+  EXPECT_EQ(screening.prepares_screened, 16);
+  EXPECT_GT(screening.gets_screened, 0);  // the remote ones
+  EXPECT_GT(screening.requests_screened, 0);
+  EXPECT_GT(result.traffic.blocks_screened, 0);
+  EXPECT_EQ(result.traffic.payload_doubles_sent, 0);
+}
+
 }  // namespace
 }  // namespace sia::sip
