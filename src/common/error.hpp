@@ -47,13 +47,17 @@ class RuntimeError : public Error {
 
 // Raised by the master's dry run when the requested computation cannot fit
 // in the configured per-worker memory. Carries the number of workers that
-// would be sufficient, as the paper requires this to be reported.
+// would be sufficient, as the paper requires this to be reported; 0 when
+// no worker count fits the per-worker fixed part.
 class InfeasibleError : public Error {
  public:
   InfeasibleError(const std::string& what, int workers_needed)
       : Error("infeasible configuration: " + what +
-              " (would need at least " + std::to_string(workers_needed) +
-              " workers)"),
+              (workers_needed > 0
+                   ? " (would need at least " +
+                         std::to_string(workers_needed) + " workers)"
+                   : std::string(" (no worker count fits the per-worker "
+                                 "fixed part)"))),
         workers_needed_(workers_needed) {}
   int workers_needed() const noexcept { return workers_needed_; }
 

@@ -1,6 +1,7 @@
 #include "sial/program.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/error.hpp"
 
@@ -28,13 +29,19 @@ long eval_cmp(CmpOp op, long lhs, long rhs) {
 
 ResolvedProgram::ResolvedProgram(CompiledProgram program,
                                  const SipConfig& config)
+    : ResolvedProgram(
+          std::make_shared<const CompiledProgram>(std::move(program)),
+          config) {}
+
+ResolvedProgram::ResolvedProgram(
+    std::shared_ptr<const CompiledProgram> program, const SipConfig& config)
     : program_(std::move(program)), config_(config) {
   config_.validate();
-  constant_values_.reserve(program_.constants.size());
-  for (const std::string& name : program_.constants) {
+  constant_values_.reserve(program_->constants.size());
+  for (const std::string& name : program_->constants) {
     auto it = config_.constants.find(name);
     if (it == config_.constants.end()) {
-      throw Error("program '" + program_.name + "' uses constant '" + name +
+      throw Error("program '" + program_->name + "' uses constant '" + name +
                   "' which is not defined in the SIP configuration");
     }
     constant_values_.push_back(static_cast<double>(it->second));
@@ -70,10 +77,10 @@ long ResolvedProgram::eval_int_expr(const IntExpr& expr) const {
 }
 
 void ResolvedProgram::resolve_indices() {
-  indices_.resize(program_.indices.size());
+  indices_.resize(program_->indices.size());
   // First pass: all non-sub indices.
-  for (std::size_t i = 0; i < program_.indices.size(); ++i) {
-    const IndexInfo& info = program_.indices[i];
+  for (std::size_t i = 0; i < program_->indices.size(); ++i) {
+    const IndexInfo& info = program_->indices[i];
     if (info.type == IndexType::kSub) continue;
     ResolvedIndex& resolved = indices_[i];
     resolved.name = info.name;
@@ -101,8 +108,8 @@ void ResolvedProgram::resolve_indices() {
         static_cast<int>((resolved.high - 1) / resolved.segment_size) + 1;
   }
   // Second pass: subindices.
-  for (std::size_t i = 0; i < program_.indices.size(); ++i) {
-    const IndexInfo& info = program_.indices[i];
+  for (std::size_t i = 0; i < program_->indices.size(); ++i) {
+    const IndexInfo& info = program_->indices[i];
     if (info.type != IndexType::kSub) continue;
     ResolvedIndex& resolved = indices_[i];
     const ResolvedIndex& super =
@@ -128,9 +135,9 @@ void ResolvedProgram::resolve_indices() {
 }
 
 void ResolvedProgram::resolve_arrays() {
-  arrays_.resize(program_.arrays.size());
-  for (std::size_t i = 0; i < program_.arrays.size(); ++i) {
-    const ArrayInfo& info = program_.arrays[i];
+  arrays_.resize(program_->arrays.size());
+  for (std::size_t i = 0; i < program_->arrays.size(); ++i) {
+    const ArrayInfo& info = program_->arrays[i];
     ResolvedArray& array = arrays_[i];
     array.name = info.name;
     array.kind = info.kind;
@@ -146,7 +153,7 @@ void ResolvedProgram::resolve_arrays() {
       array.seg_lo.push_back(index.seg_lo);
       array.total_blocks *= index.num_values();
       array.max_block_elements *=
-          static_cast<std::size_t>(index.segment_size);
+          static_cast<std::size_t>(index.max_extent());
       array.total_elements *=
           static_cast<std::size_t>(index.high - index.low + 1);
     }
@@ -292,13 +299,13 @@ void ResolvedProgram::pardo_decode(const PardoInfo& pardo,
     out_values[0] = (super_value - 1) * sub.subs_per_segment + 1 + raw;
     return;
   }
-  const std::vector<long> dims = pardo_dims(pardo, index_values);
-  for (int d = static_cast<int>(dims.size()) - 1; d >= 0; --d) {
+  for (int d = static_cast<int>(pardo.index_ids.size()) - 1; d >= 0; --d) {
     const std::size_t ud = static_cast<std::size_t>(d);
     const ResolvedIndex& index =
         indices_[static_cast<std::size_t>(pardo.index_ids[ud])];
-    out_values[ud] = index.seg_lo + (raw % dims[ud]);
-    raw /= dims[ud];
+    const long dim = index.num_values();  // as pardo_dims counts it
+    out_values[ud] = index.seg_lo + (raw % dim);
+    raw /= dim;
   }
 }
 
@@ -313,7 +320,11 @@ std::vector<std::int64_t> ResolvedProgram::pardo_filtered_space(
   }
 
   std::vector<std::int64_t> filtered;
-  if (total == 0) return filtered;
+  if (pardo.wheres.empty()) {
+    filtered.resize(static_cast<std::size_t>(total));
+    std::iota(filtered.begin(), filtered.end(), std::int64_t{0});
+    return filtered;
+  }
   filtered.reserve(static_cast<std::size_t>(total));
 
   std::vector<long> values(index_values.begin(), index_values.end());

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <array>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -49,6 +50,9 @@ struct ResolvedIndex {
     const long end = std::min<long>(start + segment_size - 1, high);
     return static_cast<int>(end - start + 1);
   }
+  // Elements in its largest segment, the first: segment_size, or the
+  // whole range when that is shorter.
+  int max_extent() const { return segment_extent(seg_lo); }
 };
 
 struct ResolvedArray {
@@ -59,7 +63,7 @@ struct ResolvedArray {
   std::vector<int> num_segments;  // per dimension (array grid)
   std::vector<int> seg_lo;        // per dimension: first absolute segment
   long total_blocks = 0;
-  std::size_t max_block_elements = 0;  // full (untrimmed) block size
+  std::size_t max_block_elements = 0;  // its largest block's size
   std::size_t total_elements = 0;
 
   int rank() const { return static_cast<int>(index_ids.size()); }
@@ -93,8 +97,12 @@ struct BlockSelector {
 class ResolvedProgram {
  public:
   ResolvedProgram(CompiledProgram program, const SipConfig& config);
+  // Shares `program` with other resolutions of it (the planner resolves
+  // one program at many segment sizes).
+  ResolvedProgram(std::shared_ptr<const CompiledProgram> program,
+                  const SipConfig& config);
 
-  const CompiledProgram& code() const { return program_; }
+  const CompiledProgram& code() const { return *program_; }
   const SipConfig& config() const { return config_; }
 
   const std::vector<ResolvedIndex>& indices() const { return indices_; }
@@ -158,7 +166,7 @@ class ResolvedProgram {
   void resolve_indices();
   void resolve_arrays();
 
-  CompiledProgram program_;
+  std::shared_ptr<const CompiledProgram> program_;
   SipConfig config_;
   std::vector<ResolvedIndex> indices_;
   std::vector<ResolvedArray> arrays_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <initializer_list>
 #include <limits>
 #include <set>
 
@@ -14,20 +15,20 @@ namespace {
 using sial::Instruction;
 using sial::Opcode;
 
-// Full (untrimmed) element count of a block operand: the product of the
-// referenced indices' segment sizes.
+// Element count of a block operand's largest block: the product of the
+// referenced indices' largest segments.
 double operand_elements(const sial::ResolvedProgram& program,
                         const sial::BlockOperand& operand) {
   double elements = 1.0;
   for (int d = 0; d < operand.rank; ++d) {
     const int id = operand.index_ids[static_cast<std::size_t>(d)];
     if (id == sial::kWildcardIndex) continue;
-    elements *= static_cast<double>(program.index(id).segment_size);
+    elements *= static_cast<double>(program.index(id).max_extent());
   }
   return elements;
 }
 
-// Product of segment sizes of the ids shared between two operands.
+// Product of the largest segments of the ids shared between two operands.
 double common_elements(const sial::ResolvedProgram& program,
                        const sial::BlockOperand& a,
                        const sial::BlockOperand& b) {
@@ -36,7 +37,7 @@ double common_elements(const sial::ResolvedProgram& program,
     const int id = a.index_ids[static_cast<std::size_t>(d)];
     for (int e = 0; e < b.rank; ++e) {
       if (b.index_ids[static_cast<std::size_t>(e)] == id) {
-        elements *= static_cast<double>(program.index(id).segment_size);
+        elements *= static_cast<double>(program.index(id).max_extent());
         break;
       }
     }
@@ -66,8 +67,31 @@ struct Cost {
   }
 };
 
-// Count per key: per block shape (elements) or per pool size class.
-using Counts = std::map<std::size_t, double>;
+// Count per key, in key order: per block shape (elements) or per pool
+// size class. A walk builds many with a few keys each, so they are sorted
+// vectors rather than trees.
+class Counts {
+ public:
+  using Entry = std::pair<std::size_t, double>;
+  Counts() = default;
+  Counts(std::initializer_list<Entry> entries) : entries_(entries) {}
+
+  double& operator[](std::size_t key) {
+    auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), key,
+        [](const Entry& entry, std::size_t k) { return entry.first < k; });
+    if (it == entries_.end() || it->first != key) {
+      it = entries_.insert(it, {key, 0.0});
+    }
+    return it->second;
+  }
+  std::size_t size() const { return entries_.size(); }
+  std::vector<Entry>::const_iterator begin() const { return entries_.begin(); }
+  std::vector<Entry>::const_iterator end() const { return entries_.end(); }
+
+ private:
+  std::vector<Entry> entries_;
+};
 
 void raise_to(Counts& peak, const Counts& now) {
   for (const auto& [key, n] : now) peak[key] = std::max(peak[key], n);
@@ -245,22 +269,24 @@ class Walker {
   }
 
   std::int64_t pardo_tasks(const sial::PardoInfo& pardo) const {
-    // Exact filtered count where computable; raw product otherwise (e.g.
-    // `pardo ii in i` whose space depends on a runtime value, or where
-    // clauses over outer indices).
-    std::vector<long> values(program_.indices().size(),
-                             sial::kUndefinedIndexValue);
+    // `pardo ii in i`: the subs of one segment of i, whose value is only
+    // known at run time.
+    if (pardo.sub_of >= 0) {
+      return program_.index(pardo.index_ids.front()).subs_per_segment;
+    }
+    std::int64_t total = 1;
+    for (const int id : pardo.index_ids) {
+      total *= program_.index(id).num_values();
+    }
+    if (pardo.wheres.empty()) return total;
+    // Exact filtered count where computable; the raw product otherwise
+    // (where clauses over outer indices, or a space past the limit).
+    const std::vector<long> values(program_.indices().size(),
+                                   sial::kUndefinedIndexValue);
     try {
       return static_cast<std::int64_t>(
           program_.pardo_filtered_space(pardo, values).size());
     } catch (const Error&) {
-      std::int64_t total = 1;
-      if (pardo.sub_of >= 0) {
-        return program_.index(pardo.index_ids.front()).subs_per_segment;
-      }
-      for (const int id : pardo.index_ids) {
-        total *= program_.index(id).num_values();
-      }
       return total;
     }
   }
@@ -311,15 +337,21 @@ class Walker {
       const long values = whole || every
                               ? program_.index(id).num_values()
                               : values_[static_cast<std::size_t>(id)];
+      const Counts& extents = extents_[static_cast<std::size_t>(id)];
+      addressed *= static_cast<double>(values);
+      if (out.size() == 1 && extents.size() == 1) {  // one shape stays one
+        const auto [elements, n] = *out.begin();
+        const auto [extent, m] = *extents.begin();
+        out = {{elements * extent, n * (values == 1 ? 1.0 : m)}};
+        continue;
+      }
       Counts next;
       for (const auto& [elements, n] : out) {
-        for (const auto& [extent, m] :
-             extents_[static_cast<std::size_t>(id)]) {
+        for (const auto& [extent, m] : extents) {
           next[elements * extent] += n * (values == 1 ? 1.0 : m);
         }
       }
       out = std::move(next);
-      addressed *= static_cast<double>(values);
     }
     return out;
   }
@@ -402,13 +434,7 @@ class Walker {
           }
         }
     }
-    // One slot per class for a staged copy, or the old block of a
-    // replaced one until it is freed.
-    if (written != nullptr) {
-      for (const auto& [cls, n] : by_class(grid(written->array_id), 1)) {
-        staging_[cls] = 1;
-      }
-    }
+    if (written != nullptr) staged_.insert(written->array_id);
   }
 
   // A block operand read or written: a temp block, a static array, or
@@ -472,9 +498,14 @@ class Walker {
 
     // Any schedule may give one worker every write of an array, and a
     // hash may home every block of a distributed array on it.
-    Counts slots;
+    Counts slots, staging;
     for (const std::size_t cls : classes_) slots[cls] = 0;
-    for (const Counts& part : {temps_, locals, staging_}) {
+    // One slot per class for a staged copy, or the old block of a
+    // replaced one until it is freed.
+    for (const int id : staged_) {
+      for (const auto& [cls, n] : by_class(grid(id), 1)) staging[cls] = 1;
+    }
+    for (const Counts& part : {temps_, locals, staging}) {
       for (const auto& [cls, n] : part) slots[cls] += n;
     }
     for (const int id : stored_) {
@@ -508,7 +539,8 @@ class Walker {
   // sequential ones are only dropped by a pardo iteration, which a
   // worker may never get, so they add up over all sequential code.
   Region iter_temps_, seq_temps_, locals_, dist_reads_, served_reads_;
-  Counts temps_, staging_;
+  Counts temps_;
+  std::set<int> staged_;  // arrays an instruction stages or replaces into
   double dist_in_flight_ = 0.0, served_in_flight_ = 0.0;  // doubles
   // Arrays whose every block a worker's pool may hold: statics, and the
   // distributed and served arrays the program writes.

@@ -23,10 +23,10 @@
 
 namespace sia::sim {
 
-// The cost class of one instruction and its units per execution (at full
-// segment sizes). Empty for instructions the cost table does not price.
-// The planner's post-run fit reads it to turn per-pc profiles into
-// per-class samples, so the model and the fit agree on every unit.
+// The cost class of one instruction and its units per execution (at each
+// index's largest segment). Empty for instructions the cost table does
+// not price. The planner's post-run fit reads it to turn per-pc profiles
+// into per-class samples, so the model and the fit agree on every unit.
 struct InstructionLoad {
   CostClass cls;
   double units = 0.0;

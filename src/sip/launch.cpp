@@ -7,8 +7,10 @@
 #include <filesystem>
 #include <optional>
 #include <set>
+#include <system_error>
 #include <thread>
 
+#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "msg/tags.hpp"
@@ -47,6 +49,7 @@ Sip::Sip(SipConfig config) : config_(std::move(config)) {
 }
 
 Sip::~Sip() {
+  finish_calibration_save();
   if (owns_scratch_) {
     std::error_code ec;
     std::filesystem::remove_all(scratch_dir_, ec);
@@ -234,7 +237,33 @@ void drive(const sial::ResolvedProgram& resolved, SipConfig config,
 
 }  // namespace
 
+void Sip::save_calibration(Calibration calibration, std::string path) {
+  // Best effort: a read-only HOME is fine, so a failure is only logged,
+  // and nothing may escape the thread.
+  const auto save = [calibration = std::move(calibration),
+                     path = std::move(path)] {
+    std::string error = "write failed";
+    try {
+      if (calibration.save(path)) return;
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+    SIA_INFO(-1) << "calibration not saved to " << path << ": " << error;
+  };
+  finish_calibration_save();
+  try {
+    calibration_save_ = std::thread(save);
+  } catch (const std::system_error&) {
+    save();  // no thread to spare: save on this one
+  }
+}
+
+void Sip::finish_calibration_save() const {
+  if (calibration_save_.joinable()) calibration_save_.join();
+}
+
 RunResult Sip::run(const sial::CompiledProgram& program) {
+  finish_calibration_save();
   // Fault-plan pickup: an explicit plan in the config wins; otherwise
   // SIA_FAULT_PLAN lets a harness inject faults without touching code.
   if (!config_.fault_plan.active()) {
@@ -263,11 +292,11 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
   ProfileReport::Plan plan_record;
   Calibration calibration;
   std::string cal_path;
-  std::optional<sim::WorkerMemory> memory;  // the plan's walk, if any
+  std::optional<sim::WorkloadModel> walked;  // the plan's walk, if any
   if (autotune_enabled(config_)) {
     cal_path = calibration_path(config_);
     calibration = Calibration::load(cal_path);
-    const PlanChoice choice =
+    PlanChoice choice =
         plan_launch(optimized, config_, calibration, HostModel{});
     config_ = choice.config;
     plan_record.planned = true;
@@ -276,7 +305,7 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
     plan_record.candidates = choice.candidates;
     plan_record.summary = choice.summary;
     plan_record.pinned = choice.pinned;
-    if (choice.candidates > 0) memory = choice.memory;
+    if (choice.candidates > 0) walked = std::move(choice.workload);
   }
 
   const sial::ResolvedProgram resolved(std::move(optimized), config_);
@@ -284,7 +313,8 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
   // "The master inspects the SIAL program in dry-run mode" before any
   // resources are committed (paper §V-B).
   RunResult result;
-  result.dry_run = memory ? dry_run(*memory, config_) : dry_run(resolved);
+  result.dry_run =
+      walked ? dry_run(walked->memory, config_) : dry_run(resolved);
   if (!result.dry_run.feasible) {
     throw InfeasibleError(
         "program '" + program.name + "' needs " +
@@ -304,13 +334,14 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
     plan_record.actual_seconds = wall_seconds() - exec_start;
     result.profile.plan = plan_record;
     update_calibration(&calibration, config_.transport, result.profile,
-                       resolved);
-    calibration.save(cal_path);  // best effort; a read-only HOME is fine
+                       resolved, walked ? &*walked : nullptr);
+    save_calibration(std::move(calibration), std::move(cal_path));
   }
   return result;
 }
 
 PlanChoice Sip::plan(const sial::CompiledProgram& program) const {
+  finish_calibration_save();
   return plan_launch(sial::opt::optimize(program, config_.opt_level).program,
                      config_, Calibration::load(calibration_path(config_)),
                      HostModel{});

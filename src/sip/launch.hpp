@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "common/config.hpp"
 #include "msg/fabric.hpp"
@@ -72,9 +73,9 @@ class Sip {
   DryRunReport analyze(const sial::CompiledProgram& program) const;
 
   // Runs the launch-time planner without executing: loads calibration,
-  // measures the GEMM rate, sweeps the knobs through the DES model, and
-  // returns the tuned configuration with its prediction record. This is
-  // exactly the plan run(...) would apply with config.autotune set.
+  // sweeps the knobs through the DES model, and returns the tuned
+  // configuration with its prediction record. This is exactly the plan
+  // run(...) would apply with config.autotune set.
   PlanChoice plan(const sial::CompiledProgram& program) const;
 
   const SipConfig& config() const { return config_; }
@@ -87,6 +88,12 @@ class Sip {
   // SIAL source of the program currently in run_source(): spawn mode
   // ships it to child processes, which recompile it deterministically.
   std::string pending_source_;
+  // An autotuned run() returns before its refit calibration is on disk:
+  // this thread writes it. The next run() or plan() and ~Sip join it, so
+  // the file is durable by then.
+  mutable std::thread calibration_save_;
+  void save_calibration(Calibration calibration, std::string path);
+  void finish_calibration_save() const;
 };
 
 }  // namespace sia::sip

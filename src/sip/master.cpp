@@ -103,8 +103,8 @@ std::string DryRunReport::to_string() const {
     out << "INFEASIBLE; would need at least " << workers_needed
         << " workers\n";
   } else {
-    out << "INFEASIBLE at any worker count (fixed per-node costs exceed "
-           "the budget)\n";
+    out << "INFEASIBLE; no worker count fits the per-worker fixed part "
+           "(static, temp, local and cache)\n";
   }
   return out.str();
 }

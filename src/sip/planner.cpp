@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string_view>
@@ -224,6 +226,18 @@ std::int64_t workload_tasks(const sim::WorkloadModel& workload) {
   return tasks;
 }
 
+// What a walk reads of the segment sizes: per index, its segment range
+// and its first and last segments' extents (those between are as long as
+// the first). Segment sizes with one tiling walk and price alike.
+std::vector<int> tiling(const sial::ResolvedProgram& program) {
+  std::vector<int> key;
+  for (const sial::ResolvedIndex& index : program.indices()) {
+    key.insert(key.end(), {index.seg_lo, index.seg_hi, index.max_extent(),
+                           index.segment_extent(index.seg_hi)});
+  }
+  return key;
+}
+
 // The tuned knobs, one `dimension=value` per entry of the field list.
 std::string knob_summary(const SipConfig& cfg) {
   std::ostringstream out;
@@ -271,7 +285,10 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
   double best_seconds = kInfeasible;
   double best_score = kInfeasible;
   std::size_t best_served_bytes = 0;
+  const auto program =
+      std::make_shared<const sial::CompiledProgram>(optimized);
   std::set<int> seen;
+  std::set<std::vector<int>> tilings;
   for (const int segment : segments) {
     if (!seen.insert(segment).second) continue;
     SipConfig cfg = base;
@@ -280,7 +297,10 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
     std::size_t served_bytes = 0;
     sim::WorkloadModel workload;
     try {
-      const sial::ResolvedProgram resolved(optimized, cfg);
+      const sial::ResolvedProgram resolved(program, cfg);
+      // A repeated tiling could only tie an earlier score, and a tie
+      // keeps the earlier candidate (the baseline's score is discounted).
+      if (!tilings.insert(tiling(resolved)).second) continue;
       workload = sim::model_program(resolved);
       if (dry_run(workload.memory, cfg).feasible &&
           workload_tasks(workload) <= kMaxModelTasks) {
@@ -301,7 +321,7 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
       best_seconds = seconds;
       best = cfg;
       best_served_bytes = served_bytes;
-      choice.memory = std::move(workload.memory);
+      choice.workload = std::move(workload);
     }
   }
 
@@ -417,7 +437,8 @@ CostTable fit_costs(const std::vector<CostSample>& samples,
 
 void update_calibration(Calibration* cal, const std::string& transport,
                         const ProfileReport& profile,
-                        const sial::ResolvedProgram& program) {
+                        const sial::ResolvedProgram& program,
+                        const sim::WorkloadModel* walked) {
   if (profile.plan.predicted_seconds > 0.0 &&
       profile.plan.actual_seconds > 0.0) {
     cal->last_error_percent = profile.plan.error_percent();
@@ -465,8 +486,9 @@ void update_calibration(Calibration* cal, const std::string& transport,
   // which the DES replays, so take the idle the fitted prices imply out
   // of the chunk sample and refit it.
   const SipConfig& config = program.config();
-  const sim::WorkloadModel priced =
-      priced_workload(sim::model_program(program), config, fitted);
+  std::optional<sim::WorkloadModel> own;
+  if (walked == nullptr) walked = &own.emplace(sim::model_program(program));
+  const sim::WorkloadModel priced = priced_workload(*walked, config, fitted);
   double idle = config.workers * scheduled_seconds(priced, config, 0.0);
   for (const sim::PhaseModel& phase : priced.phases) {
     idle -= static_cast<double>(phase.tasks * phase.sweeps) *

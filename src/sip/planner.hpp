@@ -92,12 +92,12 @@ struct PlanChoice {
   SipConfig config;
   double predicted_seconds = 0.0;
   double baseline_seconds = 0.0;  // predicted time of the untuned config
-  int candidates = 0;             // configurations evaluated
+  int candidates = 0;             // feasible distinct tilings priced
   bool calibrated = false;        // calibration had prior runs
   CostTable costs;                // the table the candidates were priced by
   std::string summary;            // tuned knobs, "dimension=value ..."
   std::vector<std::string> pinned;  // dimensions moved off their default
-  sim::WorkerMemory memory;  // the chosen candidate's, from its walk
+  sim::WorkloadModel workload;  // the chosen candidate's walk
 };
 
 // Predicted wall seconds for one candidate configuration against a
@@ -108,7 +108,9 @@ double predict_seconds(const sim::WorkloadModel& workload,
 // The planner. `optimized` is the mid-end output (the same program the
 // launch resolves); `base` is the user's configuration, whose tuned
 // fields that differ from a default-constructed SipConfig are pinned.
-// Pure function of its arguments — same inputs, same plan.
+// Segment sizes that tile every index alike walk and price alike, so
+// each distinct tiling is walked once. Pure function of its arguments —
+// same inputs, same plan.
 PlanChoice plan_launch(const sial::CompiledProgram& optimized,
                        const SipConfig& base, const Calibration& cal,
                        const HostModel& host);
@@ -133,9 +135,12 @@ CostTable fit_costs(const std::vector<CostSample>& samples,
 
 // Post-run learning: records the plan's error and, when the run was
 // profiled, refits `transport`'s table from the merged per-pc costs of
-// `profile` against `program`'s units per pc.
+// `profile` against `program`'s units per pc. `walked` is `program`'s
+// workload when the caller has it (the plan's walk); otherwise the
+// program is walked here.
 void update_calibration(Calibration* cal, const std::string& transport,
                         const ProfileReport& profile,
-                        const sial::ResolvedProgram& program);
+                        const sial::ResolvedProgram& program,
+                        const sim::WorkloadModel* walked = nullptr);
 
 }  // namespace sia::sip

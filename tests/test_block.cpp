@@ -1,11 +1,12 @@
 // Unit tests for the block layer: segmented ranges, block ids, blocks,
 // pools, and the LRU cache.
 #include <gtest/gtest.h>
-#include <sys/resource.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -318,10 +319,29 @@ TEST(BlockPoolTest, ConcurrentChurnBalances) {
   EXPECT_GT(stats.peak_in_use_doubles, 0u);
 }
 
-long minor_faults() {
-  rusage usage{};
-  ::getrusage(RUSAGE_SELF, &usage);
-  return usage.ru_minflt;
+// Kilobytes of transparent huge pages backing [begin, end): the sum of
+// AnonHugePages over the mappings in /proc/self/smaps that overlap it.
+long huge_page_kb(const void* begin, const void* end) {
+  const auto lo = reinterpret_cast<std::uintptr_t>(begin);
+  const auto hi = reinterpret_cast<std::uintptr_t>(end);
+  std::ifstream in("/proc/self/smaps");
+  std::string line;
+  bool overlaps = false;
+  long kb = 0;
+  while (std::getline(in, line)) {
+    std::uintptr_t start = 0, stop = 0;
+    if (std::sscanf(line.c_str(), "%" SCNxPTR "-%" SCNxPTR, &start,
+                    &stop) == 2) {
+      overlaps = start < hi && lo < stop;
+      continue;
+    }
+    long value = 0;
+    if (overlaps &&
+        std::sscanf(line.c_str(), "AnonHugePages: %ld kB", &value) == 1) {
+      kb += value;
+    }
+  }
+  return kb;
 }
 
 // Whether the kernel backs MADV_HUGEPAGE ranges with transparent huge
@@ -338,7 +358,6 @@ TEST(BlockPoolTest, ArenaIsHugePageAligned) {
   constexpr std::size_t kSlotDoubles = 64 * 1024;
   constexpr std::size_t kSlots = 16;
   constexpr std::size_t kPageDoubles = 4096 / sizeof(double);
-  constexpr long kSmallPages = kSlots * kSlotDoubles / kPageDoubles;  // 2048
   BlockPool pool({{kSlotDoubles, kSlots}}, /*allow_heap_fallback=*/false);
   std::vector<PoolBuffer> slots;
   for (std::size_t s = 0; s < kSlots; ++s) {
@@ -357,16 +376,16 @@ TEST(BlockPoolTest, ArenaIsHugePageAligned) {
   if (!transparent_huge_pages_on()) {
     GTEST_SKIP() << "transparent huge pages are off";
   }
-  // One store per 4 KiB page: with 2 MiB pages that is four faults, not
-  // one per page. (An AddressSanitizer build counts about 770.)
-  const long before = minor_faults();
+  // One store per 4 KiB page; the kernel backs the whole arena with 2 MiB
+  // pages. (The arena's own mapping is checked, not the process's fault
+  // count, which sanitizer shadow memory inflates.)
   for (PoolBuffer& slot : slots) {
     for (std::size_t i = 0; i < kSlotDoubles; i += kPageDoubles) {
       slot.data()[i] = 1.0;
     }
   }
-  const long faults = minor_faults() - before;
-  EXPECT_LT(faults, kSmallPages / 2) << faults << " minor faults";
+  constexpr long kArenaKb = kSlots * kSlotDoubles * sizeof(double) / 1024;
+  EXPECT_GE(huge_page_kb(arena, arena + kSlots * kSlotDoubles), kArenaKb);
 }
 
 // ---------------------------------------------------------------------

@@ -2,7 +2,14 @@
 // reporting, and the pool plan (paper §V-B).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "chem/integrals.hpp"
+#include "chem/programs.hpp"
+#include "common/error.hpp"
 #include "sial/compiler.hpp"
+#include "sip/launch.hpp"
 #include "sip/master.hpp"
 
 namespace sia::sip {
@@ -159,14 +166,56 @@ distributed d(mu,nu)
 TEST(DryRunTest, HopelessFixedCostsReportZeroWorkers) {
   SipConfig config = dry_config();
   config.worker_memory_bytes = 64;  // smaller than one block
-  const DryRunReport report = analyze(R"(
+  const std::string body = R"(
 aoindex mu = 1, n
 aoindex nu = 1, n
 static s(mu,nu)
-)",
-                                      config);
+)";
+  const DryRunReport report = analyze(body, config);
   EXPECT_FALSE(report.feasible);
   EXPECT_EQ(report.workers_needed, 0);
+  // Both diagnostics say that no worker count fits, not "at least 0".
+  const std::string fits = "no worker count fits the per-worker fixed part";
+  const std::string text = report.to_string();
+  EXPECT_NE(text.find(fits), std::string::npos) << text;
+  EXPECT_EQ(text.find("at least 0"), std::string::npos) << text;
+  Sip sip(config);
+  try {
+    sip.run_source("sial test\n" + body + "\nendsial\n");
+    FAIL() << "expected InfeasibleError";
+  } catch (const InfeasibleError& error) {
+    const std::string what = error.what();
+    EXPECT_EQ(error.workers_needed(), 0);
+    EXPECT_NE(what.find(fits), std::string::npos) << what;
+    EXPECT_EQ(what.find("at least 0"), std::string::npos) << what;
+  }
+}
+
+TEST(DryRunTest, SegmentPastTheIndexRangeMatchesTheRange) {
+  // At norb 32 segments 32 and 48 both make one 32-element segment per
+  // index: blocks are sized by the segments an index has, not by the
+  // nominal segment size, so the two give one dry run and one result.
+  chem::register_chem_superinstructions();
+  const auto run = [](int segment) {
+    SipConfig config;
+    config.workers = 1;
+    config.io_servers = 0;
+    config.default_segment = segment;
+    config.constants = {{"norb", 32}};
+    Sip sip(config);
+    return sip.run_source(chem::fock_build_source());
+  };
+  const RunResult exact = run(32);
+  const RunResult past = run(48);
+  EXPECT_TRUE(past.dry_run.feasible);
+  EXPECT_EQ(past.dry_run.to_string(), exact.dry_run.to_string());
+  EXPECT_EQ(past.dry_run.pool_plan, exact.dry_run.pool_plan);
+  const auto bits = [](double value) {
+    char text[32];
+    std::snprintf(text, sizeof text, "%a", value);
+    return std::string(text);
+  };
+  EXPECT_EQ(bits(past.scalar("fnorm")), bits(exact.scalar("fnorm")));
 }
 
 TEST(DryRunTest, PoolPlanHasClassesForUsedShapes) {

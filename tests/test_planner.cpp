@@ -11,19 +11,25 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/config.hpp"
+#include "shipped_programs.hpp"
 #include "sial/compiler.hpp"
 #include "sial/opt/optimizer.hpp"
 #include "sial/program.hpp"
+#include "sim/program_model.hpp"
 #include "sip/launch.hpp"
+#include "sip/master.hpp"
 #include "sip/planner.hpp"
 #include "sip/profiler.hpp"
 
@@ -387,6 +393,107 @@ TEST(PlannerTest, UnprofiledRunLeavesTheTableUnchanged) {
   EXPECT_TRUE(cal.tables.empty());
 }
 
+// Per index: its first segment and every segment's extent. Segment sizes
+// with equal keys tile the program alike.
+std::vector<std::vector<long>> extents_of(
+    const sial::ResolvedProgram& program) {
+  std::vector<std::vector<long>> key;
+  for (const sial::ResolvedIndex& index : program.indices()) {
+    key.push_back({index.seg_lo});
+    for (int s = index.seg_lo; s <= index.seg_hi; ++s) {
+      key.back().push_back(index.segment_extent(s));
+    }
+  }
+  return key;
+}
+
+std::string bits(double value) {
+  char text[32];
+  std::snprintf(text, sizeof text, "%a", value);
+  return text;
+}
+
+TEST(PlannerTest, PlanMatchesAnExhaustiveSweepOnShippedPrograms) {
+  // plan_launch walks each distinct tiling once. Re-derive its choice the
+  // long way, walking and pricing every segment, and check that a
+  // repeated tiling prices exactly as its first segment did.
+  constexpr double kSwitchMargin = 0.25;  // the planner's, for the baseline
+  const Calibration cal;
+  const HostModel host{4};
+  for (const ShippedProgram& shipped : shipped_programs()) {
+    for (int workers = 1; workers <= 3; ++workers) {
+      SipConfig base = shipped.config;
+      base.workers = workers;
+      base.default_segment = SipConfig{}.default_segment;  // unpinned
+      const std::string where =
+          shipped.name + " workers=" + std::to_string(workers);
+      const sial::CompiledProgram optimized =
+          sial::opt::optimize(sial::compile_sial(shipped.source),
+                              base.opt_level)
+              .program;
+      const CostTable costs = cal.table(base.transport);
+
+      // Tiling -> its first segment's dry run and prediction.
+      std::map<std::vector<std::vector<long>>, std::pair<std::string, double>>
+          tilings;
+      int best_segment = 0;
+      double best_seconds = std::numeric_limits<double>::infinity();
+      double best_score = best_seconds;
+      for (const int segment : {base.default_segment, 2, 4, 6, 12, 16, 24,
+                                32, 48, 64, 96, 128}) {
+        SipConfig cfg = base;
+        cfg.default_segment = segment;
+        std::optional<sial::ResolvedProgram> resolved;
+        try {
+          resolved.emplace(optimized, cfg);
+        } catch (const std::exception&) {
+          continue;  // a segment the index ranges reject
+        }
+        const sim::WorkloadModel workload = sim::model_program(*resolved);
+        const DryRunReport dry = dry_run(workload.memory, cfg);
+        if (!dry.feasible) continue;
+        const double seconds = predict_seconds(workload, cfg, costs);
+        const auto [first, fresh] = tilings.emplace(
+            extents_of(*resolved), std::make_pair(dry.to_string(), seconds));
+        if (!fresh) {
+          EXPECT_EQ(dry.to_string(), first->second.first)
+              << where << " segment " << segment;
+          EXPECT_EQ(bits(seconds), bits(first->second.second))
+              << where << " segment " << segment;
+        }
+        const double score =
+            segment == base.default_segment ? seconds * (1.0 - kSwitchMargin)
+                                            : seconds;
+        if (score < best_score) {
+          best_score = score;
+          best_seconds = seconds;
+          best_segment = segment;
+        }
+      }
+      const PlanChoice choice = plan_launch(optimized, base, cal, host);
+      EXPECT_EQ(choice.candidates, static_cast<int>(tilings.size())) << where;
+      if (best_segment == 0) {  // e.g. nocc 3: no swept segment fits
+        EXPECT_EQ(choice.config.default_segment, base.default_segment);
+        continue;
+      }
+      EXPECT_EQ(bits(choice.predicted_seconds), bits(best_seconds)) << where;
+      EXPECT_EQ(choice.config.default_segment, best_segment) << where;
+      EXPECT_EQ(choice.summary.rfind(
+                    "segment=" + std::to_string(best_segment) + " ", 0),
+                0u)
+          << where << ": " << choice.summary;
+      // The same plan with the winning segment pinned: one walk, the same
+      // server knobs and prediction.
+      SipConfig at_best = base;
+      at_best.default_segment = best_segment;
+      const PlanChoice pinned = plan_launch(optimized, at_best, cal, host);
+      EXPECT_EQ(choice.summary, pinned.summary) << where;
+      EXPECT_EQ(bits(choice.predicted_seconds), bits(pinned.predicted_seconds))
+          << where;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // End-to-end autotuned runs.
 
@@ -396,26 +503,73 @@ TEST(PlannerTest, AutotunedRunRecordsPlanAndPersistsCalibration) {
   SipConfig config = sweep_config();
   config.autotune = true;
   config.calibration_file = cal_path;
-  Sip sip(config);
-  const RunResult result = sip.run_source(sweep_source());
-  EXPECT_TRUE(result.profile.plan.planned);
-  EXPECT_FALSE(result.profile.plan.calibrated);  // first run is cold
-  EXPECT_GT(result.profile.plan.candidates, 0);
-  EXPECT_GT(result.profile.plan.predicted_seconds, 0.0);
-  EXPECT_GT(result.profile.plan.actual_seconds, 0.0);
+  std::string transport;
+  {
+    Sip sip(config);
+    const RunResult result = sip.run_source(sweep_source());
+    EXPECT_TRUE(result.profile.plan.planned);
+    EXPECT_FALSE(result.profile.plan.calibrated);  // first run is cold
+    EXPECT_GT(result.profile.plan.candidates, 0);
+    EXPECT_GT(result.profile.plan.predicted_seconds, 0.0);
+    EXPECT_GT(result.profile.plan.actual_seconds, 0.0);
+    // The SIA_TRANSPORT environment variable may have replaced "thread".
+    transport = sip.config().transport;
+  }
+  // The save is durable once the Sip is gone.
   const Calibration cal = Calibration::load(cal_path);
   EXPECT_EQ(cal.runs, 1);
-  // Fitted from the profile, under the transport the run used (the
-  // SIA_TRANSPORT environment variable may have replaced "thread").
-  EXPECT_EQ(cal.tables.count(sip.config().transport), 1u);
+  // Fitted from the profile, under the transport the run used.
+  EXPECT_EQ(cal.tables.count(transport), 1u);
 
   // Second run sees the calibration and reports itself calibrated.
-  Sip second(config);
-  const RunResult again = second.run_source(sweep_source());
-  EXPECT_TRUE(again.profile.plan.planned);
-  EXPECT_TRUE(again.profile.plan.calibrated);
+  {
+    Sip second(config);
+    const RunResult again = second.run_source(sweep_source());
+    EXPECT_TRUE(again.profile.plan.planned);
+    EXPECT_TRUE(again.profile.plan.calibrated);
+  }
   EXPECT_EQ(Calibration::load(cal_path).runs, 2);
   std::filesystem::remove(cal_path);
+}
+
+TEST(PlannerTest, SecondRunOnTheSameSipIsCalibrated) {
+  // The first run's save may still be in flight when run() returns; the
+  // next run() waits for it before it loads the file.
+  const std::string cal_path = temp_calibration_path("sia_cal_same");
+  std::filesystem::remove(cal_path);
+  SipConfig config = sweep_config();
+  config.autotune = true;
+  config.calibration_file = cal_path;
+  {
+    Sip sip(config);
+    EXPECT_FALSE(sip.run_source(sweep_source()).profile.plan.calibrated);
+    const RunResult again = sip.run_source(sweep_source());
+    EXPECT_TRUE(again.profile.plan.planned);
+    EXPECT_TRUE(again.profile.plan.calibrated);
+    // plan() waits for the second run's save the same way.
+    EXPECT_TRUE(sip.plan(optimized_sweep(config)).calibrated);
+    EXPECT_EQ(Calibration::load(cal_path).runs, 2);
+  }
+  std::filesystem::remove(cal_path);
+}
+
+TEST(PlannerTest, SaveToAnUnwritablePathNeitherThrowsNorTerminates) {
+  // The calibration's parent is a regular file, so no directory can be
+  // made there and the save fails on the save thread.
+  const std::string blocker = temp_calibration_path("sia_cal_blocker");
+  std::ofstream(blocker) << "not a directory\n";
+  SipConfig config = sweep_config();
+  config.autotune = true;
+  config.calibration_file = blocker + "/calibration";
+  {
+    Sip sip(config);
+    EXPECT_NO_THROW(sip.run_source(sweep_source()));
+    const RunResult again = sip.run_source(sweep_source());
+    EXPECT_TRUE(again.profile.plan.planned);
+    EXPECT_FALSE(again.profile.plan.calibrated);  // nothing was saved
+  }
+  EXPECT_FALSE(std::filesystem::exists(config.calibration_file));
+  std::filesystem::remove(blocker);
 }
 
 TEST(PlannerTest, AutotunePreservesResults) {
@@ -431,10 +585,12 @@ TEST(PlannerTest, AutotunePreservesResults) {
   SipConfig tuned = sweep_config();
   tuned.autotune = true;
   tuned.calibration_file = cal_path;
-  Sip sip(tuned);
-  const double got = sip.run_source(sweep_source()).scalar("total");
-  EXPECT_NEAR(got, expected, 1e-9 * std::abs(expected));
-  std::filesystem::remove(cal_path);
+  {
+    Sip sip(tuned);
+    const double got = sip.run_source(sweep_source()).scalar("total");
+    EXPECT_NEAR(got, expected, 1e-9 * std::abs(expected));
+  }
+  std::filesystem::remove(cal_path);  // after ~Sip: the save is done
 }
 
 class ScopedEnv {
@@ -475,10 +631,12 @@ TEST(PlannerTest, AutotuneEnvOverridesConfigBothWays) {
     SipConfig config = sweep_config();
     config.autotune = false;  // env wins: planning on
     config.calibration_file = cal_path;
-    Sip sip(config);
-    const RunResult result = sip.run_source(sweep_source());
-    EXPECT_TRUE(result.profile.plan.planned);
-    std::filesystem::remove(cal_path);
+    {
+      Sip sip(config);
+      const RunResult result = sip.run_source(sweep_source());
+      EXPECT_TRUE(result.profile.plan.planned);
+    }
+    std::filesystem::remove(cal_path);  // after ~Sip: the save is done
   }
 }
 
